@@ -68,6 +68,19 @@ def parse_angle(text: str) -> float:
     return numerator * math.pi / denominator
 
 
+def _int_at_least(minimum: int):
+    """argparse type for counts (>= 1) and seeds (>= 0, as numpy requires)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
 def build_povm_target(name: str) -> Povm:
     if name not in POVM_TARGETS:
         raise CliInputError(
@@ -147,8 +160,9 @@ def cmd_simulate(args) -> int:
     if args.csv is not None:
         with open(args.csv, "w") as handle:
             handle.write("trial,fidelity\n")
-            for index, value in enumerate(report.samples):
-                handle.write(f"{index},{value!r}\n")
+            # tolist() gives Python floats, whose repr round-trips exactly
+            handle.writelines(f"{index},{value!r}\n"
+                              for index, value in enumerate(report.samples.tolist()))
         print(f"wrote per-trial fidelities to {args.csv}")
     return EXIT_OK
 
@@ -210,9 +224,9 @@ def _make_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the identity checks on a POVM")
     verify.add_argument("--target", help=f"built-in POVM: {', '.join(POVM_TARGETS)}")
     verify.add_argument("--in", dest="infile", help="POVM document to verify")
-    verify.add_argument("--trials", type=int, default=1000,
+    verify.add_argument("--trials", type=_int_at_least(1), default=1000,
                         help="Haar probes for the scalar identity (default 1000)")
-    verify.add_argument("--seed", type=int, required=True, help="RNG seed")
+    verify.add_argument("--seed", type=_int_at_least(0), required=True, help="RNG seed")
     verify.add_argument("--tolerance", type=float, default=AGGREGATE_TOL,
                         help="residual tolerance (default 1e-9)")
     verify.add_argument("--out", help="write the verification report as JSON")
@@ -221,9 +235,9 @@ def _make_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="Monte Carlo estimation-fidelity run")
     sim.add_argument("--target", help=f"built-in POVM: {', '.join(POVM_TARGETS)}")
     sim.add_argument("--in", dest="infile", help="POVM document to simulate")
-    sim.add_argument("--trials", type=int, default=100_000,
+    sim.add_argument("--trials", type=_int_at_least(1), default=100_000,
                      help="number of simulated estimation rounds (default 100000)")
-    sim.add_argument("--seed", type=int, required=True, help="RNG seed")
+    sim.add_argument("--seed", type=_int_at_least(0), required=True, help="RNG seed")
     sim.add_argument("--out", help="write the estimation report as JSON")
     sim.add_argument("--csv", help="write per-trial fidelities as CSV")
     sim.set_defaults(func=cmd_simulate)
@@ -234,7 +248,7 @@ def _make_parser() -> argparse.ArgumentParser:
                        help="24-cell or 600-cell")
     solve.add_argument("--angles", nargs="+", required=True,
                        help="angles as fractions of pi, e.g. pi/4 pi/2 0")
-    solve.add_argument("--copies", type=int, required=True, help="copy count N")
+    solve.add_argument("--copies", type=_int_at_least(1), required=True, help="copy count N")
     solve.add_argument("--out", help="write the weight report as JSON")
     solve.set_defaults(func=cmd_solve_weights)
 

@@ -69,7 +69,7 @@ def povm_from_document(doc: dict) -> Povm:
         raise DocumentError(
             f"element dimensions are inconsistent with dim = {dim}")
     try:
-        return Povm(weights, states, int(doc["copies"]),
+        return Povm(weights, states, doc["copies"],
                     provenance=str(doc.get("provenance", "")))
     except ValueError as err:
         raise DocumentError(str(err)) from None

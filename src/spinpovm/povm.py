@@ -1,5 +1,6 @@
 """Shared POVM container and the tolerance policy used across the package."""
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,10 @@ class Povm:
             raise ValueError("POVM must have at least one element")
         if states.shape[1] < 2:
             raise ValueError("states must have dimension >= 2")
-        if int(self.copies) < 1:
+        # bool is an Integral, and int() would truncate 2.7 to 2
+        if isinstance(self.copies, bool) or not isinstance(self.copies, numbers.Integral):
+            raise ValueError(f"copies must be an integer, got {self.copies!r}")
+        if self.copies < 1:
             raise ValueError(f"copies must be >= 1, got {self.copies}")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0):
             raise ValueError("weights must be finite and non-negative")

@@ -1,6 +1,13 @@
 """Haar-uniform pure-state sampling from seeded generators."""
 
+from collections.abc import Iterator
+
 import numpy as np
+
+# States are drawn this many at a time. Simulate draws one chunk of states,
+# then one uniform per trial of that chunk, so this size fixes which stream
+# values each trial consumes: changing it changes seeded reports.
+CHUNK = 4096
 
 
 def haar_random_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -26,3 +33,10 @@ def haar_random_states(dim: int, count: int, rng: np.random.Generator) -> np.nda
 def haar_random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Single Haar-uniform pure state of dimension `dim`."""
     return haar_random_states(dim, 1, rng)[0]
+
+
+def chunks(total: int) -> Iterator[tuple[int, int]]:
+    """Consecutive (start, stop) ranges of CHUNK trials, the last one shorter,
+    covering range(total)."""
+    for start in range(0, total, CHUNK):
+        yield start, min(start + CHUNK, total)

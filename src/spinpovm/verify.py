@@ -12,10 +12,8 @@ import numpy as np
 
 from .povm import AGGREGATE_TOL, Povm
 from .reports import Check, VerificationReport
-from .sampling import haar_random_states
+from .sampling import chunks, haar_random_states
 from .symmetric import _frobenius_identity_residual, sym_dim, symmetric_power_matrix
-
-_CHUNK = 4096
 
 
 def scalar_identity_values(povm: Povm, psis: np.ndarray) -> np.ndarray:
@@ -50,13 +48,9 @@ def verify_scalar_identity(povm: Povm, trials: int, rng: np.random.Generator,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     worst = 0.0
-    remaining = trials
-    while remaining > 0:
-        batch = min(remaining, _CHUNK)
-        psis = haar_random_states(povm.dim, batch, rng)
-        values = scalar_identity_values(povm, psis)
+    for start, stop in chunks(trials):
+        values = scalar_identity_values(povm, haar_random_states(povm.dim, stop - start, rng))
         worst = max(worst, float(np.max(np.abs(values - 1.0))))
-        remaining -= batch
     return VerificationReport(
         _povm_id(povm), (Check("scalar-identity", worst, tolerance),))
 

@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from spinpovm import build_table1_povm, simulate
 from spinpovm.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -114,6 +116,16 @@ class TestVerify:
     def test_missing_input_choice(self, capsys):
         assert main(["verify", "--trials", "10", "--seed", "1"]) == EXIT_INPUT
 
+    def test_negative_trials_is_an_input_error(self, capsys):
+        assert main(["verify", "--target", "table1-N2", "--trials", "-3",
+                     "--seed", "1"]) == EXIT_INPUT
+        assert "--trials" in capsys.readouterr().err
+
+    def test_negative_seed_is_an_input_error(self, capsys):
+        assert main(["verify", "--target", "table1-N2", "--trials", "10",
+                     "--seed", "-1"]) == EXIT_INPUT
+        assert "--seed" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_repeat_runs_are_byte_identical(self, tmp_path):
@@ -133,6 +145,22 @@ class TestSimulate:
         assert lines[0] == "trial,fidelity"
         assert len(lines) == 51
         assert lines[1].startswith("0,")
+
+    def test_csv_values_round_trip_to_the_samples(self, tmp_path):
+        csv = tmp_path / "f.csv"
+        assert main(["simulate", "--target", "table1-N3", "--trials", "300",
+                     "--seed", "4", "--csv", str(csv)]) == EXIT_OK
+        rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+        assert [int(index) for index, _ in rows] == list(range(300))
+        values = np.array([float(value) for _, value in rows])
+        expected = simulate(build_table1_povm(3), 300, np.random.default_rng(4),
+                            keep_samples=True).samples
+        assert np.array_equal(values, expected)
+
+    def test_zero_trials_is_an_input_error(self, capsys):
+        assert main(["simulate", "--target", "table1-N2", "--trials", "0",
+                     "--seed", "1"]) == EXIT_INPUT
+        assert "--trials" in capsys.readouterr().err
 
     def test_mean_lands_near_bound(self, tmp_path):
         out = tmp_path / "sim.json"
@@ -176,6 +204,12 @@ class TestSolveWeights:
                      "--angles", "pi/6", "pi/4", "--copies", "2"])
         assert code == EXIT_UNSUPPORTED
         assert "residual" in capsys.readouterr().err
+
+    def test_zero_copies_is_an_input_error(self, capsys):
+        code = main(["solve-weights", "--polytope", "24-cell",
+                     "--angles", "pi/4", "--copies", "0"])
+        assert code == EXIT_INPUT
+        assert "--copies" in capsys.readouterr().err
 
     def test_unknown_polytope(self, capsys):
         code = main(["solve-weights", "--polytope", "tesseract",

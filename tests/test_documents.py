@@ -89,3 +89,11 @@ def test_unreadable_file_reported(tmp_path):
         read_json(path)
     with pytest.raises(DocumentError):
         read_json(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("copies", [2.7, 2.0, True, "2"])
+def test_non_integer_copies_rejected(copies):
+    doc = povm_to_document(build_table1_povm(2))
+    doc["copies"] = copies
+    with pytest.raises(DocumentError, match="copies"):
+        povm_from_document(doc)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinpovm import (
+    Povm,
     build_table1_povm,
     exact_average_fidelity,
     haar_moment,
@@ -13,9 +14,10 @@ from spinpovm import (
     set60_states,
     simulate,
     spin32_povm,
+    verify_completeness,
 )
 from spinpovm.estimate import probability_normalization
-from oracles import projective_moment_quadrature
+from oracles import projective_moment_quadrature, reference_simulate_samples
 
 
 def test_exact_fidelity_table1_n2():
@@ -94,6 +96,45 @@ def test_simulation_is_deterministic():
     r2 = simulate(povm, 5000, np.random.default_rng(31), keep_samples=True)
     assert r1.to_dict() == r2.to_dict()
     assert np.array_equal(r1.samples, r2.samples)
+
+
+def _kernel_samples(povm, trials, rng_factory):
+    report = simulate(povm, trials, rng_factory(), keep_samples=True)
+    return report.samples, reference_simulate_samples(povm, trials, rng_factory())
+
+
+@pytest.mark.parametrize("trials", [1, 127, 128, 129, 4097])
+def test_blocked_kernel_matches_unblocked_reference(shipped_povms, trials):
+    # block edges at 128 rows, chunk edge at 4096; copies = 1 has no power step
+    identity = Povm(np.ones(3), np.eye(3), 1, provenance="identity-D3-N1")
+    for povm in (*shipped_povms, identity):
+        samples, reference = _kernel_samples(
+            povm, trials, lambda: np.random.default_rng(trials))
+        assert np.array_equal(samples, reference), povm.provenance
+
+
+class _UniformsAtTop:
+    """Generator stand-in: Haar draws from a seeded stream, every uniform
+    the largest double below 1."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def standard_normal(self, shape):
+        return self._rng.standard_normal(shape)
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def test_pick_clamps_to_last_outcome_when_prefix_sums_end_below_u():
+    povm = build_table1_povm(2).scaled(1 - 1e-10)   # prefix sums top out near 1 - 1e-10
+    assert verify_completeness(povm).passed
+    samples, reference = _kernel_samples(povm, 300, lambda: _UniformsAtTop(4))
+    assert np.array_equal(samples, reference)
+    psis = haar_random_states(3, 300, np.random.default_rng(4))
+    last = np.abs(psis.conj() @ povm.states[-1]) ** 2
+    assert np.allclose(samples, last, rtol=0, atol=1e-15)
 
 
 def test_samples_only_kept_on_request():

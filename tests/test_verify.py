@@ -79,6 +79,18 @@ def test_mixed_dimensions_are_unrepresentable():
              np.array([np.array([1, 0, 0]), np.array([1, 0, 0, 0])], dtype=object), 2)
 
 
+@pytest.mark.parametrize("copies", [2.7, 2.0, True, np.True_])
+def test_non_integer_copies_rejected(copies):
+    povm = build_table1_povm(2)
+    with pytest.raises(ValueError, match="copies must be an integer"):
+        Povm(povm.weights, povm.states, copies)
+
+
+def test_numpy_integer_copies_accepted():
+    povm = build_table1_povm(2)
+    assert Povm(povm.weights, povm.states, np.int64(2)).copies == 2
+
+
 def test_report_serialization_shape():
     report = verify_completeness(build_table1_povm(2))
     payload = report.to_dict()
