@@ -29,7 +29,6 @@ from .spin1 import (
     povm_from_shells,
     shell_polynomial,
     shell_states,
-    shell_sum,
     solve_weights,
     state_from_angles,
     state_from_point,
@@ -51,15 +50,11 @@ from .spin32 import (
     set60_states,
     spin32_povm,
     traceless_hermitian_basis,
-    verify_hierarchy_n2,
-    verify_hierarchy_n3,
+    verify_hierarchy,
 )
 from .symmetric import (
-    SymmetricVector,
-    identity_residual,
     multi_indices,
     sym_dim,
-    symmetric_power,
     symmetric_power_matrix,
 )
 from .verify import verify_completeness, verify_scalar_identity
@@ -83,7 +78,6 @@ __all__ = [
     "RayCatalog",
     "SET60",
     "ShellPolynomial",
-    "SymmetricVector",
     "TABLE1",
     "VerificationReport",
     "WeightSolveError",
@@ -98,7 +92,6 @@ __all__ = [
     "haar_moment",
     "haar_random_state",
     "haar_random_states",
-    "identity_residual",
     "multi_indices",
     "normalized",
     "optimal_fidelity",
@@ -109,20 +102,17 @@ __all__ = [
     "set60_states",
     "shell_polynomial",
     "shell_states",
-    "shell_sum",
     "simulate",
     "solve_weights",
     "spin32_povm",
     "state_from_angles",
     "state_from_point",
     "sym_dim",
-    "symmetric_power",
     "symmetric_power_matrix",
     "table1_shells",
     "traceless_hermitian_basis",
     "verify_completeness",
-    "verify_hierarchy_n2",
-    "verify_hierarchy_n3",
+    "verify_hierarchy",
     "verify_scalar_identity",
     "vertices",
 ]

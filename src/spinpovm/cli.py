@@ -29,8 +29,7 @@ from .spin32 import (
     catalog,
     overlap_spectrum,
     spin32_povm,
-    verify_hierarchy_n2,
-    verify_hierarchy_n3,
+    verify_hierarchy,
 )
 from .verify import verify_completeness, verify_scalar_identity
 
@@ -81,6 +80,17 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for residual tolerances: finite and >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def build_povm_target(name: str) -> Povm:
     if name not in POVM_TARGETS:
         raise CliInputError(
@@ -126,8 +136,7 @@ def _full_verification(povm: Povm, trials: int, seed: int,
     report = verify_completeness(povm, tolerance)
     report = report.merged(verify_scalar_identity(povm, trials, rng, tolerance))
     if povm.dim == 4 and povm.copies in (2, 3):
-        hierarchy = verify_hierarchy_n2 if povm.copies == 2 else verify_hierarchy_n3
-        report = report.merged(hierarchy(povm, tolerance))
+        report = report.merged(verify_hierarchy(povm, tolerance))
     return report
 
 
@@ -227,7 +236,7 @@ def _make_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trials", type=_int_at_least(1), default=1000,
                         help="Haar probes for the scalar identity (default 1000)")
     verify.add_argument("--seed", type=_int_at_least(0), required=True, help="RNG seed")
-    verify.add_argument("--tolerance", type=float, default=AGGREGATE_TOL,
+    verify.add_argument("--tolerance", type=_tolerance, default=AGGREGATE_TOL,
                         help="residual tolerance (default 1e-9)")
     verify.add_argument("--out", help="write the verification report as JSON")
     verify.set_defaults(func=cmd_verify)
@@ -270,15 +279,11 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except CliInputError as err:
+    # ValueError covers DocumentError and the solver's argument checks;
+    # its typed subclasses for unsupported parameters exit 3 where raised
+    except (CliInputError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except documents.DocumentError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as err:
-        print(f"unsupported: {err}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
 
 
 def entry() -> None:

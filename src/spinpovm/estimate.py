@@ -13,12 +13,7 @@ import numpy as np
 from .povm import AGGREGATE_TOL, Povm
 from .reports import EstimationReport
 from .sampling import chunks, haar_random_states
-from .verify import scalar_identity_values, verify_completeness, _povm_id
-
-# Most rows per kernel block: 128 x k floats stay in cache (0.7 MB at
-# k = 720) where a whole chunk of 4096 rows would stream every stage from
-# memory.
-_BLOCK = 128
+from .verify import blocks, outcome_probabilities, verify_completeness, _povm_id
 
 
 def optimal_fidelity(copies: int, dim: int) -> float:
@@ -70,17 +65,8 @@ def simulate(povm: Povm, trials: int, rng: np.random.Generator,
         rows = stop - start
         psis = haar_random_states(povm.dim, rows, rng)
         u = rng.random(rows)
-        # Even blocks have one row only when the chunk has one: numpy
-        # multiplies a single row with another BLAS routine, whose last bits
-        # differ from the rows of a many-row product.
-        blocks = -(-rows // _BLOCK)
-        for block in range(blocks):
-            lo, hi = rows * block // blocks, rows * (block + 1) // blocks
-            overlaps_sq = np.abs(psis[lo:hi].conj() @ povm.states.T) ** 2
-            probs = overlaps_sq.copy()
-            for _ in range(povm.copies - 1):
-                probs *= overlaps_sq
-            probs *= povm.weights
+        for lo, hi in blocks(rows):
+            overlaps_sq, probs = outcome_probabilities(povm, psis[lo:hi])
             cdf = np.cumsum(probs, axis=1, out=probs)
             if float(np.max(np.abs(cdf[:, -1] - 1.0))) > AGGREGATE_TOL:
                 raise RuntimeError("outcome probabilities failed to normalize")
@@ -89,6 +75,9 @@ def simulate(povm: Povm, trials: int, rng: np.random.Generator,
             cdf[:, -1] = np.inf
             picks = np.argmax(cdf >= u[lo:hi, None], axis=1)
             fidelities[start + lo:start + hi] = overlaps_sq[np.arange(hi - lo), picks]
+            # freed before the next block allocates, which then reuses this
+            # cache-warm memory instead of a second set of buffers
+            del overlaps_sq, probs, cdf
 
     mean = float(np.mean(fidelities))
     std_error = float(np.std(fidelities, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -101,8 +90,3 @@ def simulate(povm: Povm, trials: int, rng: np.random.Generator,
         optimal_bound=optimal_fidelity(povm.copies, povm.dim),
         samples=fidelities if keep_samples else None,
     )
-
-
-def probability_normalization(povm: Povm, psis: np.ndarray) -> float:
-    """Worst |sum_r p_r - 1| over probe states; diagnostic for simulate's inputs."""
-    return float(np.max(np.abs(scalar_identity_values(povm, psis) - 1.0)))

@@ -113,14 +113,6 @@ class ShellPolynomial:
         return np.polynomial.polynomial.polyval(t, self.coeffs)
 
 
-def shell_sum(polytope: str, theta_r: float, copies: int,
-              theta: float, phi: float, chi1: float, chi2: float) -> float:
-    """Direct evaluation of sum_i |<psi(theta,phi,chi)|psi_i>|^(2N) over a shell."""
-    psi = state_from_angles(theta, phi, chi1, chi2)
-    overlaps = shell_states(polytope, theta_r) @ psi.conj()
-    return float(np.sum(np.abs(overlaps) ** (2 * copies)))
-
-
 def _cheb_nodes(count: int) -> np.ndarray:
     j = np.arange(count)
     return 0.5 * (1.0 + np.cos(np.pi * (2 * j + 1) / (2 * count)))

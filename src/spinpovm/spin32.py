@@ -17,6 +17,7 @@ import numpy as np
 
 from .povm import AGGREGATE_TOL, Povm, normalized
 from .reports import Check, VerificationReport
+from .verify import _povm_id
 
 PHASE = np.exp(1j * np.pi / 3)  # the phase p; p^3 = -1
 
@@ -249,19 +250,6 @@ def spin32_povm(cat: RayCatalog, copies: int) -> Povm:
                 provenance=f"{cat.label}-povm-N{copies}")
 
 
-def _moment_checks(povm: Povm, targets, tolerance: float) -> VerificationReport:
-    """Residuals of sum_r c_r = total and sum_r c_r (n_r.n_s)^m = target_m for all s."""
-    total, *moment_targets = targets
-    dots = _bloch_dot_matrix(povm.states, povm.spin)
-    checks = [Check("weight-sum", abs(povm.weight_sum - total), tolerance)]
-    names = ("bloch-moment-1", "bloch-moment-2", "bloch-moment-3")
-    for power, (name, target) in enumerate(zip(names, moment_targets), start=1):
-        sums = (dots ** power).T @ povm.weights  # one value per s
-        checks.append(Check(name, float(np.max(np.abs(sums - target))), tolerance))
-    return VerificationReport(povm.provenance or f"spin32-N{povm.copies}",
-                              tuple(checks))
-
-
 def hierarchy_targets(spin: float, copies: int) -> tuple:
     """Right-hand sides (weight sum, then Bloch-dot moment values) for N = 2 or 3."""
     j2 = 2 * spin
@@ -277,18 +265,21 @@ def hierarchy_targets(spin: float, copies: int) -> tuple:
     raise ValueError(f"moment hierarchy is defined for 2 or 3 copies, got {copies}")
 
 
-def verify_hierarchy_n2(povm: Povm, tolerance: float = AGGREGATE_TOL) -> VerificationReport:
-    """Check the 2k+1 two-copy equations: weight sum and first two dot moments."""
-    if povm.copies != 2:
-        raise ValueError(f"expected a two-copy POVM, got copies = {povm.copies}")
-    return _moment_checks(povm, hierarchy_targets(povm.spin, 2), tolerance)
+def verify_hierarchy(povm: Povm, tolerance: float = AGGREGATE_TOL) -> VerificationReport:
+    """Check the moment hierarchy of a two- or three-copy POVM.
 
-
-def verify_hierarchy_n3(povm: Povm, tolerance: float = AGGREGATE_TOL) -> VerificationReport:
-    """Check the 3k+1 three-copy equations: weight sum and first three dot moments."""
-    if povm.copies != 3:
-        raise ValueError(f"expected a three-copy POVM, got copies = {povm.copies}")
-    return _moment_checks(povm, hierarchy_targets(povm.spin, 3), tolerance)
+    Residuals of sum_r c_r = total and sum_r c_r (n_r.n_s)^m = target_m
+    for every s: the 2k+1 two-copy equations take the first two dot
+    moments, the 3k+1 three-copy equations the first three.
+    """
+    total, *moment_targets = hierarchy_targets(povm.spin, povm.copies)
+    dots = _bloch_dot_matrix(povm.states, povm.spin)
+    checks = [Check("weight-sum", abs(povm.weight_sum - total), tolerance)]
+    names = ("bloch-moment-1", "bloch-moment-2", "bloch-moment-3")
+    for power, (name, target) in enumerate(zip(names, moment_targets), start=1):
+        sums = (dots ** power).T @ povm.weights  # one value per s
+        checks.append(Check(name, float(np.max(np.abs(sums - target))), tolerance))
+    return VerificationReport(_povm_id(povm), tuple(checks))
 
 
 def reduce_n3_to_n2(povm: Povm, tolerance: float = AGGREGATE_TOL) -> Povm:
@@ -298,7 +289,9 @@ def reduce_n3_to_n2(povm: Povm, tolerance: float = AGGREGATE_TOL) -> Povm:
     equations onto the two-copy ones. The input must pass the three-copy
     hierarchy.
     """
-    report = verify_hierarchy_n3(povm, tolerance)
+    if povm.copies != 3:
+        raise ValueError(f"expected a three-copy POVM, got copies = {povm.copies}")
+    report = verify_hierarchy(povm, tolerance)
     if not report.passed:
         raise ValueError(
             f"input fails the three-copy hierarchy (worst residual {report.worst:.3e})")

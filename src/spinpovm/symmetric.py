@@ -9,12 +9,9 @@ instead of 3^5 = 243. The coordinate of |psi>^(x N) at occupation
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .povm import as_state
 
 
 def sym_dim(dim: int, copies: int) -> int:
@@ -57,24 +54,6 @@ def _embedding_arrays(dim: int, copies: int):
     return occ, coeff
 
 
-@dataclass(frozen=True)
-class SymmetricVector:
-    """Coordinates of an N-copy state in the occupation-number basis."""
-
-    coords: np.ndarray
-    copies: int
-    dim: int
-
-    def __post_init__(self):
-        coords = np.array(self.coords, dtype=complex)
-        if coords.ndim != 1:
-            raise ValueError("coords must be a vector")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("coords contain non-finite entries")
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-
-
 def symmetric_power_matrix(states: np.ndarray, copies: int) -> np.ndarray:
     """Embed unit rows of `states` (k, D) as rows of a (k, sym_dim) matrix."""
     states = np.asarray(states, dtype=complex)
@@ -86,39 +65,9 @@ def symmetric_power_matrix(states: np.ndarray, copies: int) -> np.ndarray:
     return coeff[None, :] * np.prod(powers, axis=2)
 
 
-def symmetric_power(state, copies: int) -> SymmetricVector:
-    """Symmetric tensor power |psi>^(x copies) of a normalized pure state."""
-    arr = as_state(state)
-    coords = symmetric_power_matrix(arr, copies)[0]
-    return SymmetricVector(coords=coords, copies=copies, dim=arr.size)
-
-
 def _frobenius_identity_residual(weights: np.ndarray, vectors: np.ndarray) -> float:
     """Frobenius norm of sum_r w_r v_r v_r^dag - I for unit rows v_r."""
     acc = vectors.T @ (weights[:, None] * vectors.conj())
     acc -= np.eye(vectors.shape[1])
     return float(np.linalg.norm(acc))
 
-
-def identity_residual(terms) -> float:
-    """Frobenius distance of sum_r c_r v_r v_r^dag from the identity.
-
-    `terms` is a sequence of (weight, SymmetricVector) sharing one
-    (copies, dim); mixtures are rejected.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("no terms given")
-    copies = terms[0][1].copies
-    dim = terms[0][1].dim
-    for _, vec in terms:
-        if (vec.copies, vec.dim) != (copies, dim):
-            raise ValueError(
-                f"mixed terms: expected (copies, dim) = ({copies}, {dim}), "
-                f"got ({vec.copies}, {vec.dim})"
-            )
-    weights = np.array([float(w) for w, _ in terms])
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-        raise ValueError("weights must be finite and non-negative")
-    vectors = np.array([vec.coords for _, vec in terms])
-    return _frobenius_identity_residual(weights, vectors)

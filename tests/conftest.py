@@ -1,9 +1,4 @@
-import sys
-from pathlib import Path
-
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from spinpovm import build_table1_povm, penrose_states, set60_states, spin32_povm
 

@@ -13,7 +13,6 @@ import numpy as np
 from spinpovm import (
     build_table1_povm,
     exact_average_fidelity,
-    haar_random_states,
     penrose_states,
     reduce_n3_to_n2,
     set60_states,
@@ -22,13 +21,12 @@ from spinpovm import (
     solve_weights,
     spin32_povm,
     verify_completeness,
-    verify_hierarchy_n2,
-    verify_hierarchy_n3,
+    verify_hierarchy,
+    verify_scalar_identity,
     AngularCancellationError,
 )
 from spinpovm.cli import main
 from spinpovm.polytopes import CELL24, CELL600
-from spinpovm.verify import scalar_identity_values
 from conftest import all_shipped_povms
 
 PI = math.pi
@@ -58,9 +56,7 @@ def test_criterion_2_scalar_identity():
     rng = np.random.default_rng(20260808)
     worst = 0.0
     for povm in all_shipped_povms():
-        psis = haar_random_states(povm.dim, 1000, rng)
-        values = scalar_identity_values(povm, psis)
-        worst = max(worst, float(np.max(np.abs(values - 1.0))))
+        worst = max(worst, verify_scalar_identity(povm, 1000, rng).worst)
     elapsed = time.perf_counter() - start
     _criterion(2, "scalar identity within 1e-9 at 1000 Haar states per POVM",
                worst < 1e-9 and elapsed < 10.0,
@@ -143,15 +139,15 @@ def test_criterion_6_spectra():
 def test_criterion_7_hierarchies_and_reduction():
     worst = 0.0
     for catalog in (penrose_states(), set60_states()):
-        n2 = verify_hierarchy_n2(spin32_povm(catalog, 2))
-        n3 = verify_hierarchy_n3(spin32_povm(catalog, 3))
+        n2 = verify_hierarchy(spin32_povm(catalog, 2))
+        n3 = verify_hierarchy(spin32_povm(catalog, 3))
         worst = max(worst, n2.worst, n3.worst)
     reduced_pen = reduce_n3_to_n2(spin32_povm(penrose_states(), 3))
     reduced_60 = reduce_n3_to_n2(spin32_povm(set60_states(), 3))
     weights_ok = (np.allclose(reduced_pen.weights, 1 / 4, atol=1e-12)
                   and np.allclose(reduced_60.weights, 1 / 6, atol=1e-12))
-    reduced_pass = (verify_hierarchy_n2(reduced_pen).passed
-                    and verify_hierarchy_n2(reduced_60).passed)
+    reduced_pass = (verify_hierarchy(reduced_pen).passed
+                    and verify_hierarchy(reduced_60).passed)
     _criterion(7, "moment hierarchies hold; reduction maps 1/2->1/4 and 1/3->1/6",
                worst < 1e-9 and weights_ok and reduced_pass,
                f"worst residual {worst:.2e}")

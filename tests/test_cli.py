@@ -58,6 +58,12 @@ class TestBuild:
         assert len(doc["elements"]) == 60
         assert all(abs(el["weight"] - 1 / 3) < 1e-15 for el in doc["elements"])
 
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys):
+        code = main(["build", "--target", "table1-N2",
+                     "--out", str(tmp_path / "missing" / "x.json")])
+        assert code == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+
     def test_unknown_target_lists_valid_ones(self, tmp_path, capsys):
         code = main(["build", "--target", "nonsense", "--out", str(tmp_path / "x.json")])
         assert code == EXIT_INPUT
@@ -121,6 +127,24 @@ class TestVerify:
                      "--seed", "1"]) == EXIT_INPUT
         assert "--trials" in capsys.readouterr().err
 
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys):
+        code = main(["verify", "--target", "table1-N2", "--trials", "10", "--seed", "1",
+                     "--out", str(tmp_path / "missing" / "r.json")])
+        assert code == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf", "abc"])
+    def test_bad_tolerance_is_an_input_error(self, tolerance, capsys):
+        assert main(["verify", "--target", "table1-N2", "--trials", "10", "--seed", "1",
+                     "--tolerance", tolerance]) == EXIT_INPUT
+        assert "--tolerance" in capsys.readouterr().err
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        code = main(["verify", "--target", "table1-N2", "--trials", "10", "--seed", "1",
+                     "--tolerance", "0"])
+        assert code in (EXIT_OK, EXIT_VERIFY)
+        assert "(tolerance 0.0e+00)" in capsys.readouterr().out
+
     def test_negative_seed_is_an_input_error(self, capsys):
         assert main(["verify", "--target", "table1-N2", "--trials", "10",
                      "--seed", "-1"]) == EXIT_INPUT
@@ -161,6 +185,13 @@ class TestSimulate:
         assert main(["simulate", "--target", "table1-N2", "--trials", "0",
                      "--seed", "1"]) == EXIT_INPUT
         assert "--trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_output_is_an_input_error(self, flag, tmp_path, capsys):
+        code = main(["simulate", "--target", "table1-N2", "--trials", "10", "--seed", "1",
+                     flag, str(tmp_path / "missing" / "f")])
+        assert code == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
 
     def test_mean_lands_near_bound(self, tmp_path):
         out = tmp_path / "sim.json"
@@ -204,6 +235,18 @@ class TestSolveWeights:
                      "--angles", "pi/6", "pi/4", "--copies", "2"])
         assert code == EXIT_UNSUPPORTED
         assert "residual" in capsys.readouterr().err
+
+    def test_duplicate_angles_are_an_input_error(self, capsys):
+        code = main(["solve-weights", "--polytope", "24-cell",
+                     "--angles", "pi/4", "pi/4", "--copies", "2"])
+        assert code == EXIT_INPUT
+        assert "distinct" in capsys.readouterr().err
+
+    def test_out_of_range_angle_is_an_input_error(self, capsys):
+        code = main(["solve-weights", "--polytope", "24-cell",
+                     "--angles", "3pi/4", "--copies", "2"])
+        assert code == EXIT_INPUT
+        assert "theta" in capsys.readouterr().err
 
     def test_zero_copies_is_an_input_error(self, capsys):
         code = main(["solve-weights", "--polytope", "24-cell",

@@ -16,7 +16,7 @@ from spinpovm import (
     spin32_povm,
     verify_completeness,
 )
-from spinpovm.estimate import probability_normalization
+from spinpovm.verify import outcome_probabilities
 from oracles import projective_moment_quadrature, reference_simulate_samples
 
 
@@ -87,7 +87,8 @@ def test_probabilities_normalize_before_sampling(shipped_povms):
     rng = np.random.default_rng(77)
     for povm in shipped_povms:
         psis = haar_random_states(povm.dim, 200, rng)
-        assert probability_normalization(povm, psis) < 1e-9
+        _, probs = outcome_probabilities(povm, psis)
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
 
 
 def test_simulation_is_deterministic():

@@ -13,7 +13,6 @@ from spinpovm import (
     povm_from_shells,
     shell_polynomial,
     shell_states,
-    shell_sum,
     solve_weights,
     state_from_angles,
     state_from_point,
@@ -21,7 +20,7 @@ from spinpovm import (
     verify_completeness,
 )
 from spinpovm.polytopes import CELL24, CELL600
-from spinpovm.verify import scalar_identity_values
+from spinpovm.verify import outcome_probabilities
 
 PI = math.pi
 
@@ -90,8 +89,8 @@ class TestTable1:
         rng = np.random.default_rng(314)
         psis = haar_random_states(3, 1000, rng)
         for copies in (2, 3, 4, 5):
-            values = scalar_identity_values(build_table1_povm(copies), psis)
-            assert np.max(np.abs(values - 1.0)) < 1e-9
+            _, probs = outcome_probabilities(build_table1_povm(copies), psis)
+            assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
 
 
 class TestShellPolynomial:
@@ -112,11 +111,12 @@ class TestShellPolynomial:
         for polytope, copies in [(CELL24, 2), (CELL24, 3), (CELL600, 4), (CELL600, 5)]:
             theta_r = rng.uniform(0, PI / 2)
             poly = shell_polynomial(polytope, theta_r, copies)
+            states = shell_states(polytope, theta_r)
             for _ in range(20):
                 theta = rng.uniform(0, PI / 2)
-                direct = shell_sum(polytope, theta_r, copies, theta,
-                                   rng.uniform(0, PI / 2), rng.uniform(0, 2 * PI),
-                                   rng.uniform(0, 2 * PI))
+                psi = state_from_angles(theta, rng.uniform(0, PI / 2),
+                                        rng.uniform(0, 2 * PI), rng.uniform(0, 2 * PI))
+                direct = float(np.sum(np.abs(states @ psi.conj()) ** (2 * copies)))
                 assert abs(poly(math.cos(theta) ** 2) - direct) < 1e-9
 
     def test_cancellation_holds_for_supported_pairs(self):

@@ -15,11 +15,10 @@ from spinpovm import (
     spin32_povm,
     traceless_hermitian_basis,
     verify_completeness,
-    verify_hierarchy_n2,
-    verify_hierarchy_n3,
+    verify_hierarchy,
 )
 from spinpovm.povm import Povm
-from spinpovm.verify import scalar_identity_values
+from spinpovm.verify import outcome_probabilities
 
 THIRD = round(1 / 3, 9)
 NINTH = round(1 / 9, 9)
@@ -156,26 +155,27 @@ class TestOverlapSpectrum:
 
 class TestHierarchies:
     def test_penrose_two_copies(self, penrose):
-        report = verify_hierarchy_n2(spin32_povm(penrose, 2))
+        report = verify_hierarchy(spin32_povm(penrose, 2))
         assert report.passed and report.worst < 1e-9
 
     def test_set60_two_copies(self, set60):
-        report = verify_hierarchy_n2(spin32_povm(set60, 2))
+        report = verify_hierarchy(spin32_povm(set60, 2))
         assert report.passed and report.worst < 1e-9
 
     def test_wrong_weight_fails_weight_sum_by_ten(self, penrose):
         wrong = Povm(np.full(40, 0.5), penrose.states, 2)
-        report = verify_hierarchy_n2(wrong)
+        report = verify_hierarchy(wrong)
         weight_check = {c.name: c for c in report.checks}["weight-sum"]
         assert abs(weight_check.residual - 10.0) < 1e-9
         assert not report.passed
+        assert report.povm_id == "povm-D4-N2"   # verify's id rule
 
     def test_penrose_three_copies(self, penrose):
-        report = verify_hierarchy_n3(spin32_povm(penrose, 3))
+        report = verify_hierarchy(spin32_povm(penrose, 3))
         assert report.passed and report.worst < 1e-9
 
     def test_set60_three_copies(self, set60):
-        report = verify_hierarchy_n3(spin32_povm(set60, 3))
+        report = verify_hierarchy(spin32_povm(set60, 3))
         assert report.passed and report.worst < 1e-9
 
     def test_three_copy_moment_targets_at_spin_three_halves(self):
@@ -186,10 +186,11 @@ class TestHierarchies:
         assert abs(targets[3] - 8 / 27) < 1e-15
 
     def test_copies_preconditions(self, penrose):
-        with pytest.raises(ValueError):
-            verify_hierarchy_n2(spin32_povm(penrose, 3))
-        with pytest.raises(ValueError):
-            verify_hierarchy_n3(spin32_povm(penrose, 2))
+        for copies in (1, 4):
+            with pytest.raises(ValueError, match="2 or 3 copies"):
+                verify_hierarchy(Povm(np.full(40, 0.5), penrose.states, copies))
+        with pytest.raises(ValueError, match="three-copy"):
+            reduce_n3_to_n2(spin32_povm(penrose, 2))
 
 
 class TestReduction:
@@ -198,12 +199,12 @@ class TestReduction:
         assert reduced.copies == 2
         assert np.allclose(reduced.weights, 1 / 4, atol=1e-12)
         assert abs(reduced.weight_sum - 10.0) < 1e-9
-        assert verify_hierarchy_n2(reduced).passed
+        assert verify_hierarchy(reduced).passed
 
     def test_set60_reduction(self, set60):
         reduced = reduce_n3_to_n2(spin32_povm(set60, 3))
         assert np.allclose(reduced.weights, 1 / 6, atol=1e-12)
-        assert verify_hierarchy_n2(reduced).passed
+        assert verify_hierarchy(reduced).passed
 
     def test_invalid_input_rejected(self, penrose):
         broken = Povm(np.full(40, 0.7), penrose.states, 3)
@@ -223,5 +224,5 @@ class TestIdentityResolution:
         psis = haar_random_states(4, 1000, rng)
         for catalog in (penrose, set60):
             for copies in (2, 3):
-                values = scalar_identity_values(spin32_povm(catalog, copies), psis)
-                assert np.max(np.abs(values - 1.0)) < 1e-9
+                _, probs = outcome_probabilities(spin32_povm(catalog, copies), psis)
+                assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from spinpovm import (
-    SymmetricVector,
     build_table1_povm,
     haar_random_state,
     haar_random_states,
-    identity_residual,
     multi_indices,
     sym_dim,
-    symmetric_power,
     symmetric_power_matrix,
+    verify_completeness,
 )
 from oracles import count_multisets, tensor_power_overlap
 
@@ -58,11 +56,11 @@ def test_multi_indices_enumeration_is_a_bijection():
 
 def test_symmetric_power_of_basis_state():
     e1 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    vec = symmetric_power(e1, 3)
+    coords = symmetric_power_matrix(e1, 3)[0]
     idx = multi_indices(3, 3)
     expected = np.zeros(len(idx), dtype=complex)
     expected[idx.index((3, 0, 0))] = 1.0
-    assert np.allclose(vec.coords, expected, atol=1e-15)
+    assert np.allclose(coords, expected, atol=1e-15)
 
 
 def test_symmetric_power_overlaps_match_full_tensor_product():
@@ -72,8 +70,8 @@ def test_symmetric_power_overlaps_match_full_tensor_product():
         copies = int(rng.integers(1, 4))
         phi = haar_random_state(dim, rng)
         psi = haar_random_state(dim, rng)
-        via_sym = np.vdot(symmetric_power(phi, copies).coords,
-                          symmetric_power(psi, copies).coords)
+        via_sym = np.vdot(symmetric_power_matrix(phi, copies)[0],
+                          symmetric_power_matrix(psi, copies)[0])
         via_full = tensor_power_overlap(phi, psi, copies)
         assert abs(via_sym - via_full) < 1e-12
 
@@ -84,8 +82,8 @@ def test_symmetric_power_overlap_is_single_copy_overlap_to_the_n():
         for _ in range(25):
             phi = haar_random_state(3, rng)
             psi = haar_random_state(3, rng)
-            via_sym = np.vdot(symmetric_power(phi, copies).coords,
-                              symmetric_power(psi, copies).coords)
+            via_sym = np.vdot(symmetric_power_matrix(phi, copies)[0],
+                              symmetric_power_matrix(psi, copies)[0])
             assert abs(via_sym - np.vdot(phi, psi) ** copies) < 1e-12
 
 
@@ -94,41 +92,23 @@ def test_symmetric_power_preserves_norm():
     for _ in range(100):
         dim = int(rng.integers(2, 5))
         psi = haar_random_state(dim, rng)
-        coords = symmetric_power(psi, int(rng.integers(1, 6))).coords
+        coords = symmetric_power_matrix(psi, int(rng.integers(1, 6)))[0]
         assert abs(np.vdot(coords, coords).real - 1.0) < 1e-12
 
 
-def test_symmetric_power_rejects_unnormalized_input():
-    with pytest.raises(ValueError):
-        symmetric_power(np.array([1.0, 1.0, 0.0]), 2)
-    with pytest.raises(ValueError):
-        symmetric_power(np.array([np.nan, 0.0, 0.0]), 2)
-
-
-def test_identity_residual_single_term_on_one_dimensional_space():
-    term = SymmetricVector(coords=np.array([1.0 + 0j]), copies=1, dim=1)
-    assert identity_residual([(1.0, term)]) == 0.0
+def _frobenius_residual(povm):
+    return {c.name: c for c in verify_completeness(povm).checks}[
+        "completeness-frobenius"].residual
 
 
 def test_identity_residual_halved_weights_table1_n2():
-    povm = build_table1_povm(2)
-    terms = [(w / 2, symmetric_power(s, 2))
-             for w, s in zip(povm.weights, povm.states)]
+    povm = build_table1_povm(2).scaled(0.5)
     # sum reduces to I/2, whose distance from I is sqrt(dim)/2
-    assert abs(identity_residual(terms) - np.sqrt(6) / 2) < 1e-12
+    assert abs(_frobenius_residual(povm) - np.sqrt(6) / 2) < 1e-12
 
 
 def test_identity_residual_table1_n2():
-    povm = build_table1_povm(2)
-    terms = [(w, symmetric_power(s, 2)) for w, s in zip(povm.weights, povm.states)]
-    assert identity_residual(terms) < 1e-9
-
-
-def test_identity_residual_rejects_mixed_terms():
-    a = symmetric_power(np.array([1, 0, 0], dtype=complex), 2)
-    b = symmetric_power(np.array([1, 0, 0, 0], dtype=complex), 2)
-    with pytest.raises(ValueError, match="mixed"):
-        identity_residual([(1.0, a), (1.0, b)])
+    assert _frobenius_residual(build_table1_povm(2)) < 1e-9
 
 
 def test_trace_identity_for_shipped_povms(shipped_povms):
@@ -141,4 +121,4 @@ def test_symmetric_power_matrix_matches_single_state_path():
     states = haar_random_states(4, 6, rng)
     block = symmetric_power_matrix(states, 3)
     for row, state in zip(block, states):
-        assert np.allclose(row, symmetric_power(state, 3).coords, atol=1e-14)
+        assert np.allclose(row, symmetric_power_matrix(state, 3)[0], atol=1e-14)

@@ -5,12 +5,15 @@ import pytest
 
 from spinpovm import (
     Povm,
+    as_state,
     build_table1_povm,
+    haar_random_states,
     penrose_states,
     spin32_povm,
     verify_completeness,
     verify_scalar_identity,
 )
+from spinpovm.sampling import chunks
 from oracles import brute_force_identity_residual
 
 
@@ -65,11 +68,31 @@ def test_scaled_weights_shift_scalar_residual_linearly():
     assert not report.passed
 
 
+@pytest.mark.parametrize("trials", [1, 127, 128, 129, 4097])
+def test_blocked_scalar_check_matches_closed_form(trials):
+    # block edges at 128 rows, chunk edge at 4096; with weights (1, 1, 0.5)
+    # on the identity basis the overlap sum is 1 - 0.5 |psi_3|^2
+    povm = Povm(np.array([1.0, 1.0, 0.5]), np.eye(3), 1)
+    rng = np.random.default_rng(trials)
+    expected = max(float(np.max(0.5 * np.abs(
+        haar_random_states(3, stop - start, rng)[:, 2]) ** 2))
+        for start, stop in chunks(trials))
+    report = verify_scalar_identity(povm, trials, np.random.default_rng(trials))
+    assert abs(report.worst - expected) < 1e-15
+
+
 def test_reports_are_deterministic_for_a_seed():
     povm = spin32_povm(penrose_states(), 2)
     r1 = verify_scalar_identity(povm, 700, np.random.default_rng(21))
     r2 = verify_scalar_identity(povm, 700, np.random.default_rng(21))
     assert r1.to_dict() == r2.to_dict()
+
+
+def test_as_state_rejects_unnormalized_input():
+    with pytest.raises(ValueError):
+        as_state(np.array([1.0, 1.0, 0.0]))
+    with pytest.raises(ValueError):
+        as_state(np.array([np.nan, 0.0, 0.0]))
 
 
 def test_mixed_dimensions_are_unrepresentable():
