@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 verification failure, 2 input/parse error,
 """
 
 import argparse
+import errno
 import math
+import os
 import re
 import sys
 
@@ -113,6 +115,25 @@ def _load_povm(target: str | None, infile: str | None) -> Povm:
     return build_povm_target(target)
 
 
+def _check_writable(path: str | None) -> None:
+    """Raise an OSError, as writing `path` would, when its directory is
+    missing or read-only or the path is a directory, so that a long run
+    fails before its work. A write can still fail later; main maps that to
+    exit 2 as well."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _write_if_requested(data: dict, path: str | None) -> None:
     if path is not None:
         documents.write_json(data, path)
@@ -141,6 +162,7 @@ def _full_verification(povm: Povm, trials: int, seed: int,
 
 
 def cmd_verify(args) -> int:
+    _check_writable(args.out)
     povm = _load_povm(args.target, args.infile)
     report = _full_verification(povm, args.trials, args.seed, args.tolerance)
     for check in report.checks:
@@ -154,6 +176,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_writable(args.out)
+    _check_writable(args.csv)
     povm = _load_povm(args.target, args.infile)
     rng = np.random.default_rng(args.seed)
     try:

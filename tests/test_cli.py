@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spinpovm import build_table1_povm, simulate
+from spinpovm import build_table1_povm, cli, simulate
 from spinpovm.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -20,6 +20,10 @@ from spinpovm.cli import (
 
 def read(path):
     return path.read_bytes()
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the output path should have been refused before the work")
 
 
 class TestParseAngle:
@@ -127,11 +131,19 @@ class TestVerify:
                      "--seed", "1"]) == EXIT_INPUT
         assert "--trials" in capsys.readouterr().err
 
-    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys):
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_scalar_identity", _must_not_run)
         code = main(["verify", "--target", "table1-N2", "--trials", "10", "--seed", "1",
                      "--out", str(tmp_path / "missing" / "r.json")])
         assert code == EXIT_INPUT
-        assert "error:" in capsys.readouterr().err
+        assert "error: [Errno 2] No such file or directory" in capsys.readouterr().err
+
+    def test_directory_out_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_scalar_identity", _must_not_run)
+        code = main(["verify", "--target", "table1-N2", "--trials", "10", "--seed", "1",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf", "abc"])
     def test_bad_tolerance_is_an_input_error(self, tolerance, capsys):
@@ -187,11 +199,20 @@ class TestSimulate:
         assert "--trials" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
-    def test_unwritable_output_is_an_input_error(self, flag, tmp_path, capsys):
+    def test_unwritable_output_is_an_input_error(self, flag, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "simulate", _must_not_run)
         code = main(["simulate", "--target", "table1-N2", "--trials", "10", "--seed", "1",
                      flag, str(tmp_path / "missing" / "f")])
         assert code == EXIT_INPUT
-        assert "error:" in capsys.readouterr().err
+        assert "error: [Errno 2] No such file or directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_directory_output_is_an_input_error(self, flag, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "simulate", _must_not_run)
+        code = main(["simulate", "--target", "table1-N2", "--trials", "10", "--seed", "1",
+                     flag, str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
 
     def test_mean_lands_near_bound(self, tmp_path):
         out = tmp_path / "sim.json"

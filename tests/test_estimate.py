@@ -16,6 +16,7 @@ from spinpovm import (
     spin32_povm,
     verify_completeness,
 )
+from spinpovm import estimate
 from spinpovm.verify import outcome_probabilities
 from oracles import projective_moment_quadrature, reference_simulate_samples
 
@@ -128,14 +129,90 @@ class _UniformsAtTop:
         return np.full(size, np.nextafter(1.0, 0.0))
 
 
-def test_pick_clamps_to_last_outcome_when_prefix_sums_end_below_u():
-    povm = build_table1_povm(2).scaled(1 - 1e-10)   # prefix sums top out near 1 - 1e-10
+# N5's weight-sum residual is 2.1e-9 at 1 - 1e-10, which fails completeness
+@pytest.mark.parametrize("copies, scale", [(2, 1 - 1e-10), (5, 1 - 4e-11)],
+                         ids=["table1-N2", "table1-N5"])
+def test_pick_clamps_to_last_outcome_when_prefix_sums_end_below_u(copies, scale):
+    povm = build_table1_povm(copies).scaled(scale)   # prefix sums top out near scale
     assert verify_completeness(povm).passed
     samples, reference = _kernel_samples(povm, 300, lambda: _UniformsAtTop(4))
     assert np.array_equal(samples, reference)
     psis = haar_random_states(3, 300, np.random.default_rng(4))
     last = np.abs(psis.conj() @ povm.states[-1]) ** 2
     assert np.allclose(samples, last, rtol=0, atol=1e-15)
+
+
+def _split_last(povm, parts):
+    """The same operator with its last element split into `parts` equal ones."""
+    weights = np.r_[povm.weights[:-1], np.full(parts, povm.weights[-1] / parts)]
+    states = np.r_[povm.states, np.repeat(povm.states[-1:], parts - 1, axis=0)]
+    return Povm(weights, states, povm.copies, provenance=f"{povm.provenance}-split")
+
+
+@pytest.fixture
+def recomputed(monkeypatch):
+    """Row counts of the sequential recomputations the two-level pick makes."""
+    counts = []
+    sequential = estimate._sequential_pick
+
+    def counting(probs, u):
+        counts.append(len(u))
+        return sequential(probs, u)
+
+    monkeypatch.setattr(estimate, "_sequential_pick", counting)
+    return counts
+
+
+def _probs_and_prefix_sums(povm, rows, rng):
+    _, probs = outcome_probabilities(povm, haar_random_states(povm.dim, rows, rng))
+    return probs, np.cumsum(probs, axis=1)
+
+
+def _reference_picks(sums, u):
+    return np.minimum(np.sum(sums < u[:, None], axis=1), sums.shape[1] - 1)
+
+
+@pytest.mark.parametrize("povm", [build_table1_povm(4), build_table1_povm(5),
+                                  _split_last(build_table1_povm(4), 2),
+                                  _split_last(build_table1_povm(4), 6)],
+                         ids=["table1-N4", "table1-N5", "k481", "k485"])
+def test_pick_recomputes_rows_whose_uniform_sits_on_a_prefix_sum(povm, recomputed):
+    # u on, just below and just above a sequential prefix sum: the two-level
+    # sums may land on either side of u, so each such row must be recomputed
+    rows, k = 128, povm.size
+    assert k >= estimate._TWO_LEVEL_MIN
+    rng = np.random.default_rng(k)
+    probs, sums = _probs_and_prefix_sums(povm, rows, rng)
+    on = sums[np.arange(rows), rng.integers(0, k - 1, rows)]
+    for u in (on, np.nextafter(on, 0), np.nextafter(on, 2)):
+        assert np.array_equal(estimate._pick(probs.copy(), u), _reference_picks(sums, u))
+    assert sum(recomputed) == 3 * rows
+
+
+@pytest.mark.parametrize("parts", [2, 6])
+def test_two_level_pick_on_a_short_last_segment(parts, recomputed):
+    povm = _split_last(build_table1_povm(4), parts)   # k = 481 and 485
+    assert verify_completeness(povm).passed
+    samples, reference = _kernel_samples(povm, 1000, lambda: np.random.default_rng(parts))
+    assert np.array_equal(samples, reference)
+    # uniforms above the last full segment, which the simulation rarely draws
+    rows, top = 128, povm.size // estimate._SEGMENT * estimate._SEGMENT - 1
+    rng = np.random.default_rng(parts)
+    probs, sums = _probs_and_prefix_sums(povm, rows, rng)
+    u = sums[:, top] + (1 - sums[:, top]) * rng.random(rows)
+    picks = estimate._pick(probs, u)
+    assert np.array_equal(picks, _reference_picks(sums, u))
+    assert np.all(picks > top)
+    # only rows whose last probabilities are within delta of u are recomputed
+    assert sum(recomputed) < rows // 4
+
+
+@pytest.mark.parametrize("k", [48, 720])
+def test_pick_rejects_rows_that_do_not_sum_to_one(k):
+    assert 48 < estimate._TWO_LEVEL_MIN <= 720   # one case on each side of the gate
+    probs = np.full((4, k), (1 + 1e-8) / k)
+    with pytest.raises(RuntimeError, match="normalize"):
+        estimate._pick(probs, np.full(4, 0.5))
 
 
 def test_samples_only_kept_on_request():
