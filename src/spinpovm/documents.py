@@ -20,16 +20,29 @@ class DocumentError(ValueError):
     """Malformed or inconsistent document content."""
 
 
-def _state_pairs(state: np.ndarray) -> list:
-    return [[float(a.real), float(a.imag)] for a in state]
+def _pairs(states: np.ndarray) -> list:
+    """[re, im] pairs of a (k, D) complex array, as k nested lists."""
+    return np.ascontiguousarray(states, dtype=complex).view(float).reshape(
+        *states.shape, 2).tolist()
 
 
-def _state_from_pairs(pairs) -> np.ndarray:
+def _states_from_pairs(rows: list) -> np.ndarray:
+    """(k, D) complex array from k lists of D [re, im] pairs.
+
+    Each amplitude is exactly complex(re, im). Pairs of the wrong length,
+    ragged rows and entries that are not numbers are refused.
+    """
     try:
-        arr = np.array([complex(re, im) for re, im in pairs])
-    except (TypeError, ValueError) as err:
+        pairs = np.array(rows)
+    except ValueError as err:
         raise DocumentError(f"bad amplitude pairs: {err}") from None
-    return arr
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise DocumentError(
+            f"bad amplitude pairs: expected rows of [re, im] pairs, got shape {pairs.shape}")
+    if pairs.dtype.kind not in "biuf":
+        raise DocumentError(
+            f"bad amplitude pairs: entries must be numbers, got {pairs.dtype}")
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
 def povm_to_document(povm: Povm) -> dict:
@@ -40,8 +53,8 @@ def povm_to_document(povm: Povm) -> dict:
         "spin": povm.spin,
         "provenance": povm.provenance,
         "elements": [
-            {"weight": float(w), "state": _state_pairs(s)}
-            for w, s in zip(povm.weights, povm.states)
+            {"weight": w, "state": pairs}
+            for w, pairs in zip(povm.weights.tolist(), _pairs(povm.states))
         ],
     }
     return doc
@@ -61,7 +74,7 @@ def povm_from_document(doc: dict) -> Povm:
         raise DocumentError("POVM document has an empty element list")
     try:
         weights = np.array([float(el["weight"]) for el in elements])
-        states = np.array([_state_from_pairs(el["state"]) for el in elements])
+        states = _states_from_pairs([el["state"] for el in elements])
     except (KeyError, TypeError, ValueError) as err:
         raise DocumentError(f"bad POVM element: {err}") from None
     dim = int(doc["dim"])
@@ -81,8 +94,8 @@ def catalog_to_document(cat: RayCatalog) -> dict:
         "dim": cat.states.shape[1],
         "label": cat.label,
         "states": [
-            {"name": name, "state": _state_pairs(s)}
-            for name, s in zip(cat.names, cat.states)
+            {"name": name, "state": pairs}
+            for name, pairs in zip(cat.names, _pairs(cat.states))
         ],
     }
 
@@ -98,7 +111,7 @@ def catalog_from_document(doc: dict) -> RayCatalog:
         raise DocumentError("catalog document has an empty state list")
     try:
         names = tuple(str(entry["name"]) for entry in entries)
-        states = np.array([_state_from_pairs(entry["state"]) for entry in entries])
+        states = _states_from_pairs([entry["state"] for entry in entries])
     except (KeyError, TypeError, ValueError) as err:
         raise DocumentError(f"bad catalog entry: {err}") from None
     return RayCatalog(label=str(doc.get("label", "rays")), names=names, states=states)

@@ -1,5 +1,6 @@
 """Vertex sets of the 24-cell and 600-cell on the unit sphere in R^4."""
 
+import functools
 import itertools
 import math
 
@@ -55,10 +56,18 @@ def cell600_vertices() -> np.ndarray:
     return np.vstack([cell24_vertices(), np.array(extra)])
 
 
+_BUILDERS = {CELL24: cell24_vertices, CELL600: cell600_vertices}
+
+
+@functools.cache
 def vertices(kind: str) -> np.ndarray:
-    """Vertex set for a named polytope ("24-cell" or "600-cell")."""
-    if kind == CELL24:
-        return cell24_vertices()
-    if kind == CELL600:
-        return cell600_vertices()
-    raise ValueError(f"unknown polytope {kind!r}; expected one of {POLYTOPE_KINDS}")
+    """Vertex set for a named polytope ("24-cell" or "600-cell").
+
+    Each set is built once per process, on first use, and shared as a
+    read-only array.
+    """
+    if kind not in _BUILDERS:
+        raise ValueError(f"unknown polytope {kind!r}; expected one of {POLYTOPE_KINDS}")
+    verts = _BUILDERS[kind]()
+    verts.setflags(write=False)
+    return verts

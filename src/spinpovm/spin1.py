@@ -29,6 +29,7 @@ _POLE = np.array([0.0, 0.0, 1.0], dtype=complex)
 _REF_ANGLES = (0.37, 1.13, 2.41)
 _INDEPENDENCE_SEED = 691803
 _INDEPENDENCE_TRIPLES = 20
+_ANGLE_SPANS = (math.pi / 2, 2 * math.pi, 2 * math.pi)  # (phi, chi1, chi2)
 
 
 class AngularCancellationError(ValueError):
@@ -63,6 +64,22 @@ def state_from_angles(theta: float, phi: float, chi1: float, chi2: float) -> np.
     ])
 
 
+def _points_to_states(theta: float, points: np.ndarray) -> np.ndarray:
+    """Rows (sin(theta)(x1 + i x2), sin(theta)(x3 + i x4), cos(theta)) of
+    unit points (x1..x4), after checking the sphere and the theta range."""
+    norms = np.einsum("ij,ij->i", points, points)
+    if np.any(np.abs(norms - 1.0) > CONSTRUCTIVE_TOL):
+        raise ValueError("point is not on the unit sphere")
+    if not 0.0 <= theta <= math.pi / 2 + 1e-12:
+        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+    st = math.sin(theta)
+    states = np.empty((points.shape[0], 3), dtype=complex)
+    states[:, 0] = st * (points[:, 0] + 1j * points[:, 1])
+    states[:, 1] = st * (points[:, 2] + 1j * points[:, 3])
+    states[:, 2] = math.cos(theta)
+    return states
+
+
 def state_from_point(theta: float, v) -> np.ndarray:
     """Spin-1 state from an angle and a unit point on the sphere in R^4.
 
@@ -72,16 +89,7 @@ def state_from_point(theta: float, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (4,):
         raise ValueError(f"expected a point in R^4, got shape {v.shape}")
-    if abs(float(v @ v) - 1.0) > CONSTRUCTIVE_TOL:
-        raise ValueError("point is not on the unit sphere")
-    if not 0.0 <= theta <= math.pi / 2 + 1e-12:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
-    st = math.sin(theta)
-    return np.array([
-        st * (v[0] + 1j * v[1]),
-        st * (v[2] + 1j * v[3]),
-        math.cos(theta),
-    ])
+    return _points_to_states(theta, v[None, :])[0]
 
 
 def shell_states(polytope: str, theta: float) -> np.ndarray:
@@ -92,7 +100,7 @@ def shell_states(polytope: str, theta: float) -> np.ndarray:
     """
     if theta == 0.0:
         return _POLE[None, :].copy()
-    return np.array([state_from_point(theta, v) for v in vertices(polytope)])
+    return _points_to_states(theta, vertices(polytope))
 
 
 @dataclass(frozen=True)
@@ -133,19 +141,22 @@ def shell_polynomial(polytope: str, theta_r: float, copies: int) -> ShellPolynom
     thetas = np.arccos(np.sqrt(nodes))
     states = shell_states(polytope, theta_r)
 
-    def value(theta, angles):
-        psi = state_from_angles(theta, *angles)
-        return float(np.sum(np.abs(states @ psi.conj()) ** (2 * copies)))
-
-    values = np.array([value(th, _REF_ANGLES) for th in thetas])
-
+    # Probe rows: the reference triple at every node, then 20 random
+    # triples per node, drawn in node order.
     rng = np.random.default_rng(_INDEPENDENCE_SEED)
-    worst = 0.0
-    for j, th in enumerate(thetas):
-        for _ in range(_INDEPENDENCE_TRIPLES):
-            angles = (rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi),
-                      rng.uniform(0, 2 * math.pi))
-            worst = max(worst, abs(value(th, angles) - values[j]))
+    draws = rng.uniform(0.0, _ANGLE_SPANS, size=(copies + 1, _INDEPENDENCE_TRIPLES, 3))
+    probes = np.array(
+        [state_from_angles(th, *_REF_ANGLES) for th in thetas]
+        + [state_from_angles(th, *angles)
+           for th, triples in zip(thetas, draws.tolist()) for angles in triples])
+    # One matrix-vector product per probe, the routine `states @ probe.conj()`
+    # runs. A single matrix product would round differently and move the
+    # solved weights in the last digits.
+    overlaps = np.matmul(states, probes.conj()[:, :, None])[..., 0]
+    sums = np.sum(np.abs(overlaps) ** (2 * copies), axis=-1)
+    values = sums[:copies + 1]
+    spread = sums[copies + 1:].reshape(copies + 1, _INDEPENDENCE_TRIPLES) - values[:, None]
+    worst = float(np.max(np.abs(spread)))
     if worst > AGGREGATE_TOL:
         raise AngularCancellationError(polytope, copies, worst)
 

@@ -217,25 +217,38 @@ class BlochDotSpectrum:
         }
 
 
+def _row_value_counts(rows: np.ndarray) -> list:
+    """One {value: count} dict per row, keys in order of first occurrence.
+
+    Each key is the first occurrence itself, so -0.0 and 0.0 are counted
+    under whichever of them comes first in the row.
+    """
+    n, m = rows.shape
+    order = np.argsort(rows, axis=1, kind="stable")
+    ranked = np.take_along_axis(rows, order, axis=1)
+    starts = np.ones((n, m), dtype=bool)
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    row_ids, pos = np.nonzero(starts)
+    counts = np.diff(np.append(row_ids * m + pos, n * m))
+    first = order[row_ids, pos]  # stable sort: the earliest index of each run
+    keep = np.lexsort((first, row_ids))
+    tables = [{} for _ in range(n)]
+    for r, value, count in zip(row_ids[keep].tolist(), rows[row_ids, first][keep].tolist(),
+                               counts[keep].tolist()):
+        tables[r][value] = count
+    return tables
+
+
 def overlap_spectrum(cat: RayCatalog, spin: float = 3 / 2) -> BlochDotSpectrum:
     """Pairwise Bloch-dot spectrum of a catalog, rounded to 1e-9."""
     dots = np.round(_bloch_dot_matrix(cat.states, spin), 9)
     k = cat.size
-    pair_counts: dict = {}
-    per_state = []
-    for s in range(k):
-        counts: dict = {}
-        for r in range(k):
-            if r == s:
-                continue
-            value = float(dots[s, r])
-            counts[value] = counts.get(value, 0) + 1
-            if r > s:
-                pair_counts[value] = pair_counts.get(value, 0) + 1
-        per_state.append(counts)
+    off_diagonal = dots[~np.eye(k, dtype=bool)].reshape(k, k - 1)
+    per_state = tuple(_row_value_counts(off_diagonal))
+    pair_counts = _row_value_counts(dots[np.triu_indices(k, 1)][None, :])[0]
     values = tuple(sorted(pair_counts))
     return BlochDotSpectrum(label=cat.label, values=values, pair_counts=pair_counts,
-                            per_state=tuple(per_state), names=cat.names)
+                            per_state=per_state, names=cat.names)
 
 
 def spin32_povm(cat: RayCatalog, copies: int) -> Povm:

@@ -135,3 +135,86 @@ def reference_simulate_samples(povm, trials, rng):
         fidelities[done:done + batch] = overlaps_sq[np.arange(batch), picks]
         done += batch
     return fidelities
+
+
+def reference_shell_states(polytope, theta):
+    """One shell's states, built one vertex at a time.
+
+    Each row is (sin t (x1 + i x2), sin t (x3 + i x4), cos t) evaluated on
+    scalars, from a freshly built vertex set; theta = 0 gives the single
+    pole state (0, 0, 1).
+    """
+    import math
+
+    from spinpovm.polytopes import CELL24, cell24_vertices, cell600_vertices
+
+    if theta == 0.0:
+        return np.array([[0.0, 0.0, 1.0]], dtype=complex)
+    verts = cell24_vertices() if polytope == CELL24 else cell600_vertices()
+    st = math.sin(theta)
+    return np.array([
+        [st * (v[0] + 1j * v[1]), st * (v[2] + 1j * v[3]), math.cos(theta)]
+        for v in verts
+    ])
+
+
+def reference_shell_polynomial(polytope, theta_r, copies):
+    """`spin1.shell_polynomial` with one shell sum per probe state.
+
+    Probes and random draws follow the package's documented order: the
+    reference angle triple at each Chebyshev node, then 20 triples per
+    node, three scalar draws each from the seeded generator.
+    """
+    import math
+
+    from spinpovm.povm import AGGREGATE_TOL
+    from spinpovm.spin1 import (
+        _INDEPENDENCE_SEED,
+        _INDEPENDENCE_TRIPLES,
+        _REF_ANGLES,
+        AngularCancellationError,
+        ShellPolynomial,
+        _cheb_nodes,
+        state_from_angles,
+    )
+
+    nodes = _cheb_nodes(copies + 1)
+    thetas = np.arccos(np.sqrt(nodes))
+    states = reference_shell_states(polytope, theta_r)
+
+    def value(theta, angles):
+        psi = state_from_angles(theta, *angles)
+        return float(np.sum(np.abs(states @ psi.conj()) ** (2 * copies)))
+
+    values = np.array([value(th, _REF_ANGLES) for th in thetas])
+    rng = np.random.default_rng(_INDEPENDENCE_SEED)
+    worst = 0.0
+    for j, th in enumerate(thetas):
+        for _ in range(_INDEPENDENCE_TRIPLES):
+            angles = (rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi),
+                      rng.uniform(0, 2 * math.pi))
+            worst = max(worst, abs(value(th, angles) - values[j]))
+    if worst > AGGREGATE_TOL:
+        raise AngularCancellationError(polytope, copies, worst)
+    vander = np.polynomial.polynomial.polyvander(nodes, copies)
+    coeffs = np.linalg.solve(vander, values)
+    return ShellPolynomial(polytope=polytope, theta=theta_r, copies=copies, coeffs=coeffs)
+
+
+def reference_value_counts(dots):
+    """Per-row and upper-triangle {value: count} dicts of a square matrix,
+    filled one entry at a time in row order, diagonal skipped."""
+    k = dots.shape[0]
+    pair_counts = {}
+    per_state = []
+    for s in range(k):
+        counts = {}
+        for r in range(k):
+            if r == s:
+                continue
+            value = float(dots[s, r])
+            counts[value] = counts.get(value, 0) + 1
+            if r > s:
+                pair_counts[value] = pair_counts.get(value, 0) + 1
+        per_state.append(counts)
+    return pair_counts, per_state

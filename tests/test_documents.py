@@ -91,6 +91,59 @@ def test_unreadable_file_reported(tmp_path):
         read_json(tmp_path / "missing.json")
 
 
+def _povm_doc():
+    return povm_to_document(build_table1_povm(2)), povm_from_document, "elements"
+
+
+def _catalog_doc():
+    return catalog_to_document(penrose_states()), catalog_from_document, "states"
+
+
+@pytest.mark.parametrize("make", [_povm_doc, _catalog_doc])
+@pytest.mark.parametrize("resize", [lambda p: p[:1], lambda p: p + [0.0],
+                                    lambda p: p + [0.0, 0.0]],
+                         ids=["one", "three", "four"])
+def test_amplitude_pairs_of_wrong_length_rejected(make, resize):
+    doc, load, key = make()
+    for entry in doc[key]:
+        entry["state"] = [resize(pair) for pair in entry["state"]]
+    with pytest.raises(DocumentError, match="amplitude pairs"):
+        load(doc)
+
+
+@pytest.mark.parametrize("make", [_povm_doc, _catalog_doc])
+@pytest.mark.parametrize("pair", [["0.5", 0.0], [0.5, "0"], [None, 0.0]])
+def test_amplitude_that_is_not_a_number_rejected(make, pair):
+    doc, load, key = make()
+    doc[key][0]["state"][0] = pair
+    with pytest.raises(DocumentError, match="amplitude pairs"):
+        load(doc)
+
+
+@pytest.mark.parametrize("make", [_povm_doc, _catalog_doc])
+def test_ragged_state_rows_rejected(make):
+    doc, load, key = make()
+    doc[key][0]["state"].pop()
+    with pytest.raises(DocumentError, match="bad (POVM element|catalog entry)"):
+        load(doc)
+
+
+def test_amplitudes_keep_signed_zeros():
+    doc = povm_to_document(build_table1_povm(2))
+    zeros = 0
+    for element in doc["elements"]:
+        for pair in element["state"]:
+            for part in (0, 1):
+                if pair[part] == 0.0:
+                    pair[part] = -0.0
+                    zeros += 1
+    assert zeros > 0
+    loaded = povm_from_document(doc)
+    expected = np.array([[complex(re, im) for re, im in el["state"]]
+                         for el in doc["elements"]])
+    assert loaded.states.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("copies", [2.7, 2.0, True, "2"])
 def test_non_integer_copies_rejected(copies):
     doc = povm_to_document(build_table1_povm(2))

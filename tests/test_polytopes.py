@@ -67,3 +67,11 @@ def test_vertices_dispatch():
     assert np.array_equal(vertices(CELL600), cell600_vertices())
     with pytest.raises(ValueError, match="unknown polytope"):
         vertices("5-cell")
+
+
+@pytest.mark.parametrize("kind", [CELL24, CELL600])
+def test_vertices_are_built_once_and_read_only(kind):
+    verts = vertices(kind)
+    assert vertices(kind) is verts
+    with pytest.raises(ValueError, match="read-only"):
+        verts[0, 0] = 0.0

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import reference_shell_polynomial, reference_shell_states
 
 from spinpovm import (
     AngularCancellationError,
@@ -19,10 +20,13 @@ from spinpovm import (
     table1_shells,
     verify_completeness,
 )
+from spinpovm import spin1
 from spinpovm.polytopes import CELL24, CELL600
 from spinpovm.verify import outcome_probabilities
 
 PI = math.pi
+TABLE1_ANGLES = sorted({theta for _, angles, _ in spin1.TABLE1.values()
+                        for theta in angles})
 
 
 class TestStateFromPoint:
@@ -133,6 +137,24 @@ class TestShellPolynomial:
         assert shell_states(CELL24, 0.0).shape == (1, 3)
         assert shell_states(CELL600, PI / 3).shape == (120, 3)
 
+    @pytest.mark.parametrize("polytope", [CELL24, CELL600])
+    @pytest.mark.parametrize("theta", [0.0] + TABLE1_ANGLES)
+    def test_shell_states_match_per_point_reference(self, polytope, theta):
+        expected = reference_shell_states(polytope, theta)
+        assert shell_states(polytope, theta).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("theta", [-0.1, PI / 2 + 1e-9, 2.0])
+    def test_shell_states_rejects_out_of_range_theta(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            shell_states(CELL600, theta)
+
+    def test_cancellation_failure_matches_per_probe_reference(self):
+        with pytest.raises(AngularCancellationError) as expected:
+            reference_shell_polynomial(CELL24, PI / 4, 4)
+        with pytest.raises(AngularCancellationError) as info:
+            shell_polynomial(CELL24, PI / 4, 4)
+        assert info.value.deviation == expected.value.deviation
+
 
 class TestSolveWeights:
     def test_reproduces_two_copy_solution(self):
@@ -175,6 +197,13 @@ class TestSolveWeights:
     def test_rejects_duplicate_angles(self):
         with pytest.raises(ValueError, match="distinct"):
             solve_weights(CELL24, [PI / 4, PI / 4], 2)
+
+    @pytest.mark.parametrize("copies", sorted(spin1.TABLE1))
+    def test_table1_weights_match_per_probe_reference(self, copies, monkeypatch):
+        polytope, angles, _ = spin1.TABLE1[copies]
+        weights = solve_weights(polytope, angles, copies)
+        monkeypatch.setattr(spin1, "shell_polynomial", reference_shell_polynomial)
+        assert np.array_equal(weights, solve_weights(polytope, angles, copies))
 
     def test_solved_weights_build_a_complete_povm(self):
         weights = solve_weights(CELL24, [PI / 4, PI / 2, 0.0], 2)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import reference_value_counts
 
 from spinpovm import (
     PHASE,
@@ -18,6 +19,7 @@ from spinpovm import (
     verify_hierarchy,
 )
 from spinpovm.povm import Povm
+from spinpovm.spin32 import BlochDotSpectrum, _bloch_dot_matrix
 from spinpovm.verify import outcome_probabilities
 
 THIRD = round(1 / 3, 9)
@@ -145,6 +147,20 @@ class TestOverlapSpectrum:
         spectrum = overlap_spectrum(set60)
         assert spectrum.values == (-THIRD, 0.0, THIRD)
         assert spectrum.pair_counts == {-THIRD: 450, 0.0: 960, THIRD: 360}
+
+    @pytest.mark.parametrize("name", ["penrose", "set60"])
+    def test_counts_match_per_pair_reference(self, name, request):
+        catalog = request.getfixturevalue(name)
+        spectrum = overlap_spectrum(catalog)
+        dots = np.round(_bloch_dot_matrix(catalog.states, 1.5), 9)
+        pair_counts, per_state = reference_value_counts(dots)
+        assert list(spectrum.pair_counts.items()) == list(pair_counts.items())
+        assert [list(c.items()) for c in spectrum.per_state] == \
+            [list(c.items()) for c in per_state]
+        # the text keys tell a -0.0 key from a 0.0 one; set60 has both
+        assert spectrum.to_dict() == BlochDotSpectrum(
+            catalog.label, spectrum.values, pair_counts, tuple(per_state),
+            catalog.names).to_dict()
 
     def test_per_state_counts_sum_to_size_minus_one(self, penrose, set60):
         for catalog in (penrose, set60):
