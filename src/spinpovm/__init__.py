@@ -17,7 +17,7 @@ from .polytopes import (
     cell600_vertices,
     vertices,
 )
-from .povm import AGGREGATE_TOL, CONSTRUCTIVE_TOL, Povm, as_state, normalized
+from .povm import AGGREGATE_TOL, CONSTRUCTIVE_TOL, Povm, normalized
 from .reports import Check, EstimationReport, VerificationReport
 from .sampling import haar_random_state, haar_random_states
 from .spin1 import (
@@ -81,7 +81,6 @@ __all__ = [
     "TABLE1",
     "VerificationReport",
     "WeightSolveError",
-    "as_state",
     "bloch_dot",
     "bloch_vector",
     "build_table1_povm",

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 input/parse error,
 
 import argparse
 import errno
+import functools
 import math
 import os
 import re
@@ -15,9 +16,7 @@ import numpy as np
 
 from . import documents
 from .estimate import simulate
-from .polytopes import POLYTOPE_KINDS
 from .povm import AGGREGATE_TOL, Povm
-from .reports import VerificationReport
 from .spin1 import (
     TABLE1,
     AngularCancellationError,
@@ -26,8 +25,10 @@ from .spin1 import (
     solve_weights,
 )
 from .spin32 import (
+    CATALOG_WEIGHTS,
     PENROSE40,
     SET60,
+    RayCatalog,
     catalog,
     overlap_spectrum,
     spin32_povm,
@@ -40,12 +41,17 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 
+# Every bundled target by name, in help order. Each entry finds
+# build_table1_povm, spin32_povm and catalog in this module per call, so a
+# test or the perfbench tracer that replaces those names here sees the calls.
 CATALOG_TARGETS = (PENROSE40, SET60)
-POVM_TARGETS = tuple(
-    [f"table1-N{n}" for n in sorted(TABLE1)]
-    + [f"{label}-povm-N{n}" for label in CATALOG_TARGETS for n in (2, 3)]
-)
-BUILD_TARGETS = POVM_TARGETS + CATALOG_TARGETS
+TARGETS = {
+    **{f"table1-N{n}": lambda n=n: build_table1_povm(n) for n in sorted(TABLE1)},
+    **{f"{label}-povm-N{n}": lambda label=label, n=n: spin32_povm(catalog(label), n)
+       for label, n in CATALOG_WEIGHTS},
+    **{label: lambda label=label: catalog(label) for label in CATALOG_TARGETS},
+}
+POVM_TARGETS = tuple(name for name in TARGETS if name not in CATALOG_TARGETS)
 
 
 class CliInputError(Exception):
@@ -93,26 +99,29 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _build(name: str, names) -> Povm | RayCatalog:
+    """Build the bundled target `name`, which must be one of `names`."""
+    if name in names:
+        return TARGETS[name]()
+    if name in CATALOG_TARGETS:
+        raise CliInputError(
+            f"{name!r} is a ray catalog, not a POVM; use one of "
+            f"{', '.join(t for t in names if t.startswith(name + '-'))}")
+    raise CliInputError(f"unknown target {name!r}; valid targets: {', '.join(names)}")
+
+
 def build_povm_target(name: str) -> Povm:
-    if name not in POVM_TARGETS:
-        raise CliInputError(
-            f"unknown POVM target {name!r}; valid targets: {', '.join(POVM_TARGETS)}")
-    if name.startswith("table1-"):
-        return build_table1_povm(int(name.rsplit("N", 1)[1]))
-    label, _, copies = name.rpartition("-povm-N")
-    return spin32_povm(catalog(label), int(copies))
+    """Build a bundled POVM by name."""
+    return _build(name, POVM_TARGETS)
 
 
-def _load_povm(target: str | None, infile: str | None) -> Povm:
-    if (target is None) == (infile is None):
+def _load(args, names, from_document):
+    """The target named by --target (one of `names`) or read from --in."""
+    if (args.target is None) == (args.infile is None):
         raise CliInputError("provide exactly one of --target or --in")
-    if infile is not None:
-        return documents.povm_from_document(documents.read_json(infile))
-    if target in CATALOG_TARGETS:
-        raise CliInputError(
-            f"{target!r} is a ray catalog, not a POVM; use one of "
-            f"{', '.join(t for t in POVM_TARGETS if t.startswith(target))}")
-    return build_povm_target(target)
+    if args.infile is not None:
+        return from_document(documents.read_json(args.infile))
+    return _build(args.target, names)
 
 
 def _check_writable(path: str | None) -> None:
@@ -140,31 +149,24 @@ def _write_if_requested(data: dict, path: str | None) -> None:
 
 
 def cmd_build(args) -> int:
-    if args.target in CATALOG_TARGETS:
-        cat = catalog(args.target)
-        documents.write_json(documents.catalog_to_document(cat), args.out)
-        print(f"wrote {args.out}: {cat.size} states")
-        return EXIT_OK
-    povm = build_povm_target(args.target)
-    documents.write_json(documents.povm_to_document(povm), args.out)
-    print(f"wrote {args.out}: {povm.size} elements, weight sum {povm.weight_sum!r}")
+    built = _build(args.target, TARGETS)
+    if isinstance(built, RayCatalog):
+        documents.write_json(documents.catalog_to_document(built), args.out)
+        print(f"wrote {args.out}: {built.size} states")
+    else:
+        documents.write_json(documents.povm_to_document(built), args.out)
+        print(f"wrote {args.out}: {built.size} elements, weight sum {built.weight_sum!r}")
     return EXIT_OK
 
 
-def _full_verification(povm: Povm, trials: int, seed: int,
-                       tolerance: float) -> VerificationReport:
-    rng = np.random.default_rng(seed)
-    report = verify_completeness(povm, tolerance)
-    report = report.merged(verify_scalar_identity(povm, trials, rng, tolerance))
-    if povm.dim == 4 and povm.copies in (2, 3):
-        report = report.merged(verify_hierarchy(povm, tolerance))
-    return report
-
-
 def cmd_verify(args) -> int:
-    _check_writable(args.out)
-    povm = _load_povm(args.target, args.infile)
-    report = _full_verification(povm, args.trials, args.seed, args.tolerance)
+    povm = _load(args, POVM_TARGETS, documents.povm_from_document)
+    rng = np.random.default_rng(args.seed)
+    report = verify_completeness(povm, args.tolerance)
+    report = report.merged(verify_scalar_identity(povm, args.trials, rng, args.tolerance))
+    # the moment hierarchy covers the copy counts of the bundled spin-3/2 POVMs
+    if povm.dim == 4 and povm.copies in {n for _, n in CATALOG_WEIGHTS}:
+        report = report.merged(verify_hierarchy(povm, args.tolerance))
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status}  {check.name}: residual {check.residual:.6e} "
@@ -176,9 +178,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_writable(args.out)
-    _check_writable(args.csv)
-    povm = _load_povm(args.target, args.infile)
+    povm = _load(args, POVM_TARGETS, documents.povm_from_document)
     rng = np.random.default_rng(args.seed)
     try:
         report = simulate(povm, args.trials, rng, keep_samples=args.csv is not None)
@@ -201,9 +201,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_solve_weights(args) -> int:
-    if args.polytope not in POLYTOPE_KINDS:
-        raise CliInputError(
-            f"unknown polytope {args.polytope!r}; expected one of {POLYTOPE_KINDS}")
     angles = [parse_angle(text) for text in args.angles]
     try:
         weights = solve_weights(args.polytope, angles, args.copies)
@@ -227,13 +224,7 @@ def cmd_solve_weights(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if args.infile is not None:
-        cat = documents.catalog_from_document(documents.read_json(args.infile))
-    else:
-        if args.target not in CATALOG_TARGETS:
-            raise CliInputError(
-                f"unknown catalog {args.target!r}; valid: {', '.join(CATALOG_TARGETS)}")
-        cat = catalog(args.target)
+    cat = _load(args, CATALOG_TARGETS, documents.catalog_from_document)
     spectrum = overlap_spectrum(cat)
     for value in spectrum.values:
         print(f"bloch dot {value:+.9f}: {spectrum.pair_counts[value]} pairs")
@@ -241,6 +232,7 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinpovm",
@@ -250,7 +242,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser("build", help="write a POVM or ray catalog as JSON")
     build.add_argument("--target", required=True,
-                       help=f"one of: {', '.join(BUILD_TARGETS)}")
+                       help=f"one of: {', '.join(TARGETS)}")
     build.add_argument("--out", required=True, help="output JSON path")
     build.set_defaults(func=cmd_build)
 
@@ -296,12 +288,13 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _make_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_writable(args.out)
+        _check_writable(getattr(args, "csv", None))
         return args.func(args)
     # ValueError covers DocumentError and the solver's argument checks;
     # its typed subclasses for unsupported parameters exit 3 where raised

@@ -26,11 +26,12 @@ def _pairs(states: np.ndarray) -> list:
         *states.shape, 2).tolist()
 
 
-def _states_from_pairs(rows: list) -> np.ndarray:
-    """(k, D) complex array from k lists of D [re, im] pairs.
+def _states_from_pairs(rows: list, dim) -> np.ndarray:
+    """(k, dim) complex array from k lists of dim [re, im] pairs.
 
     Each amplitude is exactly complex(re, im). Pairs of the wrong length,
-    ragged rows and entries that are not numbers are refused.
+    ragged rows, rows of another length than `dim` and entries that are not
+    numbers are refused.
     """
     try:
         pairs = np.array(rows)
@@ -42,6 +43,8 @@ def _states_from_pairs(rows: list) -> np.ndarray:
     if pairs.dtype.kind not in "biuf":
         raise DocumentError(
             f"bad amplitude pairs: entries must be numbers, got {pairs.dtype}")
+    if pairs.shape[1] != dim:
+        raise DocumentError(f"state dimensions are inconsistent with dim = {dim}")
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
@@ -74,13 +77,9 @@ def povm_from_document(doc: dict) -> Povm:
         raise DocumentError("POVM document has an empty element list")
     try:
         weights = np.array([float(el["weight"]) for el in elements])
-        states = _states_from_pairs([el["state"] for el in elements])
+        states = _states_from_pairs([el["state"] for el in elements], int(doc["dim"]))
     except (KeyError, TypeError, ValueError) as err:
         raise DocumentError(f"bad POVM element: {err}") from None
-    dim = int(doc["dim"])
-    if states.ndim != 2 or states.shape[1] != dim:
-        raise DocumentError(
-            f"element dimensions are inconsistent with dim = {dim}")
     try:
         return Povm(weights, states, doc["copies"],
                     provenance=str(doc.get("provenance", "")))
@@ -106,15 +105,22 @@ def catalog_from_document(doc: dict) -> RayCatalog:
     if doc.get("schema") != RAYS_SCHEMA:
         raise DocumentError(
             f"unexpected schema {doc.get('schema')!r}; expected {RAYS_SCHEMA!r}")
-    entries = doc.get("states")
+    for key in ("dim", "states"):
+        if key not in doc:
+            raise DocumentError(f"catalog document is missing {key!r}")
+    entries = doc["states"]
     if not isinstance(entries, list) or not entries:
         raise DocumentError("catalog document has an empty state list")
     try:
         names = tuple(str(entry["name"]) for entry in entries)
-        states = _states_from_pairs([entry["state"] for entry in entries])
+        states = _states_from_pairs([entry["state"] for entry in entries],
+                                   int(doc["dim"]))
     except (KeyError, TypeError, ValueError) as err:
         raise DocumentError(f"bad catalog entry: {err}") from None
-    return RayCatalog(label=str(doc.get("label", "rays")), names=names, states=states)
+    try:
+        return RayCatalog(label=str(doc.get("label", "rays")), names=names, states=states)
+    except ValueError as err:
+        raise DocumentError(str(err)) from None
 
 
 def dumps(data: dict) -> str:

@@ -11,21 +11,29 @@ CONSTRUCTIVE_TOL = 1e-12
 AGGREGATE_TOL = 1e-9
 
 
-def as_state(vec) -> np.ndarray:
-    """Validate a complex amplitude vector: finite entries, unit norm.
+def unit_rows(states) -> np.ndarray:
+    """Validate a (k, dim) block of pure states: k >= 1, dim >= 2, finite
+    entries, unit rows.
 
-    Returns the vector as a fresh complex array. Raises ValueError for
-    anything that is not a normalized pure state.
+    Returns the rows as a fresh read-only complex array. Raises ValueError
+    for anything else.
     """
-    arr = np.array(vec, dtype=complex)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError(f"state must be a vector of dimension >= 2, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("state contains non-finite amplitudes")
-    sq_norm = float(np.sum(np.abs(arr) ** 2))
-    if abs(sq_norm - 1.0) > CONSTRUCTIVE_TOL:
-        raise ValueError(f"state is not normalized: |psi|^2 = {sq_norm!r}")
-    return arr
+    try:
+        rows = np.array(states, dtype=complex)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"malformed state data: {err}") from None
+    if rows.ndim != 2 or rows.shape[0] == 0:
+        raise ValueError(f"states must be a non-empty (k, dim) matrix, got shape {rows.shape}")
+    if rows.shape[1] < 2:
+        raise ValueError("states must have dimension >= 2")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("states contain non-finite amplitudes")
+    sq_norms = np.sum(np.abs(rows) ** 2, axis=1)
+    worst = float(np.max(np.abs(sq_norms - 1.0)))
+    if worst > CONSTRUCTIVE_TOL:
+        raise ValueError(f"states are not normalized (worst |psi|^2 error {worst:.3e})")
+    rows.setflags(write=False)
+    return rows
 
 
 def normalized(vec) -> np.ndarray:
@@ -56,21 +64,17 @@ class Povm:
     provenance: str = ""
 
     def __post_init__(self):
+        states = unit_rows(self.states)
         try:
             weights = np.array(self.weights, dtype=float)
-            states = np.array(self.states, dtype=complex)
         except (TypeError, ValueError) as err:
-            raise ValueError(f"malformed POVM data: {err}") from None
-        if weights.ndim != 1 or states.ndim != 2:
-            raise ValueError("weights must be a vector and states a (k, dim) matrix")
+            raise ValueError(f"malformed POVM weights: {err}") from None
+        if weights.ndim != 1:
+            raise ValueError("weights must be a vector")
         if weights.shape[0] != states.shape[0]:
             raise ValueError(
                 f"{weights.shape[0]} weights for {states.shape[0]} states"
             )
-        if weights.shape[0] == 0:
-            raise ValueError("POVM must have at least one element")
-        if states.shape[1] < 2:
-            raise ValueError("states must have dimension >= 2")
         # bool is an Integral, and int() would truncate 2.7 to 2
         if isinstance(self.copies, bool) or not isinstance(self.copies, numbers.Integral):
             raise ValueError(f"copies must be an integer, got {self.copies!r}")
@@ -78,14 +82,7 @@ class Povm:
             raise ValueError(f"copies must be >= 1, got {self.copies}")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0):
             raise ValueError("weights must be finite and non-negative")
-        if not np.all(np.isfinite(states)):
-            raise ValueError("states contain non-finite amplitudes")
-        sq_norms = np.sum(np.abs(states) ** 2, axis=1)
-        worst = float(np.max(np.abs(sq_norms - 1.0)))
-        if worst > CONSTRUCTIVE_TOL:
-            raise ValueError(f"states are not normalized (worst |psi|^2 error {worst:.3e})")
         weights.setflags(write=False)
-        states.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "copies", int(self.copies))

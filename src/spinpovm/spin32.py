@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import AGGREGATE_TOL, Povm, normalized
+from .povm import AGGREGATE_TOL, Povm, normalized, unit_rows
 from .reports import Check, VerificationReport
 from .verify import _povm_id
 
@@ -91,16 +91,14 @@ CATALOG_WEIGHTS = {
 
 @dataclass(frozen=True)
 class RayCatalog:
-    """A named, ordered set of unit rays in C^4."""
+    """A named, ordered set of unit rays in C^D."""
 
     label: str
     names: tuple
-    states: np.ndarray  # (k, 4) unit rows
+    states: np.ndarray  # (k, D) unit rows
 
     def __post_init__(self):
-        states = np.array(self.states, dtype=complex)
-        states.setflags(write=False)
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "states", unit_rows(self.states))
 
     @property
     def size(self) -> int:
@@ -138,26 +136,26 @@ def catalog(label: str) -> RayCatalog:
     raise ValueError(f"unknown catalog {label!r}; expected {PENROSE40!r} or {SET60!r}")
 
 
-def bloch_dot(a, b, spin: float) -> float:
+def bloch_dot(a, b) -> float:
     """Scalar product of the generalized Bloch vectors of two pure states.
 
-    Recovered from the overlap: ((2J+1)|<a|b>|^2 - 1) / (2J). Equals 1
-    iff the rays coincide and -1/(2J) iff they are orthogonal.
+    Recovered from the overlap: ((2J+1)|<a|b>|^2 - 1) / (2J), with
+    2J + 1 = D the length of the vectors. Equals 1 iff the rays coincide
+    and -1/(2J) iff they are orthogonal.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    dim = 2 * spin + 1
-    if abs(dim - a.size) > 1e-12:
-        raise ValueError(f"spin {spin} requires dimension {dim}, got {a.size}")
+    if a.shape != b.shape or a.ndim != 1 or a.size < 2:
+        raise ValueError(f"expected two vectors of one dimension >= 2, got {a.shape} and {b.shape}")
     overlap_sq = abs(np.vdot(a, b)) ** 2
-    return float((dim * overlap_sq - 1.0) / (2 * spin))
+    return float((a.size * overlap_sq - 1.0) / (a.size - 1))
 
 
-def _bloch_dot_matrix(states: np.ndarray, spin: float) -> np.ndarray:
+def _bloch_dot_matrix(states: np.ndarray) -> np.ndarray:
+    """Pairwise Bloch dots of the rows; D = 2J + 1 is the row length."""
+    dim = states.shape[1]
     gram = states.conj() @ states.T
-    return ((2 * spin + 1) * np.abs(gram) ** 2 - 1.0) / (2 * spin)
+    return (dim * np.abs(gram) ** 2 - 1.0) / (dim - 1)
 
 
 def traceless_hermitian_basis(dim: int) -> np.ndarray:
@@ -239,9 +237,9 @@ def _row_value_counts(rows: np.ndarray) -> list:
     return tables
 
 
-def overlap_spectrum(cat: RayCatalog, spin: float = 3 / 2) -> BlochDotSpectrum:
+def overlap_spectrum(cat: RayCatalog) -> BlochDotSpectrum:
     """Pairwise Bloch-dot spectrum of a catalog, rounded to 1e-9."""
-    dots = np.round(_bloch_dot_matrix(cat.states, spin), 9)
+    dots = np.round(_bloch_dot_matrix(cat.states), 9)
     k = cat.size
     off_diagonal = dots[~np.eye(k, dtype=bool)].reshape(k, k - 1)
     per_state = tuple(_row_value_counts(off_diagonal))
@@ -286,7 +284,7 @@ def verify_hierarchy(povm: Povm, tolerance: float = AGGREGATE_TOL) -> Verificati
     moments, the 3k+1 three-copy equations the first three.
     """
     total, *moment_targets = hierarchy_targets(povm.spin, povm.copies)
-    dots = _bloch_dot_matrix(povm.states, povm.spin)
+    dots = _bloch_dot_matrix(povm.states)
     checks = [Check("weight-sum", abs(povm.weight_sum - total), tolerance)]
     names = ("bloch-moment-1", "bloch-moment-2", "bloch-moment-3")
     for power, (name, target) in enumerate(zip(names, moment_targets), start=1):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spinpovm import build_table1_povm, cli, simulate
+from spinpovm import RayCatalog, build_table1_povm, cli, simulate
 from spinpovm.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -40,6 +40,23 @@ class TestParseAngle:
                 parse_angle(bad)
 
 
+def _write_catalog(path, rows):
+    states = [{"name": str(i), "state": [[float(re), 0.0] for re in row]}
+              for i, row in enumerate(rows)]
+    path.write_text(json.dumps({"schema": "spinpovm/rays-v1", "label": "rays",
+                                "dim": len(rows[0]), "states": states}))
+
+
+def test_target_table_order_and_names():
+    assert tuple(cli.TARGETS) == (
+        "table1-N2", "table1-N3", "table1-N4", "table1-N5",
+        "penrose40-povm-N2", "penrose40-povm-N3", "set60-povm-N2", "set60-povm-N3",
+        "penrose40", "set60")
+    for name, build in cli.TARGETS.items():
+        built = build()
+        assert (built.label if isinstance(built, RayCatalog) else built.provenance) == name
+
+
 class TestBuild:
     def test_table1_n4_has_480_elements(self, tmp_path, capsys):
         out = tmp_path / "t.json"
@@ -62,11 +79,12 @@ class TestBuild:
         assert len(doc["elements"]) == 60
         assert all(abs(el["weight"] - 1 / 3) < 1e-15 for el in doc["elements"])
 
-    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys):
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_table1_povm", _must_not_run)
         code = main(["build", "--target", "table1-N2",
                      "--out", str(tmp_path / "missing" / "x.json")])
         assert code == EXIT_INPUT
-        assert "error:" in capsys.readouterr().err
+        assert "error: [Errno 2] No such file or directory" in capsys.readouterr().err
 
     def test_unknown_target_lists_valid_ones(self, tmp_path, capsys):
         code = main(["build", "--target", "nonsense", "--out", str(tmp_path / "x.json")])
@@ -280,6 +298,13 @@ class TestSolveWeights:
                      "--angles", "pi/4", "--copies", "2"])
         assert code == EXIT_INPUT
 
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "solve_weights", _must_not_run)
+        code = main(["solve-weights", "--polytope", "24-cell", "--angles", "pi/4", "pi/2",
+                     "--copies", "2", "--out", str(tmp_path / "missing" / "w.json")])
+        assert code == EXIT_INPUT
+        assert "error: [Errno 2] No such file or directory" in capsys.readouterr().err
+
 
 class TestSpectrum:
     def test_penrose_spectrum_output(self, tmp_path):
@@ -299,6 +324,38 @@ class TestSpectrum:
 
     def test_unknown_catalog(self):
         assert main(["spectrum", "--target", "icosahedron"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("flags", [[], ["--target", "set60", "--in", "rays.json"]],
+                             ids=["neither", "both"])
+    def test_exactly_one_of_target_and_in(self, flags, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        main(["build", "--target", "set60", "--out", "rays.json"])
+        capsys.readouterr()
+        assert main(["spectrum", *flags]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "exactly one" in captured.err
+        assert captured.out == ""
+
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "overlap_spectrum", _must_not_run)
+        code = main(["spectrum", "--target", "set60",
+                     "--out", str(tmp_path / "missing" / "s.json")])
+        assert code == EXIT_INPUT
+        assert "error: [Errno 2] No such file or directory" in capsys.readouterr().err
+
+    def test_spin1_catalog_is_scored_with_its_own_dimension(self, tmp_path):
+        rays, out = tmp_path / "basis3.json", tmp_path / "s.json"
+        _write_catalog(rays, np.eye(3))
+        assert main(["spectrum", "--in", str(rays), "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["pair_counts"] == {"-0.500000000": 3}
+
+    def test_unnormalized_catalog_is_refused(self, tmp_path, capsys):
+        rays = tmp_path / "doubled.json"
+        _write_catalog(rays, 2 * np.eye(4))
+        assert main(["spectrum", "--in", str(rays)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "not normalized" in captured.err
+        assert captured.out == ""
 
 
 def test_argparse_failures_map_to_input_error():

@@ -82,6 +82,20 @@ def test_unnormalized_state_rejected():
         povm_from_document(doc)
 
 
+def test_unnormalized_catalog_state_rejected():
+    doc = catalog_to_document(penrose_states())
+    doc["states"][0]["state"][0] = [2.0, 0.0]
+    with pytest.raises(DocumentError, match="not normalized"):
+        catalog_from_document(doc)
+
+
+def test_catalog_dimension_mismatch_rejected():
+    doc = catalog_to_document(penrose_states())
+    doc["dim"] = 3
+    with pytest.raises(DocumentError, match="dim = 3"):
+        catalog_from_document(doc)
+
+
 def test_unreadable_file_reported(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -78,35 +78,37 @@ class TestSet60Catalog:
 class TestBlochDot:
     def test_self_dot_is_one(self, penrose):
         for state in penrose.states[:5]:
-            assert abs(bloch_dot(state, state, 3 / 2) - 1.0) < 1e-12
+            assert abs(bloch_dot(state, state) - 1.0) < 1e-12
 
     def test_orthogonal_pair(self, penrose):
-        value = bloch_dot(_state(penrose, "F"), _state(penrose, "B"), 3 / 2)
+        value = bloch_dot(_state(penrose, "F"), _state(penrose, "B"))
         assert abs(value - (-1 / 3)) < 1e-12
 
     def test_penrose_non_orthogonal_pair(self, penrose):
-        value = bloch_dot(_state(penrose, "A"), _state(penrose, "F"), 3 / 2)
+        value = bloch_dot(_state(penrose, "A"), _state(penrose, "F"))
         assert abs(value - 1 / 9) < 1e-12
+
+    def test_spin_follows_the_dimension(self):
+        # orthogonal rays sit at -1/(2J), here -1/2 for spin 1
+        assert abs(bloch_dot(np.eye(3)[0], np.eye(3)[1]) - (-1 / 2)) < 1e-15
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            bloch_dot(np.array([1, 0, 0, 0]), np.array([1, 0, 0]), 3 / 2)
-        with pytest.raises(ValueError):
-            bloch_dot(np.array([1, 0, 0]), np.array([1, 0, 0]), 3 / 2)
+            bloch_dot(np.array([1, 0, 0, 0]), np.array([1, 0, 0]))
 
     def test_symmetry_and_lower_bound(self):
         rng = np.random.default_rng(8)
         states = haar_random_states(4, 40, rng)
         for a, b in zip(states[:20], states[20:]):
-            ab = bloch_dot(a, b, 3 / 2)
-            assert abs(ab - bloch_dot(b, a, 3 / 2)) < 1e-14
+            ab = bloch_dot(a, b)
+            assert abs(ab - bloch_dot(b, a)) < 1e-14
             assert ab >= -1 / 3 - 1e-12
 
     def test_unity_iff_same_ray(self):
         rng = np.random.default_rng(9)
         (a, b) = haar_random_states(4, 2, rng)
-        assert abs(bloch_dot(a, np.exp(0.7j) * a, 3 / 2) - 1.0) < 1e-12
-        assert bloch_dot(a, b, 3 / 2) < 1.0 - 1e-6
+        assert abs(bloch_dot(a, np.exp(0.7j) * a) - 1.0) < 1e-12
+        assert bloch_dot(a, b) < 1.0 - 1e-6
 
     def test_matches_explicit_bloch_vectors(self):
         # cross-check against the 15-component construction
@@ -114,7 +116,7 @@ class TestBlochDot:
         states = haar_random_states(4, 100, rng)
         for a, b in zip(states[:50], states[50:]):
             explicit = float(bloch_vector(a) @ bloch_vector(b))
-            assert abs(explicit - bloch_dot(a, b, 3 / 2)) < 1e-10
+            assert abs(explicit - bloch_dot(a, b)) < 1e-10
 
     def test_explicit_bloch_vectors_are_unit(self):
         rng = np.random.default_rng(124)
@@ -152,7 +154,7 @@ class TestOverlapSpectrum:
     def test_counts_match_per_pair_reference(self, name, request):
         catalog = request.getfixturevalue(name)
         spectrum = overlap_spectrum(catalog)
-        dots = np.round(_bloch_dot_matrix(catalog.states, 1.5), 9)
+        dots = np.round(_bloch_dot_matrix(catalog.states), 9)
         pair_counts, per_state = reference_value_counts(dots)
         assert list(spectrum.pair_counts.items()) == list(pair_counts.items())
         assert [list(c.items()) for c in spectrum.per_state] == \

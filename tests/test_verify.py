@@ -5,7 +5,6 @@ import pytest
 
 from spinpovm import (
     Povm,
-    as_state,
     build_table1_povm,
     haar_random_states,
     penrose_states,
@@ -86,13 +85,6 @@ def test_reports_are_deterministic_for_a_seed():
     r1 = verify_scalar_identity(povm, 700, np.random.default_rng(21))
     r2 = verify_scalar_identity(povm, 700, np.random.default_rng(21))
     assert r1.to_dict() == r2.to_dict()
-
-
-def test_as_state_rejects_unnormalized_input():
-    with pytest.raises(ValueError):
-        as_state(np.array([1.0, 1.0, 0.0]))
-    with pytest.raises(ValueError):
-        as_state(np.array([np.nan, 0.0, 0.0]))
 
 
 def test_mixed_dimensions_are_unrepresentable():
