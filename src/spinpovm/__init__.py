@@ -9,17 +9,10 @@ every bundled POVM attains the optimal average fidelity (N+1)/(N+D).
 """
 
 from .estimate import exact_average_fidelity, haar_moment, optimal_fidelity, simulate
-from .polytopes import (
-    CELL24,
-    CELL600,
-    GOLDEN,
-    cell24_vertices,
-    cell600_vertices,
-    vertices,
-)
+from .polytopes import CELL24, CELL600, GOLDEN, vertices
 from .povm import AGGREGATE_TOL, CONSTRUCTIVE_TOL, Povm, normalized
 from .reports import Check, EstimationReport, VerificationReport
-from .sampling import haar_random_state, haar_random_states
+from .sampling import haar_random_states
 from .spin1 import (
     TABLE1,
     AngularCancellationError,
@@ -31,8 +24,6 @@ from .spin1 import (
     shell_states,
     solve_weights,
     state_from_angles,
-    state_from_point,
-    table1_shells,
 )
 from .spin32 import (
     CATALOG_WEIGHTS,
@@ -41,13 +32,11 @@ from .spin32 import (
     SET60,
     BlochDotSpectrum,
     RayCatalog,
-    bloch_dot,
+    bloch_dots,
     bloch_vector,
     catalog,
     overlap_spectrum,
-    penrose_states,
     reduce_n3_to_n2,
-    set60_states,
     spin32_povm,
     traceless_hermitian_basis,
     verify_hierarchy,
@@ -81,34 +70,27 @@ __all__ = [
     "TABLE1",
     "VerificationReport",
     "WeightSolveError",
-    "bloch_dot",
+    "bloch_dots",
     "bloch_vector",
     "build_table1_povm",
     "catalog",
-    "cell24_vertices",
-    "cell600_vertices",
     "exact_average_fidelity",
     "haar_moment",
-    "haar_random_state",
     "haar_random_states",
     "multi_indices",
     "normalized",
     "optimal_fidelity",
     "overlap_spectrum",
-    "penrose_states",
     "povm_from_shells",
     "reduce_n3_to_n2",
-    "set60_states",
     "shell_polynomial",
     "shell_states",
     "simulate",
     "solve_weights",
     "spin32_povm",
     "state_from_angles",
-    "state_from_point",
     "sym_dim",
     "symmetric_power_matrix",
-    "table1_shells",
     "traceless_hermitian_basis",
     "verify_completeness",
     "verify_hierarchy",

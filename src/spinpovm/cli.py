@@ -72,6 +72,8 @@ def parse_angle(text: str) -> float:
             f"cannot parse angle {text!r}; use forms like 0, pi/2, 3pi/8")
     numerator = int(match.group(1) or 1)
     denominator = int(match.group(2) or 1)
+    if denominator == 0:
+        raise CliInputError(f"cannot parse angle {text!r}: division by zero")
     return numerator * math.pi / denominator
 
 

@@ -6,6 +6,7 @@ in-memory POVM bit for bit.
 """
 
 import json
+import numbers
 
 import numpy as np
 
@@ -30,9 +31,12 @@ def _states_from_pairs(rows: list, dim) -> np.ndarray:
     """(k, dim) complex array from k lists of dim [re, im] pairs.
 
     Each amplitude is exactly complex(re, im). Pairs of the wrong length,
-    ragged rows, rows of another length than `dim` and entries that are not
-    numbers are refused.
+    ragged rows, rows of another length than `dim`, entries that are not
+    numbers and a `dim` that is not an integer are refused.
     """
+    # bool is an Integral, and int() would truncate 4.7 to 4
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+        raise DocumentError(f"dim must be an integer, got {dim!r}")
     try:
         pairs = np.array(rows)
     except ValueError as err:
@@ -77,7 +81,7 @@ def povm_from_document(doc: dict) -> Povm:
         raise DocumentError("POVM document has an empty element list")
     try:
         weights = np.array([float(el["weight"]) for el in elements])
-        states = _states_from_pairs([el["state"] for el in elements], int(doc["dim"]))
+        states = _states_from_pairs([el["state"] for el in elements], doc["dim"])
     except (KeyError, TypeError, ValueError) as err:
         raise DocumentError(f"bad POVM element: {err}") from None
     try:
@@ -113,8 +117,7 @@ def catalog_from_document(doc: dict) -> RayCatalog:
         raise DocumentError("catalog document has an empty state list")
     try:
         names = tuple(str(entry["name"]) for entry in entries)
-        states = _states_from_pairs([entry["state"] for entry in entries],
-                                   int(doc["dim"]))
+        states = _states_from_pairs([entry["state"] for entry in entries], doc["dim"])
     except (KeyError, TypeError, ValueError) as err:
         raise DocumentError(f"bad catalog entry: {err}") from None
     try:

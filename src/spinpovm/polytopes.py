@@ -13,7 +13,7 @@ CELL600 = "600-cell"
 POLYTOPE_KINDS = (CELL24, CELL600)
 
 
-def cell24_vertices() -> np.ndarray:
+def _cell24_vertices() -> np.ndarray:
     """The 24 unit vectors (+-1,+-1,+-1,+-1)/2 plus the 8 signed coordinate axes."""
     half_cube = [np.array(signs, dtype=float) / 2.0
                  for signs in itertools.product((1, -1), repeat=4)]
@@ -38,7 +38,7 @@ def _even_permutations(n: int):
     return [p for p in itertools.permutations(range(n)) if _permutation_parity(p) == 1]
 
 
-def cell600_vertices() -> np.ndarray:
+def _cell600_vertices() -> np.ndarray:
     """The 120 unit vectors of the 600-cell.
 
     The 24-cell vertices plus the 96 vectors obtained by acting with the
@@ -53,10 +53,10 @@ def cell600_vertices() -> np.ndarray:
             v = np.empty(4)
             v[list(perm)] = w
             extra.append(v)
-    return np.vstack([cell24_vertices(), np.array(extra)])
+    return np.vstack([_cell24_vertices(), np.array(extra)])
 
 
-_BUILDERS = {CELL24: cell24_vertices, CELL600: cell600_vertices}
+_BUILDERS = {CELL24: _cell24_vertices, CELL600: _cell600_vertices}
 
 
 @functools.cache

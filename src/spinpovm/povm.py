@@ -103,8 +103,3 @@ class Povm:
     @property
     def weight_sum(self) -> float:
         return float(np.sum(self.weights))
-
-    def scaled(self, factor: float, provenance: str = "") -> "Povm":
-        """Same states with every weight multiplied by `factor`."""
-        return Povm(self.weights * factor, self.states, self.copies,
-                    provenance or self.provenance)

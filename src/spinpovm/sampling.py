@@ -30,11 +30,6 @@ def haar_random_states(dim: int, count: int, rng: np.random.Generator) -> np.nda
     return z
 
 
-def haar_random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Single Haar-uniform pure state of dimension `dim`."""
-    return haar_random_states(dim, 1, rng)[0]
-
-
 def chunks(total: int) -> Iterator[tuple[int, int]]:
     """Consecutive (start, stop) ranges of CHUNK trials, the last one shorter,
     covering range(total)."""

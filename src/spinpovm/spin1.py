@@ -66,10 +66,7 @@ def state_from_angles(theta: float, phi: float, chi1: float, chi2: float) -> np.
 
 def _points_to_states(theta: float, points: np.ndarray) -> np.ndarray:
     """Rows (sin(theta)(x1 + i x2), sin(theta)(x3 + i x4), cos(theta)) of
-    unit points (x1..x4), after checking the sphere and the theta range."""
-    norms = np.einsum("ij,ij->i", points, points)
-    if np.any(np.abs(norms - 1.0) > CONSTRUCTIVE_TOL):
-        raise ValueError("point is not on the unit sphere")
+    unit points (x1..x4), after checking the theta range."""
     if not 0.0 <= theta <= math.pi / 2 + 1e-12:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
     st = math.sin(theta)
@@ -78,18 +75,6 @@ def _points_to_states(theta: float, points: np.ndarray) -> np.ndarray:
     states[:, 1] = st * (points[:, 2] + 1j * points[:, 3])
     states[:, 2] = math.cos(theta)
     return states
-
-
-def state_from_point(theta: float, v) -> np.ndarray:
-    """Spin-1 state from an angle and a unit point on the sphere in R^4.
-
-    Returns (sin(theta)(x1 + i x2), sin(theta)(x3 + i x4), cos(theta)),
-    which is automatically normalized.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (4,):
-        raise ValueError(f"expected a point in R^4, got shape {v.shape}")
-    return _points_to_states(theta, v[None, :])[0]
 
 
 def shell_states(polytope: str, theta: float) -> np.ndarray:
@@ -244,16 +229,11 @@ TABLE1 = {
 }
 
 
-def table1_shells(copies: int):
-    """(polytope, [(theta, weight), ...]) for a bundled spin-1 POVM."""
+def build_table1_povm(copies: int) -> Povm:
+    """Bundled optimal spin-1 POVM for 2 to 5 copies (48/96/480/720 elements)."""
     if copies not in TABLE1:
         raise ValueError(
             f"no bundled spin-1 POVM for {copies} copies; available: {sorted(TABLE1)}")
     polytope, angles, weights = TABLE1[copies]
-    return polytope, list(zip(angles, weights))
-
-
-def build_table1_povm(copies: int) -> Povm:
-    """Bundled optimal spin-1 POVM for 2 to 5 copies (48/96/480/720 elements)."""
-    polytope, shells = table1_shells(copies)
-    return povm_from_shells(polytope, shells, copies, provenance=f"table1-N{copies}")
+    return povm_from_shells(polytope, zip(angles, weights), copies,
+                            provenance=f"table1-N{copies}")

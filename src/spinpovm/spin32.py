@@ -11,6 +11,7 @@ products, recovered from state overlaps via
     |<a|b>|^2 = (1 + 2J n_a.n_b) / (2J + 1),   D = 2J + 1.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,46 +114,38 @@ def _parse_row(entries) -> np.ndarray:
     return normalized(np.array(raw, dtype=complex))
 
 
-def penrose_states() -> RayCatalog:
-    """The 40 rays of the Penrose dodecahedron, normalized."""
-    names = tuple(name for name, _ in _PENROSE_ROWS)
-    states = np.array([_parse_row(entries) for _, entries in _PENROSE_ROWS])
-    return RayCatalog(label=PENROSE40, names=names, states=states)
+# label -> (names, rows) of every bundled catalog
+_CATALOGS = {
+    PENROSE40: tuple(zip(*_PENROSE_ROWS)),
+    SET60: (tuple(str(i + 1) for i in range(len(_SET60_ROWS))), _SET60_ROWS),
+}
 
 
-def set60_states() -> RayCatalog:
-    """The 60-ray set, normalized; rays 1..24 are the Peres configuration."""
-    names = tuple(str(i + 1) for i in range(len(_SET60_ROWS)))
-    states = np.array([_parse_row(entries) for entries in _SET60_ROWS])
-    return RayCatalog(label=SET60, names=names, states=states)
-
-
+@functools.cache
 def catalog(label: str) -> RayCatalog:
-    """Load a bundled catalog by name."""
-    if label == PENROSE40:
-        return penrose_states()
-    if label == SET60:
-        return set60_states()
-    raise ValueError(f"unknown catalog {label!r}; expected {PENROSE40!r} or {SET60!r}")
+    """A bundled catalog by name: "penrose40" (the 40 Penrose rays) or
+    "set60" (the 60 rays, of which 1..24 are the Peres configuration).
+
+    Each catalog is built once per process, on first use, and shared; its
+    states are read-only.
+    """
+    if label not in _CATALOGS:
+        raise ValueError(f"unknown catalog {label!r}; expected {PENROSE40!r} or {SET60!r}")
+    names, rows = _CATALOGS[label]
+    states = np.array([_parse_row(entries) for entries in rows])
+    return RayCatalog(label=label, names=names, states=states)
 
 
-def bloch_dot(a, b) -> float:
-    """Scalar product of the generalized Bloch vectors of two pure states.
+def bloch_dots(states) -> np.ndarray:
+    """Pairwise scalar products of the generalized Bloch vectors of the rows.
 
-    Recovered from the overlap: ((2J+1)|<a|b>|^2 - 1) / (2J), with
-    2J + 1 = D the length of the vectors. Equals 1 iff the rays coincide
+    Recovered from the overlaps: ((2J+1)|<a|b>|^2 - 1) / (2J), with
+    2J + 1 = D the row length. An entry is 1 iff the two rays coincide
     and -1/(2J) iff they are orthogonal.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 2:
-        raise ValueError(f"expected two vectors of one dimension >= 2, got {a.shape} and {b.shape}")
-    overlap_sq = abs(np.vdot(a, b)) ** 2
-    return float((a.size * overlap_sq - 1.0) / (a.size - 1))
-
-
-def _bloch_dot_matrix(states: np.ndarray) -> np.ndarray:
-    """Pairwise Bloch dots of the rows; D = 2J + 1 is the row length."""
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 2 or states.shape[1] < 2:
+        raise ValueError(f"expected rows of one dimension >= 2, got shape {states.shape}")
     dim = states.shape[1]
     gram = states.conj() @ states.T
     return (dim * np.abs(gram) ** 2 - 1.0) / (dim - 1)
@@ -182,7 +175,7 @@ def traceless_hermitian_basis(dim: int) -> np.ndarray:
 def bloch_vector(state) -> np.ndarray:
     """Explicit unit Bloch vector of a pure state in R^(dim^2 - 1).
 
-    Cross-check path for `bloch_dot`: expectation values of a
+    Cross-check path for `bloch_dots`: expectation values of a
     trace-orthonormal Hermitian basis, scaled to unit length.
     """
     psi = np.asarray(state, dtype=complex)
@@ -239,7 +232,7 @@ def _row_value_counts(rows: np.ndarray) -> list:
 
 def overlap_spectrum(cat: RayCatalog) -> BlochDotSpectrum:
     """Pairwise Bloch-dot spectrum of a catalog, rounded to 1e-9."""
-    dots = np.round(_bloch_dot_matrix(cat.states), 9)
+    dots = np.round(bloch_dots(cat.states), 9)
     k = cat.size
     off_diagonal = dots[~np.eye(k, dtype=bool)].reshape(k, k - 1)
     per_state = tuple(_row_value_counts(off_diagonal))
@@ -279,17 +272,18 @@ def hierarchy_targets(spin: float, copies: int) -> tuple:
 def verify_hierarchy(povm: Povm, tolerance: float = AGGREGATE_TOL) -> VerificationReport:
     """Check the moment hierarchy of a two- or three-copy POVM.
 
-    Residuals of sum_r c_r = total and sum_r c_r (n_r.n_s)^m = target_m
-    for every s: the 2k+1 two-copy equations take the first two dot
-    moments, the 3k+1 three-copy equations the first three.
+    Check bloch-moment-m holds the residual of sum_r c_r (n_r.n_s)^m =
+    target_m; m = 0 is the one equation sum_r c_r = total, and each m >= 1
+    has one equation per s. The 2k+1 two-copy equations take the first two
+    dot moments, the 3k+1 three-copy equations the first three.
     """
     total, *moment_targets = hierarchy_targets(povm.spin, povm.copies)
-    dots = _bloch_dot_matrix(povm.states)
-    checks = [Check("weight-sum", abs(povm.weight_sum - total), tolerance)]
-    names = ("bloch-moment-1", "bloch-moment-2", "bloch-moment-3")
-    for power, (name, target) in enumerate(zip(names, moment_targets), start=1):
+    dots = bloch_dots(povm.states)
+    checks = [Check("bloch-moment-0", abs(povm.weight_sum - total), tolerance)]
+    for power, target in enumerate(moment_targets, start=1):
         sums = (dots ** power).T @ povm.weights  # one value per s
-        checks.append(Check(name, float(np.max(np.abs(sums - target))), tolerance))
+        checks.append(Check(f"bloch-moment-{power}", float(np.max(np.abs(sums - target))),
+                            tolerance))
     return VerificationReport(_povm_id(povm), tuple(checks))
 
 

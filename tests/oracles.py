@@ -146,11 +146,11 @@ def reference_shell_states(polytope, theta):
     """
     import math
 
-    from spinpovm.polytopes import CELL24, cell24_vertices, cell600_vertices
+    from spinpovm.polytopes import CELL24, _cell24_vertices, _cell600_vertices
 
     if theta == 0.0:
         return np.array([[0.0, 0.0, 1.0]], dtype=complex)
-    verts = cell24_vertices() if polytope == CELL24 else cell600_vertices()
+    verts = _cell24_vertices() if polytope == CELL24 else _cell600_vertices()
     st = math.sin(theta)
     return np.array([
         [st * (v[0] + 1j * v[1]), st * (v[2] + 1j * v[3]), math.cos(theta)]

@@ -11,11 +11,12 @@ import time
 import numpy as np
 
 from spinpovm import (
+    PENROSE40,
+    SET60,
     build_table1_povm,
+    catalog,
     exact_average_fidelity,
-    penrose_states,
     reduce_n3_to_n2,
-    set60_states,
     shell_polynomial,
     simulate,
     solve_weights,
@@ -69,10 +70,10 @@ def test_criterion_3_weight_sums():
         (build_table1_povm(3), 10.0),
         (build_table1_povm(4), 15.0),
         (build_table1_povm(5), 21.0),
-        (spin32_povm(penrose_states(), 2), 10.0),
-        (spin32_povm(penrose_states(), 3), 20.0),
-        (spin32_povm(set60_states(), 2), 10.0),
-        (spin32_povm(set60_states(), 3), 20.0),
+        (spin32_povm(catalog(PENROSE40), 2), 10.0),
+        (spin32_povm(catalog(PENROSE40), 3), 20.0),
+        (spin32_povm(catalog(SET60), 2), 10.0),
+        (spin32_povm(catalog(SET60), 3), 20.0),
     ]
     worst = max(abs(povm.weight_sum - target) for povm, target in expectations)
     _criterion(3, "weight sums equal 6/10/15/21 and 10/20 within 1e-9",
@@ -116,9 +117,9 @@ def test_criterion_5_weight_solving():
                f"worst weight error {worst:.2e}")
 
 
-def _spectrum_deviations(catalog, expected_counts):
+def _spectrum_deviations(cat, expected_counts):
     from spinpovm import overlap_spectrum
-    spectrum = overlap_spectrum(catalog)
+    spectrum = overlap_spectrum(cat)
     expected = {round(v, 9): c for v, c in expected_counts.items()}
     deviations = []
     for name, counts in zip(spectrum.names, spectrum.per_state):
@@ -128,8 +129,8 @@ def _spectrum_deviations(catalog, expected_counts):
 
 
 def test_criterion_6_spectra():
-    bad_penrose = _spectrum_deviations(penrose_states(), {-1 / 3: 12, 1 / 9: 27})
-    bad_set60 = _spectrum_deviations(set60_states(), {-1 / 3: 15, 0.0: 32, 1 / 3: 12})
+    bad_penrose = _spectrum_deviations(catalog(PENROSE40), {-1 / 3: 12, 1 / 9: 27})
+    bad_set60 = _spectrum_deviations(catalog(SET60), {-1 / 3: 15, 0.0: 32, 1 / 3: 12})
     deviations = bad_penrose + bad_set60
     _criterion(6, "Bloch-dot spectra and per-state counts are exact",
                not deviations,
@@ -138,12 +139,12 @@ def test_criterion_6_spectra():
 
 def test_criterion_7_hierarchies_and_reduction():
     worst = 0.0
-    for catalog in (penrose_states(), set60_states()):
-        n2 = verify_hierarchy(spin32_povm(catalog, 2))
-        n3 = verify_hierarchy(spin32_povm(catalog, 3))
+    for cat in (catalog(PENROSE40), catalog(SET60)):
+        n2 = verify_hierarchy(spin32_povm(cat, 2))
+        n3 = verify_hierarchy(spin32_povm(cat, 3))
         worst = max(worst, n2.worst, n3.worst)
-    reduced_pen = reduce_n3_to_n2(spin32_povm(penrose_states(), 3))
-    reduced_60 = reduce_n3_to_n2(spin32_povm(set60_states(), 3))
+    reduced_pen = reduce_n3_to_n2(spin32_povm(catalog(PENROSE40), 3))
+    reduced_60 = reduce_n3_to_n2(spin32_povm(catalog(SET60), 3))
     weights_ok = (np.allclose(reduced_pen.weights, 1 / 4, atol=1e-12)
                   and np.allclose(reduced_60.weights, 1 / 6, atol=1e-12))
     reduced_pass = (verify_hierarchy(reduced_pen).passed

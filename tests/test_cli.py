@@ -35,7 +35,7 @@ class TestParseAngle:
         assert parse_angle("PI/2") == math.pi / 2
 
     def test_rejects_decimals(self):
-        for bad in ("0.785", "1.57", "pi/0x2", "2*pi", ""):
+        for bad in ("0.785", "1.57", "pi/0x2", "2*pi", "", "pi/0", "3pi/00"):
             with pytest.raises(CliInputError):
                 parse_angle(bad)
 
@@ -140,6 +140,24 @@ class TestVerify:
               "--seed", "2", "--out", str(out)])
         names = {row["name"] for row in json.loads(out.read_text())["checks"]}
         assert "bloch-moment-3" in names
+
+    @pytest.mark.parametrize("target", cli.POVM_TARGETS)
+    def test_check_names_are_unique(self, target, tmp_path):
+        out = tmp_path / "r.json"
+        main(["verify", "--target", target, "--trials", "10", "--seed", "2",
+              "--out", str(out)])
+        names = [row["name"] for row in json.loads(out.read_text())["checks"]]
+        assert len(names) == len(set(names)), names
+
+    @pytest.mark.parametrize("dim", [3.7, 3.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_dim_is_an_input_error(self, dim, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        main(["build", "--target", "table1-N2", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        doc["dim"] = dim
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--in", str(path), "--seed", "1"]) == EXIT_INPUT
+        assert "dim must be an integer" in capsys.readouterr().err
 
     def test_missing_input_choice(self, capsys):
         assert main(["verify", "--trials", "10", "--seed", "1"]) == EXIT_INPUT
@@ -348,6 +366,19 @@ class TestSpectrum:
         _write_catalog(rays, np.eye(3))
         assert main(["spectrum", "--in", str(rays), "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["pair_counts"] == {"-0.500000000": 3}
+
+    @pytest.mark.parametrize("dim", [4.7, 4.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_dim_is_an_input_error(self, dim, tmp_path, capsys):
+        rays = tmp_path / "rays.json"
+        main(["build", "--target", "penrose40", "--out", str(rays)])
+        doc = json.loads(rays.read_text())
+        doc["dim"] = dim
+        rays.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["spectrum", "--in", str(rays)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "dim must be an integer" in captured.err
+        assert captured.out == ""
 
     def test_unnormalized_catalog_is_refused(self, tmp_path, capsys):
         rays = tmp_path / "doubled.json"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinpovm import build_table1_povm, penrose_states, spin32_povm
+from spinpovm import PENROSE40, build_table1_povm, catalog, spin32_povm
 from spinpovm.documents import (
     DocumentError,
     catalog_from_document,
@@ -17,7 +17,7 @@ from spinpovm.documents import (
 
 
 def test_povm_round_trip_is_lossless():
-    povm = spin32_povm(penrose_states(), 2)
+    povm = spin32_povm(catalog(PENROSE40), 2)
     loaded = povm_from_document(povm_to_document(povm))
     assert np.array_equal(loaded.weights, povm.weights)
     assert np.array_equal(loaded.states, povm.states)
@@ -35,10 +35,10 @@ def test_povm_round_trip_through_text():
 
 
 def test_catalog_round_trip():
-    catalog = penrose_states()
-    loaded = catalog_from_document(catalog_to_document(catalog))
-    assert loaded.names == catalog.names
-    assert np.array_equal(loaded.states, catalog.states)
+    penrose = catalog(PENROSE40)
+    loaded = catalog_from_document(catalog_to_document(penrose))
+    assert loaded.names == penrose.names
+    assert np.array_equal(loaded.states, penrose.states)
 
 
 def test_file_round_trip(tmp_path):
@@ -83,14 +83,14 @@ def test_unnormalized_state_rejected():
 
 
 def test_unnormalized_catalog_state_rejected():
-    doc = catalog_to_document(penrose_states())
+    doc = catalog_to_document(catalog(PENROSE40))
     doc["states"][0]["state"][0] = [2.0, 0.0]
     with pytest.raises(DocumentError, match="not normalized"):
         catalog_from_document(doc)
 
 
 def test_catalog_dimension_mismatch_rejected():
-    doc = catalog_to_document(penrose_states())
+    doc = catalog_to_document(catalog(PENROSE40))
     doc["dim"] = 3
     with pytest.raises(DocumentError, match="dim = 3"):
         catalog_from_document(doc)
@@ -110,7 +110,7 @@ def _povm_doc():
 
 
 def _catalog_doc():
-    return catalog_to_document(penrose_states()), catalog_from_document, "states"
+    return catalog_to_document(catalog(PENROSE40)), catalog_from_document, "states"
 
 
 @pytest.mark.parametrize("make", [_povm_doc, _catalog_doc])
@@ -164,3 +164,12 @@ def test_non_integer_copies_rejected(copies):
     doc["copies"] = copies
     with pytest.raises(DocumentError, match="copies"):
         povm_from_document(doc)
+
+
+@pytest.mark.parametrize("make", [_povm_doc, _catalog_doc])
+@pytest.mark.parametrize("shift", [0.7, 0.0, None], ids=["fraction", "float", "bool"])
+def test_non_integer_dim_rejected(make, shift):
+    doc, load, _ = make()
+    doc["dim"] = True if shift is None else doc["dim"] + shift
+    with pytest.raises(DocumentError, match="dim must be an integer"):
+        load(doc)

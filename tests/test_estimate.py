@@ -4,20 +4,22 @@ import numpy as np
 import pytest
 
 from spinpovm import (
+    PENROSE40,
+    SET60,
     Povm,
     build_table1_povm,
+    catalog,
     exact_average_fidelity,
     haar_moment,
     haar_random_states,
     optimal_fidelity,
-    penrose_states,
-    set60_states,
     simulate,
     spin32_povm,
     verify_completeness,
 )
 from spinpovm import estimate
 from spinpovm.verify import outcome_probabilities
+from conftest import scaled
 from oracles import projective_moment_quadrature, reference_simulate_samples
 
 
@@ -26,7 +28,7 @@ def test_exact_fidelity_table1_n2():
 
 
 def test_exact_fidelity_set60_n3():
-    povm = spin32_povm(set60_states(), 3)
+    povm = spin32_povm(catalog(SET60), 3)
     assert abs(exact_average_fidelity(povm) - 4 / 7) < 1e-12
 
 
@@ -42,7 +44,7 @@ def test_exact_fidelity_hits_optimum_for_all_shipped(shipped_povms):
 
 def test_broken_povm_shows_suboptimal_exact_value():
     # computed from the weight sum, so the check stays falsifiable
-    povm = build_table1_povm(2).scaled(0.9)
+    povm = scaled(build_table1_povm(2), 0.9)
     assert abs(exact_average_fidelity(povm) - 0.9 * 0.6) < 1e-12
 
 
@@ -63,13 +65,13 @@ def test_simulation_mean_tracks_exact_value():
 
 def test_simulation_penrose_three_copies():
     rng = np.random.default_rng(2001)
-    report = simulate(spin32_povm(penrose_states(), 3), 30_000, rng)
+    report = simulate(spin32_povm(catalog(PENROSE40), 3), 30_000, rng)
     assert abs(report.exact_fidelity - 4 / 7) < 1e-12
     assert abs(report.mean_fidelity - 4 / 7) < 5 * report.std_error
 
 
 def test_simulation_converges_across_seeds():
-    povm = spin32_povm(set60_states(), 2)
+    povm = spin32_povm(catalog(SET60), 2)
     misses = 0
     for seed in range(25):
         report = simulate(povm, 4000, np.random.default_rng(seed))
@@ -79,7 +81,7 @@ def test_simulation_converges_across_seeds():
 
 
 def test_unverified_povm_rejected():
-    broken = build_table1_povm(2).scaled(1.05)
+    broken = scaled(build_table1_povm(2), 1.05)
     with pytest.raises(ValueError, match="completeness"):
         simulate(broken, 100, np.random.default_rng(0))
 
@@ -133,7 +135,7 @@ class _UniformsAtTop:
 @pytest.mark.parametrize("copies, scale", [(2, 1 - 1e-10), (5, 1 - 4e-11)],
                          ids=["table1-N2", "table1-N5"])
 def test_pick_clamps_to_last_outcome_when_prefix_sums_end_below_u(copies, scale):
-    povm = build_table1_povm(copies).scaled(scale)   # prefix sums top out near scale
+    povm = scaled(build_table1_povm(copies), scale)   # prefix sums top out near scale
     assert verify_completeness(povm).passed
     samples, reference = _kernel_samples(povm, 300, lambda: _UniformsAtTop(4))
     assert np.array_equal(samples, reference)

@@ -3,20 +3,20 @@
 import numpy as np
 import pytest
 
-from spinpovm import haar_moment, haar_random_state, haar_random_states
+from spinpovm import haar_moment, haar_random_states
 from oracles import projective_moment_quadrature
 
 
 def test_same_seed_gives_identical_states():
-    a = haar_random_state(3, np.random.default_rng(123))
-    b = haar_random_state(3, np.random.default_rng(123))
+    a = haar_random_states(3, 1, np.random.default_rng(123))[0]
+    b = haar_random_states(3, 1, np.random.default_rng(123))[0]
     assert np.array_equal(a, b)
 
 
 def test_batch_matches_sequence_of_singles():
     batch = haar_random_states(4, 5, np.random.default_rng(9))
     rng = np.random.default_rng(9)
-    singles = np.array([haar_random_state(4, rng) for _ in range(5)])
+    singles = np.array([haar_random_states(4, 1, rng)[0] for _ in range(5)])
     assert np.array_equal(batch, singles)
 
 
@@ -47,7 +47,7 @@ def test_first_moment_is_one_over_dim(dim):
 @pytest.mark.parametrize("dim,power", [(3, 2), (3, 3), (4, 2), (4, 4)])
 def test_overlap_moments_match_haar_formula(dim, power):
     rng = np.random.default_rng(5150 + dim + power)
-    reference = haar_random_state(dim, rng)
+    reference = haar_random_states(dim, 1, rng)[0]
     draws = 100_000
     states = haar_random_states(dim, draws, rng)
     values = np.abs(states.conj() @ reference) ** (2 * power)
@@ -59,6 +59,6 @@ def test_overlap_moments_match_haar_formula(dim, power):
 @pytest.mark.parametrize("power", [1, 2, 3, 4, 5, 6])
 def test_haar_moment_matches_projective_quadrature_d3(power):
     rng = np.random.default_rng(77 + power)
-    reference = haar_random_state(3, rng)
+    reference = haar_random_states(3, 1, rng)[0]
     via_quadrature = projective_moment_quadrature(reference, power)
     assert abs(via_quadrature - haar_moment(3, power)) < 1e-6

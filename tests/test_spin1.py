@@ -16,12 +16,10 @@ from spinpovm import (
     shell_states,
     solve_weights,
     state_from_angles,
-    state_from_point,
-    table1_shells,
     verify_completeness,
 )
 from spinpovm import spin1
-from spinpovm.polytopes import CELL24, CELL600
+from spinpovm.polytopes import CELL24, CELL600, vertices
 from spinpovm.verify import outcome_probabilities
 
 PI = math.pi
@@ -29,37 +27,30 @@ TABLE1_ANGLES = sorted({theta for _, angles, _ in spin1.TABLE1.values()
                         for theta in angles})
 
 
-class TestStateFromPoint:
+class TestShellStateFormula:
+    """Rows (sin t (x1 + i x2), sin t (x3 + i x4), cos t) at known vertices."""
+
     def test_theta_zero_is_the_pole(self):
-        for v in (np.array([1.0, 0, 0, 0]), np.array([0.5, 0.5, 0.5, 0.5])):
-            assert np.allclose(state_from_point(0.0, v), [0, 0, 1], atol=1e-15)
+        for polytope in (CELL24, CELL600):
+            assert np.array_equal(shell_states(polytope, 0.0), [[0, 0, 1]])
 
     def test_theta_half_pi_on_first_axis(self):
-        state = state_from_point(PI / 2, np.array([1.0, 0, 0, 0]))
-        assert np.allclose(state, [1, 0, 0], atol=1e-15)
+        row = np.flatnonzero(np.all(vertices(CELL24) == [1.0, 0, 0, 0], axis=1))[0]
+        assert np.allclose(shell_states(CELL24, PI / 2)[row], [1, 0, 0], atol=1e-15)
 
     def test_quarter_angle_diagonal_vertex(self):
-        state = state_from_point(PI / 4, np.array([0.5, 0.5, 0.5, 0.5]))
+        assert np.array_equal(vertices(CELL24)[0], [0.5, 0.5, 0.5, 0.5])
         expected = np.array([(1 + 1j) / (2 * math.sqrt(2)),
                              (1 + 1j) / (2 * math.sqrt(2)),
                              1 / math.sqrt(2)])
-        assert np.allclose(state, expected, atol=1e-15)
+        assert np.allclose(shell_states(CELL24, PI / 4)[0], expected, atol=1e-15)
 
     def test_output_is_normalized(self):
         rng = np.random.default_rng(10)
-        for _ in range(50):
-            v = rng.standard_normal(4)
-            v /= np.linalg.norm(v)
-            state = state_from_point(rng.uniform(0, PI / 2), v)
-            assert abs(np.vdot(state, state).real - 1.0) < 1e-12
-
-    def test_rejects_non_unit_point(self):
-        with pytest.raises(ValueError):
-            state_from_point(0.3, np.array([1.0, 1.0, 0.0, 0.0]))
-
-    def test_rejects_out_of_range_theta(self):
-        with pytest.raises(ValueError):
-            state_from_point(2.0, np.array([1.0, 0, 0, 0]))
+        for polytope in (CELL24, CELL600):
+            for theta in rng.uniform(0, PI / 2, size=10):
+                states = shell_states(polytope, theta)
+                assert np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)) < 1e-12
 
 
 class TestTable1:
@@ -213,7 +204,8 @@ class TestSolveWeights:
 
 class TestPovmFromShells:
     def test_zero_weight_shell_changes_nothing(self):
-        _, shells = table1_shells(2)
+        _, angles, weights = spin1.TABLE1[2]
+        shells = list(zip(angles, weights))
         with_pole = povm_from_shells(CELL24, shells + [(0.0, 0.0)], 2)
         without = povm_from_shells(CELL24, shells, 2)
         assert with_pole.size == without.size == 48
@@ -239,18 +231,14 @@ class TestPovmFromShells:
             povm_from_shells(CELL24, [(PI / 4, -0.1)], 2)
 
 
-def test_state_from_angles_matches_point_form():
-    # the two parametrizations agree when (x1..x4) is assembled from the angles
+def test_state_from_angles_matches_shell_states():
+    # the two parametrizations agree once the angles are read off each vertex
+    verts = vertices(CELL600)
+    phi = np.arctan2(np.hypot(verts[:, 2], verts[:, 3]), np.hypot(verts[:, 0], verts[:, 1]))
+    chi1 = np.arctan2(verts[:, 1], verts[:, 0])
+    chi2 = np.arctan2(verts[:, 3], verts[:, 2])
     rng = np.random.default_rng(33)
-    for _ in range(20):
-        theta = rng.uniform(0, PI / 2)
-        phi = rng.uniform(0, PI / 2)
-        chi1, chi2 = rng.uniform(0, 2 * PI, size=2)
-        point = np.array([
-            math.cos(phi) * math.cos(chi1),
-            math.cos(phi) * math.sin(chi1),
-            math.sin(phi) * math.cos(chi2),
-            math.sin(phi) * math.sin(chi2),
-        ])
-        assert np.allclose(state_from_angles(theta, phi, chi1, chi2),
-                           state_from_point(theta, point), atol=1e-14)
+    for theta in rng.uniform(0, PI / 2, size=5):
+        via_angles = np.array([state_from_angles(theta, *angles)
+                               for angles in zip(phi, chi1, chi2)])
+        assert np.allclose(via_angles, shell_states(CELL600, theta), atol=1e-14)

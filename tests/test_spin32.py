@@ -5,29 +5,30 @@ import pytest
 from oracles import reference_value_counts
 
 from spinpovm import (
+    PENROSE40,
     PHASE,
-    bloch_dot,
+    SET60,
+    bloch_dots,
     bloch_vector,
+    catalog,
     haar_random_states,
     overlap_spectrum,
-    penrose_states,
     reduce_n3_to_n2,
-    set60_states,
     spin32_povm,
     traceless_hermitian_basis,
     verify_completeness,
     verify_hierarchy,
 )
 from spinpovm.povm import Povm
-from spinpovm.spin32 import BlochDotSpectrum, _bloch_dot_matrix
+from spinpovm.spin32 import BlochDotSpectrum
 from spinpovm.verify import outcome_probabilities
 
 THIRD = round(1 / 3, 9)
 NINTH = round(1 / 9, 9)
 
 
-def _state(catalog, name):
-    return catalog.states[catalog.names.index(name)]
+def _state(cat, name):
+    return cat.states[cat.names.index(name)]
 
 
 class TestPenroseCatalog:
@@ -75,48 +76,61 @@ class TestSet60Catalog:
             assert counts == {-THIRD: 15, 0.0: 32, THIRD: 12}
 
 
-class TestBlochDot:
+@pytest.mark.parametrize("label", [PENROSE40, SET60])
+def test_catalogs_are_built_once_and_read_only(label):
+    cat = catalog(label)
+    assert catalog(label) is cat
+    with pytest.raises(ValueError, match="read-only"):
+        cat.states[0, 0] = 0.0
+
+
+def test_unknown_catalog_rejected():
+    with pytest.raises(ValueError, match="unknown catalog"):
+        catalog("penrose41")
+
+
+class TestBlochDots:
     def test_self_dot_is_one(self, penrose):
-        for state in penrose.states[:5]:
-            assert abs(bloch_dot(state, state) - 1.0) < 1e-12
+        assert np.max(np.abs(np.diag(bloch_dots(penrose.states)) - 1.0)) < 1e-12
 
     def test_orthogonal_pair(self, penrose):
-        value = bloch_dot(_state(penrose, "F"), _state(penrose, "B"))
+        value = bloch_dots([_state(penrose, "F"), _state(penrose, "B")])[0, 1]
         assert abs(value - (-1 / 3)) < 1e-12
 
     def test_penrose_non_orthogonal_pair(self, penrose):
-        value = bloch_dot(_state(penrose, "A"), _state(penrose, "F"))
+        value = bloch_dots([_state(penrose, "A"), _state(penrose, "F")])[0, 1]
         assert abs(value - 1 / 9) < 1e-12
 
     def test_spin_follows_the_dimension(self):
         # orthogonal rays sit at -1/(2J), here -1/2 for spin 1
-        assert abs(bloch_dot(np.eye(3)[0], np.eye(3)[1]) - (-1 / 2)) < 1e-15
+        assert abs(bloch_dots(np.eye(3)[:2])[0, 1] - (-1 / 2)) < 1e-15
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            bloch_dot(np.array([1, 0, 0, 0]), np.array([1, 0, 0]))
+    @pytest.mark.parametrize("states", [np.array([1, 0, 0, 0]), np.ones((3, 1)),
+                                        np.ones((2, 2, 2))], ids=["vector", "dim-1", "3-d"])
+    def test_rows_of_one_dimension_at_least_two_required(self, states):
+        with pytest.raises(ValueError, match="dimension >= 2"):
+            bloch_dots(states)
 
     def test_symmetry_and_lower_bound(self):
         rng = np.random.default_rng(8)
-        states = haar_random_states(4, 40, rng)
-        for a, b in zip(states[:20], states[20:]):
-            ab = bloch_dot(a, b)
-            assert abs(ab - bloch_dot(b, a)) < 1e-14
-            assert ab >= -1 / 3 - 1e-12
+        dots = bloch_dots(haar_random_states(4, 40, rng))
+        assert np.max(np.abs(dots - dots.T)) < 1e-14
+        assert np.min(dots) >= -1 / 3 - 1e-12
 
     def test_unity_iff_same_ray(self):
         rng = np.random.default_rng(9)
         (a, b) = haar_random_states(4, 2, rng)
-        assert abs(bloch_dot(a, np.exp(0.7j) * a) - 1.0) < 1e-12
-        assert bloch_dot(a, b) < 1.0 - 1e-6
+        dots = bloch_dots([a, np.exp(0.7j) * a, b])
+        assert abs(dots[0, 1] - 1.0) < 1e-12
+        assert dots[0, 2] < 1.0 - 1e-6
 
     def test_matches_explicit_bloch_vectors(self):
-        # cross-check against the 15-component construction
+        # cross-check against the 15-component construction, on the matrix
+        # that overlap_spectrum and verify_hierarchy use
         rng = np.random.default_rng(123)
         states = haar_random_states(4, 100, rng)
-        for a, b in zip(states[:50], states[50:]):
-            explicit = float(bloch_vector(a) @ bloch_vector(b))
-            assert abs(explicit - bloch_dot(a, b)) < 1e-10
+        vectors = np.array([bloch_vector(state) for state in states])
+        assert np.max(np.abs(vectors @ vectors.T - bloch_dots(states))) < 1e-10
 
     def test_explicit_bloch_vectors_are_unit(self):
         rng = np.random.default_rng(124)
@@ -152,23 +166,23 @@ class TestOverlapSpectrum:
 
     @pytest.mark.parametrize("name", ["penrose", "set60"])
     def test_counts_match_per_pair_reference(self, name, request):
-        catalog = request.getfixturevalue(name)
-        spectrum = overlap_spectrum(catalog)
-        dots = np.round(_bloch_dot_matrix(catalog.states), 9)
+        cat = request.getfixturevalue(name)
+        spectrum = overlap_spectrum(cat)
+        dots = np.round(bloch_dots(cat.states), 9)
         pair_counts, per_state = reference_value_counts(dots)
         assert list(spectrum.pair_counts.items()) == list(pair_counts.items())
         assert [list(c.items()) for c in spectrum.per_state] == \
             [list(c.items()) for c in per_state]
         # the text keys tell a -0.0 key from a 0.0 one; set60 has both
         assert spectrum.to_dict() == BlochDotSpectrum(
-            catalog.label, spectrum.values, pair_counts, tuple(per_state),
-            catalog.names).to_dict()
+            cat.label, spectrum.values, pair_counts, tuple(per_state),
+            cat.names).to_dict()
 
     def test_per_state_counts_sum_to_size_minus_one(self, penrose, set60):
-        for catalog in (penrose, set60):
-            spectrum = overlap_spectrum(catalog)
+        for cat in (penrose, set60):
+            spectrum = overlap_spectrum(cat)
             for counts in spectrum.per_state:
-                assert sum(counts.values()) == catalog.size - 1
+                assert sum(counts.values()) == cat.size - 1
 
 
 class TestHierarchies:
@@ -183,7 +197,7 @@ class TestHierarchies:
     def test_wrong_weight_fails_weight_sum_by_ten(self, penrose):
         wrong = Povm(np.full(40, 0.5), penrose.states, 2)
         report = verify_hierarchy(wrong)
-        weight_check = {c.name: c for c in report.checks}["weight-sum"]
+        weight_check = {c.name: c for c in report.checks}["bloch-moment-0"]
         assert abs(weight_check.residual - 10.0) < 1e-9
         assert not report.passed
         assert report.povm_id == "povm-D4-N2"   # verify's id rule
@@ -232,15 +246,15 @@ class TestReduction:
 
 class TestIdentityResolution:
     def test_completeness_for_all_four_povms(self, penrose, set60):
-        for catalog in (penrose, set60):
+        for cat in (penrose, set60):
             for copies in (2, 3):
-                report = verify_completeness(spin32_povm(catalog, copies))
+                report = verify_completeness(spin32_povm(cat, copies))
                 assert report.passed, report.to_dict()
 
     def test_scalar_identity_at_haar_states(self, penrose, set60):
         rng = np.random.default_rng(555)
         psis = haar_random_states(4, 1000, rng)
-        for catalog in (penrose, set60):
+        for cat in (penrose, set60):
             for copies in (2, 3):
-                _, probs = outcome_probabilities(spin32_povm(catalog, copies), psis)
+                _, probs = outcome_probabilities(spin32_povm(cat, copies), psis)
                 assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9

@@ -5,13 +5,13 @@ import pytest
 
 from spinpovm import (
     build_table1_povm,
-    haar_random_state,
     haar_random_states,
     multi_indices,
     sym_dim,
     symmetric_power_matrix,
     verify_completeness,
 )
+from conftest import scaled
 from oracles import count_multisets, tensor_power_overlap
 
 
@@ -68,8 +68,7 @@ def test_symmetric_power_overlaps_match_full_tensor_product():
     for _ in range(100):
         dim = int(rng.integers(2, 5))
         copies = int(rng.integers(1, 4))
-        phi = haar_random_state(dim, rng)
-        psi = haar_random_state(dim, rng)
+        phi, psi = haar_random_states(dim, 2, rng)
         via_sym = np.vdot(symmetric_power_matrix(phi, copies)[0],
                           symmetric_power_matrix(psi, copies)[0])
         via_full = tensor_power_overlap(phi, psi, copies)
@@ -80,8 +79,7 @@ def test_symmetric_power_overlap_is_single_copy_overlap_to_the_n():
     rng = np.random.default_rng(7)
     for copies in (2, 3, 4, 5):
         for _ in range(25):
-            phi = haar_random_state(3, rng)
-            psi = haar_random_state(3, rng)
+            phi, psi = haar_random_states(3, 2, rng)
             via_sym = np.vdot(symmetric_power_matrix(phi, copies)[0],
                               symmetric_power_matrix(psi, copies)[0])
             assert abs(via_sym - np.vdot(phi, psi) ** copies) < 1e-12
@@ -91,7 +89,7 @@ def test_symmetric_power_preserves_norm():
     rng = np.random.default_rng(3)
     for _ in range(100):
         dim = int(rng.integers(2, 5))
-        psi = haar_random_state(dim, rng)
+        psi = haar_random_states(dim, 1, rng)[0]
         coords = symmetric_power_matrix(psi, int(rng.integers(1, 6)))[0]
         assert abs(np.vdot(coords, coords).real - 1.0) < 1e-12
 
@@ -102,7 +100,7 @@ def _frobenius_residual(povm):
 
 
 def test_identity_residual_halved_weights_table1_n2():
-    povm = build_table1_povm(2).scaled(0.5)
+    povm = scaled(build_table1_povm(2), 0.5)
     # sum reduces to I/2, whose distance from I is sqrt(dim)/2
     assert abs(_frobenius_residual(povm) - np.sqrt(6) / 2) < 1e-12
 

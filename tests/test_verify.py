@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from spinpovm import (
+    PENROSE40,
     Povm,
     build_table1_povm,
+    catalog,
     haar_random_states,
-    penrose_states,
     spin32_povm,
     verify_completeness,
     verify_scalar_identity,
 )
 from spinpovm.sampling import chunks
+from conftest import scaled
 from oracles import brute_force_identity_residual
 
 
@@ -22,12 +24,12 @@ def test_table1_n3_passes(shipped_povms):
 
 
 def test_penrose_n3_passes():
-    report = verify_completeness(spin32_povm(penrose_states(), 3))
+    report = verify_completeness(spin32_povm(catalog(PENROSE40), 3))
     assert report.passed
 
 
 def test_deleting_a_state_breaks_completeness():
-    povm = spin32_povm(penrose_states(), 3)
+    povm = spin32_povm(catalog(PENROSE40), 3)
     deficient = Povm(povm.weights[:-1], povm.states[:-1], 3)
     report = verify_completeness(deficient)
     assert not report.passed
@@ -60,9 +62,9 @@ def test_completeness_pass_implies_scalar_pass(shipped_povms):
 
 def test_scaled_weights_shift_scalar_residual_linearly():
     povm = build_table1_povm(2)
-    scaled = povm.scaled(1.01)
+    scaled_up = scaled(povm, 1.01)
     rng = np.random.default_rng(4)
-    report = verify_scalar_identity(scaled, 500, rng)
+    report = verify_scalar_identity(scaled_up, 500, rng)
     assert abs(report.worst - 0.01) < 1e-3
     assert not report.passed
 
@@ -81,7 +83,7 @@ def test_blocked_scalar_check_matches_closed_form(trials):
 
 
 def test_reports_are_deterministic_for_a_seed():
-    povm = spin32_povm(penrose_states(), 2)
+    povm = spin32_povm(catalog(PENROSE40), 2)
     r1 = verify_scalar_identity(povm, 700, np.random.default_rng(21))
     r2 = verify_scalar_identity(povm, 700, np.random.default_rng(21))
     assert r1.to_dict() == r2.to_dict()
