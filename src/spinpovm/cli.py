@@ -17,6 +17,7 @@ import numpy as np
 from . import documents
 from .estimate import simulate
 from .povm import AGGREGATE_TOL, Povm
+from .sampling import chunks
 from .spin1 import (
     TABLE1,
     AngularCancellationError,
@@ -195,9 +196,11 @@ def cmd_simulate(args) -> int:
     if args.csv is not None:
         with open(args.csv, "w") as handle:
             handle.write("trial,fidelity\n")
-            # tolist() gives Python floats, whose repr round-trips exactly
-            handle.writelines(f"{index},{value!r}\n"
-                              for index, value in enumerate(report.samples.tolist()))
+            # one slice of rows at a time; tolist() gives Python floats,
+            # whose repr round-trips exactly
+            for start, stop in chunks(report.trials):
+                handle.write("".join(map("%d,%r\n".__mod__, enumerate(
+                    report.samples[start:stop].tolist(), start))))
         print(f"wrote per-trial fidelities to {args.csv}")
     return EXIT_OK
 

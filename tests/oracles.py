@@ -218,3 +218,17 @@ def reference_value_counts(dots):
                 pair_counts[value] = pair_counts.get(value, 0) + 1
         per_state.append(counts)
     return pair_counts, per_state
+
+
+def reference_dumps(data):
+    """The json module's indented, key-sorted text plus a newline: the
+    bytes every document and report has always been written as."""
+    import json
+
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def reference_csv(samples):
+    """Per-trial CSV text written one f-string row at a time."""
+    rows = [f"{index},{value!r}\n" for index, value in enumerate(samples.tolist())]
+    return "trial,fidelity\n" + "".join(rows)

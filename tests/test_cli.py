@@ -159,6 +159,34 @@ class TestVerify:
         assert main(["verify", "--in", str(path), "--seed", "1"]) == EXIT_INPUT
         assert "dim must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim, message", [
+        (3.7, "error: POVM document dim must be an integer, got 3.7\n"),
+        (4, "error: POVM document states have 3 amplitudes, inconsistent with dim = 4\n"),
+    ], ids=["non-integer", "mismatch"])
+    def test_dim_fault_names_the_document_field(self, dim, message, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        main(["build", "--target", "table1-N2", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        doc["dim"] = dim
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(path), "--seed", "1"]) == EXIT_INPUT
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("weight", [str, lambda w: True], ids=["string", "bool"])
+    def test_weight_that_is_not_a_number_is_an_input_error(self, weight, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        main(["build", "--target", "table1-N2", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        # the string holds the element's own weight, which float() would read back
+        doc["elements"][0]["weight"] = weight(doc["elements"][0]["weight"])
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(path), "--seed", "1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "bad POVM element: weight must be a number" in captured.err
+        assert captured.out == ""
+
     def test_missing_input_choice(self, capsys):
         assert main(["verify", "--trials", "10", "--seed", "1"]) == EXIT_INPUT
 
@@ -379,6 +407,20 @@ class TestSpectrum:
         captured = capsys.readouterr()
         assert "dim must be an integer" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("dim, message", [
+        (4.7, "error: catalog document dim must be an integer, got 4.7\n"),
+        (3, "error: catalog document states have 4 amplitudes, inconsistent with dim = 3\n"),
+    ], ids=["non-integer", "mismatch"])
+    def test_dim_fault_names_the_document_field(self, dim, message, tmp_path, capsys):
+        rays = tmp_path / "rays.json"
+        main(["build", "--target", "penrose40", "--out", str(rays)])
+        doc = json.loads(rays.read_text())
+        doc["dim"] = dim
+        rays.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["spectrum", "--in", str(rays)]) == EXIT_INPUT
+        assert capsys.readouterr().err == message
 
     def test_unnormalized_catalog_is_refused(self, tmp_path, capsys):
         rays = tmp_path / "doubled.json"

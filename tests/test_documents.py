@@ -173,3 +173,11 @@ def test_non_integer_dim_rejected(make, shift):
     doc["dim"] = True if shift is None else doc["dim"] + shift
     with pytest.raises(DocumentError, match="dim must be an integer"):
         load(doc)
+
+
+@pytest.mark.parametrize("weight", ["0.5", True, 10**400], ids=["string", "bool", "huge"])
+def test_weight_that_is_not_a_float_rejected(weight):
+    doc = povm_to_document(build_table1_povm(2))
+    doc["elements"][0]["weight"] = weight
+    with pytest.raises(DocumentError, match="bad POVM element"):
+        povm_from_document(doc)
