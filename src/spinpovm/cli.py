@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import documents
-from .estimate import simulate
+from .estimate import IncompletePovmError, simulate
 from .povm import AGGREGATE_TOL, Povm
 from .sampling import chunks
 from .spin1 import (
@@ -185,7 +185,7 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     try:
         report = simulate(povm, args.trials, rng, keep_samples=args.csv is not None)
-    except ValueError as err:
+    except IncompletePovmError as err:
         print(f"refusing to simulate: {err}", file=sys.stderr)
         return EXIT_VERIFY
     print(f"{report.povm_id}: mean fidelity {report.mean_fidelity:.6f} "

@@ -13,7 +13,18 @@ import numpy as np
 from .povm import AGGREGATE_TOL, Povm
 from .reports import EstimationReport
 from .sampling import chunks, haar_random_states
-from .verify import blocks, outcome_probabilities, verify_completeness, _povm_id
+from .verify import _BLOCK, blocks, outcome_probabilities, verify_completeness, _povm_id
+
+# Fewest elements (rows x outcomes) per block of `simulate`, whose blocks
+# have at least _BLOCK rows. A few-outcome POVM then runs fewer, larger
+# blocks: at k = 40-60 a 128-row block is so small that fixed numpy call
+# costs dominate. Of 20480, 40960, 61440 and 92160, this budget was the
+# fastest at k = 40-60; from k = 320 on, blocks keep 128 rows.
+_BLOCK_ELEMENTS = 40960
+
+
+class IncompletePovmError(ValueError):
+    """A POVM that `simulate` refuses because it fails completeness."""
 
 
 def optimal_fidelity(copies: int, dim: int) -> float:
@@ -56,16 +67,22 @@ def simulate(povm: Povm, trials: int, rng: np.random.Generator,
         raise ValueError(f"trials must be >= 1, got {trials}")
     completeness = verify_completeness(povm)
     if not completeness.passed:
-        raise ValueError(
+        raise IncompletePovmError(
             "POVM fails completeness (worst residual "
             f"{completeness.worst:.3e}); outcome probabilities would not normalize")
 
-    fidelities = np.empty(trials)
+    try:
+        fidelities = np.empty(trials)
+    except MemoryError:
+        raise ValueError(
+            f"--trials {trials} needs {8 * trials} bytes for the per-trial "
+            "fidelities, more than can be allocated") from None
+    most = max(_BLOCK, _BLOCK_ELEMENTS // povm.size)
     for start, stop in chunks(trials):
         rows = stop - start
         psis = haar_random_states(povm.dim, rows, rng)
         u = rng.random(rows)
-        for lo, hi in blocks(rows):
+        for lo, hi in blocks(rows, most):
             overlaps_sq, probs = outcome_probabilities(povm, psis[lo:hi])
             picks = _pick(probs, u[lo:hi])
             fidelities[start + lo:start + hi] = overlaps_sq[np.arange(hi - lo), picks]
@@ -90,8 +107,9 @@ def simulate(povm: Povm, trials: int, rng: np.random.Generator,
 # within noise of each other at k = 480 and 720.
 _SEGMENT = 16
 # Fewest outcomes that take the two-level pick. Its ~20 numpy calls per
-# block cost more than the cumsum they replace below k = 150-190 (measured
-# on 128-row blocks); the bundled POVMs have k = 40-96 or 480-720.
+# block cost more than the cumsum they replace below k = 150-190 on
+# 128-row blocks, and below k = 160 on simulate's element-sized blocks;
+# the bundled POVMs have k = 40-96 or 480-720.
 _TWO_LEVEL_MIN = 256
 
 

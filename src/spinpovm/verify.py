@@ -17,18 +17,19 @@ from .reports import Check, VerificationReport
 from .sampling import chunks, haar_random_states
 from .symmetric import _frobenius_identity_residual, sym_dim, symmetric_power_matrix
 
-# Most rows per kernel block: 128 x k floats stay in cache (0.7 MB at
-# k = 720) where a whole chunk of 4096 rows would stream every stage from
-# memory.
+# Rows per block of the scalar check, and the fewest per block of
+# `simulate`: at k = 720 a 128-row block of overlaps stays in cache (1.5 MB
+# complex, 0.7 MB as floats) where a whole chunk of 4096 rows would stream
+# every stage from memory.
 _BLOCK = 128
 
 
-def blocks(rows: int) -> Iterator[tuple[int, int]]:
-    """Even (lo, hi) ranges of at most _BLOCK rows covering range(rows)."""
+def blocks(rows: int, most: int) -> Iterator[tuple[int, int]]:
+    """Even (lo, hi) ranges of at most `most` rows covering range(rows)."""
     # Even blocks have one row only when the chunk has one: numpy
     # multiplies a single row with another BLAS routine, whose last bits
     # differ from the rows of a many-row product.
-    count = -(-rows // _BLOCK)
+    count = -(-rows // most)
     for block in range(count):
         yield rows * block // count, rows * (block + 1) // count
 
@@ -76,7 +77,7 @@ def verify_scalar_identity(povm: Povm, trials: int, rng: np.random.Generator,
     worst = 0.0
     for start, stop in chunks(trials):
         psis = haar_random_states(povm.dim, stop - start, rng)
-        for lo, hi in blocks(stop - start):
+        for lo, hi in blocks(stop - start, _BLOCK):
             _, probs = outcome_probabilities(povm, psis[lo:hi])
             worst = max(worst, float(np.max(np.abs(probs.sum(axis=1) - 1.0))))
     return VerificationReport(

@@ -262,6 +262,13 @@ class TestSimulate:
                      "--seed", "1"]) == EXIT_INPUT
         assert "--trials" in capsys.readouterr().err
 
+    def test_trials_beyond_memory_is_an_input_error(self, capsys):
+        # 8e15 bytes of fidelities: more than any address space holds
+        assert main(["simulate", "--target", "table1-N2", "--trials", str(10 ** 15),
+                     "--seed", "1"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "--trials" in err and f"{8 * 10 ** 15} bytes" in err
+
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_output_is_an_input_error(self, flag, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "simulate", _must_not_run)

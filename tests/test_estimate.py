@@ -107,9 +107,16 @@ def _kernel_samples(povm, trials, rng_factory):
     return report.samples, reference_simulate_samples(povm, trials, rng_factory())
 
 
-@pytest.mark.parametrize("trials", [1, 127, 128, 129, 4097])
+# rows per block of simulate at k = 40 (penrose40), 48 (table1-N2) and 60 (set60)
+_CAPS = sorted({estimate._BLOCK_ELEMENTS // k for k in (40, 48, 60)})
+
+
+@pytest.mark.parametrize("trials", [1, 127, 128, 129, 4097, 20_000]
+                         + [cap + d for cap in _CAPS for d in (-1, 0, 1)])
 def test_blocked_kernel_matches_unblocked_reference(shipped_povms, trials):
-    # block edges at 128 rows, chunk edge at 4096; copies = 1 has no power step
+    # block edges at 128 rows (k >= 320) and at the element-sized caps, chunk
+    # edge at 4096, several large blocks per chunk at 20,000; copies = 1 has
+    # no power step
     identity = Povm(np.ones(3), np.eye(3), 1, provenance="identity-D3-N1")
     for povm in (*shipped_povms, identity):
         samples, reference = _kernel_samples(

@@ -14,6 +14,7 @@ from spinpovm import (
     verify_scalar_identity,
 )
 from spinpovm.sampling import chunks
+from spinpovm.verify import blocks
 from conftest import scaled
 from oracles import brute_force_identity_residual
 
@@ -67,6 +68,21 @@ def test_scaled_weights_shift_scalar_residual_linearly():
     report = verify_scalar_identity(scaled_up, 500, rng)
     assert abs(report.worst - 0.01) < 1e-3
     assert not report.passed
+
+
+# 3 is the smallest cap for which an even split has no one-row block
+@pytest.mark.parametrize("most", [3, 128, 682, 853, 1024])
+def test_blocks_are_an_even_split_within_the_cap(most):
+    for rows in [1, 2, 3, most - 1, most, most + 1, 2 * most + 1, 4095, 4096]:
+        ranges = list(blocks(rows, most))
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+        assert ranges[-1][1] == rows
+        sizes = [hi - lo for lo, hi in ranges]
+        assert max(sizes) <= most
+        assert len(ranges) == -(-rows // most)
+        assert max(sizes) - min(sizes) <= 1
+        # a one-row block only for a one-row input
+        assert min(sizes) > 1 or rows == 1
 
 
 @pytest.mark.parametrize("trials", [1, 127, 128, 129, 4097])

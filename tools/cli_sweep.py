@@ -1,0 +1,111 @@
+"""Run a fixed sweep of spinpovm CLI commands and write a manifest of what each did.
+
+    python3 tools/cli_sweep.py OUTDIR
+
+The sweep calls `spinpovm.cli.main` in-process, with OUTDIR as the working
+directory, so every output file lands in OUTDIR under a relative name. It
+covers `build` for every target, `verify` and `simulate` for every POVM
+(by target and from the built documents), `spectrum` and `solve-weights`,
+including error cases. `OUTDIR/manifest.json` records, per command, its
+argv, exit code, stdout, stderr and the sha256 of each output file it
+names. The package is imported from `src/` of the checkout this file sits
+in, so two checkouts give two manifests, and a plain `diff` of them shows
+every changed byte of output.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from spinpovm import cli  # noqa: E402
+
+SEEDS = (11, 2026)
+# Table 1 of the paper, then a trailing zero-weight shell, an infeasible
+# set and the 24-cell at N = 4, which cannot cancel the angular dependence
+SOLVE_WEIGHTS = (
+    ("24-cell", ("pi/4", "pi/2"), 2),
+    ("24-cell", ("pi/6", "pi/4", "pi/3", "pi/2"), 3),
+    ("600-cell", ("pi/6", "pi/4", "pi/3", "pi/2"), 4),
+    ("600-cell", ("pi/6", "pi/4", "pi/3", "pi/2", "pi/8", "3pi/8"), 5),
+    ("24-cell", ("pi/4", "pi/2", "0"), 2),
+    ("24-cell", ("pi/6", "pi/4"), 2),
+    ("24-cell", ("pi/6", "pi/4", "pi/3", "pi/2"), 4),
+)
+
+
+def commands() -> list[list[str]]:
+    """Every argv of the sweep, in order."""
+    runs = [["build", "--target", t, "--out", f"build-{t}.json"] for t in cli.TARGETS]
+    for t in cli.POVM_TARGETS:
+        for seed in SEEDS:
+            runs.append(["verify", "--target", t, "--seed", str(seed),
+                         "--out", f"verify-{t}-{seed}.json"])
+        runs.append(["verify", "--in", f"build-{t}.json", "--trials", "300", "--seed", "5",
+                     "--out", f"verify-in-{t}.json"])
+        for trials, seed in [(100_000, s) for s in SEEDS] + [(1, 5), (4097, 5)]:
+            name = f"simulate-{t}-{trials}-{seed}"
+            runs.append(["simulate", "--target", t, "--trials", str(trials),
+                         "--seed", str(seed), "--out", f"{name}.json", "--csv", f"{name}.csv"])
+        runs.append(["simulate", "--in", f"build-{t}.json", "--trials", "5000", "--seed", "5",
+                     "--out", f"simulate-in-{t}.json"])
+    for label in cli.CATALOG_TARGETS:
+        runs.append(["spectrum", "--target", label, "--out", f"spectrum-{label}.json"])
+        runs.append(["spectrum", "--in", f"build-{label}.json",
+                     "--out", f"spectrum-in-{label}.json"])
+    for polytope, angles, copies in SOLVE_WEIGHTS:
+        runs.append(["solve-weights", "--polytope", polytope, "--angles", *angles,
+                     "--copies", str(copies),
+                     "--out", f"solve-{polytope}-N{copies}-{len(angles)}.json"])
+    # more trials than memory holds
+    runs.append(["simulate", "--target", "table1-N2", "--trials", str(10 ** 15), "--seed", "1"])
+    return runs
+
+
+def run(argv: list[str]) -> dict:
+    """Run one command and record what it did."""
+    out, err = io.StringIO(), io.StringIO()
+    entry = {"argv": argv}
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            entry["exit"] = cli.main(argv)
+        except Exception as exc:  # a traceback is a result of the sweep too
+            entry["exit"] = None
+            entry["raised"] = f"{type(exc).__name__}: {exc}"
+    entry["stdout"] = out.getvalue()
+    entry["stderr"] = err.getvalue()
+    paths = [argv[i + 1] for i, arg in enumerate(argv) if arg in ("--out", "--csv")]
+    entry["files"] = {
+        path: hashlib.sha256(Path(path).read_bytes()).hexdigest() if Path(path).exists()
+        else None
+        for path in paths}
+    return entry
+
+
+def main() -> int:
+    args = sys.argv[1:]
+    if len(args) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    outdir = Path(args[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    here = os.getcwd()
+    os.chdir(outdir)
+    try:
+        manifest = [run(command) for command in commands()]
+    finally:
+        os.chdir(here)
+    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    print(f"{len(manifest)} commands, "
+          f"{sum(len(entry['files']) for entry in manifest)} output files -> "
+          f"{outdir / 'manifest.json'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
