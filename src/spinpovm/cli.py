@@ -148,7 +148,7 @@ def _check_writable(path: str | None) -> None:
 
 def _write_if_requested(data: dict, path: str | None) -> None:
     if path is not None:
-        documents.write_json(data, path)
+        documents.write_json(documents.dumps(data), path)
 
 
 def cmd_build(args) -> int:

@@ -3,6 +3,10 @@
 Complex amplitudes are stored as explicit [re, im] pairs; Python's float
 repr round-trips doubles exactly, so build -> dump -> load reproduces the
 in-memory POVM bit for bit.
+
+Every file holds the bytes of `json.dumps(data, indent=2, sort_keys=True)`
+plus a newline. Reports are written by the json module; POVM and catalog
+documents are filled in from one fixed template per kind.
 """
 
 import json
@@ -17,15 +21,32 @@ from .spin32 import RayCatalog
 POVM_SCHEMA = "spinpovm/povm-v1"
 RAYS_SCHEMA = "spinpovm/rays-v1"
 
+# The keys of each kind in sorted order; the records are joined by _RECORD_SEPARATOR
+_POVM_TEXT = """{
+  "copies": %d,
+  "dim": %d,
+  "elements": [
+    %s
+  ],
+  "provenance": %s,
+  "schema": %s,
+  "spin": %r
+}
+"""
+_CATALOG_TEXT = """{
+  "dim": %d,
+  "label": %s,
+  "schema": %s,
+  "states": [
+    %s
+  ]
+}
+"""
+_RECORD_SEPARATOR = ",\n    "
+
 
 class DocumentError(ValueError):
     """Malformed or inconsistent document content."""
-
-
-def _pairs(states: np.ndarray) -> list:
-    """[re, im] pairs of a (k, D) complex array, as k nested lists."""
-    return np.ascontiguousarray(states, dtype=complex).view(float).reshape(
-        *states.shape, 2).tolist()
 
 
 def _states_from_pairs(rows: list) -> np.ndarray:
@@ -65,19 +86,30 @@ def _weight(element: dict) -> float:
     return float(weight)
 
 
-def povm_to_document(povm: Povm) -> dict:
-    doc = {
-        "schema": POVM_SCHEMA,
-        "dim": povm.dim,
-        "copies": povm.copies,
-        "spin": povm.spin,
-        "provenance": povm.provenance,
-        "elements": [
-            {"weight": w, "state": pairs}
-            for w, pairs in zip(povm.weights.tolist(), _pairs(povm.states))
-        ],
-    }
-    return doc
+def _float_texts(values: np.ndarray) -> list:
+    """The repr of each float of a 2-D array, as nested lists of str. Each
+    distinct bit pattern, so -0.0 apart from 0.0, is formatted once: the
+    bundled documents hold thousands of amplitudes but few distinct values."""
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
+    return texts[index.reshape(values.shape)].tolist()
+
+
+def _state_field(dim: int) -> str:
+    """The text of a record's "state" list of `dim` [re, im] pairs, with a
+    %s slot for each float."""
+    pair = "[\n          %s,\n          %s\n        ]"
+    return "[\n        " + ",\n        ".join([pair] * dim) + "\n      ]"
+
+
+def povm_to_document(povm: Povm) -> str:
+    """The POVM's JSON document text."""
+    record = '{\n      "state": ' + _state_field(povm.dim) + ',\n      "weight": %s\n    }'
+    cells = _float_texts(np.column_stack([povm.states.view(float), povm.weights]))
+    elements = _RECORD_SEPARATOR.join(map(record.__mod__, map(tuple, cells)))
+    return _POVM_TEXT % (povm.copies, povm.dim, elements,
+                         encode_basestring_ascii(povm.provenance),
+                         encode_basestring_ascii(POVM_SCHEMA), povm.spin)
 
 
 def povm_from_document(doc: dict) -> Povm:
@@ -106,16 +138,15 @@ def povm_from_document(doc: dict) -> Povm:
         raise DocumentError(str(err)) from None
 
 
-def catalog_to_document(cat: RayCatalog) -> dict:
-    return {
-        "schema": RAYS_SCHEMA,
-        "dim": cat.states.shape[1],
-        "label": cat.label,
-        "states": [
-            {"name": name, "state": pairs}
-            for name, pairs in zip(cat.names, _pairs(cat.states))
-        ],
-    }
+def catalog_to_document(cat: RayCatalog) -> str:
+    """The catalog's JSON document text."""
+    dim = cat.states.shape[1]
+    record = '{\n      "name": %s,\n      "state": ' + _state_field(dim) + '\n    }'
+    cells = _float_texts(cat.states.view(float))
+    states = _RECORD_SEPARATOR.join(
+        record % (encode_basestring_ascii(name), *row) for name, row in zip(cat.names, cells))
+    return _CATALOG_TEXT % (dim, encode_basestring_ascii(cat.label),
+                            encode_basestring_ascii(RAYS_SCHEMA), states)
 
 
 def catalog_from_document(doc: dict) -> RayCatalog:
@@ -142,153 +173,15 @@ def catalog_from_document(doc: dict) -> RayCatalog:
         raise DocumentError(str(err)) from None
 
 
-_INF = float("inf")
-
-
-def _float_text(value: float) -> str:
-    """A float as the json module writes it."""
-    if value != value:
-        return "NaN"
-    if value == _INF:
-        return "Infinity"
-    if value == -_INF:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    float: _float_text,
-    int: int.__repr__,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
-
-
-def _write(value, newline: str, out: list) -> None:
-    """Append the text of `value`, whose first line is indented by `newline`.
-
-    Scalars go by exact type first; subclasses such as numpy.float64 take
-    the json module's isinstance order.
-    """
-    text = _SCALAR_TEXT.get(type(value))
-    if text is not None:
-        out.append(text(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key in sorted(value):
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(separator + encode_basestring_ascii(key) + ": ")
-            _write(value[key], inner, out)
-            separator = "," + inner
-        out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        records = _records(value, inner)
-        if records is not None:
-            out.append("[" + inner + records + newline + "]")
-            return
-        separator = "[" + inner
-        for item in value:
-            out.append(separator)
-            _write(item, inner, out)
-            separator = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_text(value))
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _skeleton(shape: tuple, newline: str) -> str:
-    """Layout of a nested list of `shape` with a %s slot for each float."""
-    if not shape:
-        return "%s"
-    inner = newline + "  "
-    item = _skeleton(shape[1:], inner)
-    return "[" + inner + ("," + inner).join([item] * shape[0]) + newline + "]"
-
-
-def _records(rows, newline: str) -> str | None:
-    """Text of a list of records, each row indented by `newline`, or None.
-
-    Applies when every row is a dict with the same str keys and each field
-    is a str in every row, a float in every row, or a nested list of floats
-    of one shape in every row. One %-template is filled per row, and each
-    distinct float bit pattern is written once: the bundled POVM documents
-    hold thousands of amplitudes but few distinct values.
-    """
-    first = rows[0]
-    if type(first) is not dict or not first:
-        return None
-    keys = first.keys()
-    if not all(type(key) is str for key in keys):
-        return None
-    if not all(type(row) is dict and row.keys() == keys for row in rows):
-        return None
-    names = sorted(keys)
-    columns = [[row[name] for row in rows] for name in names]
-    kinds = [set(map(type, column)) for column in columns]
-    # a dict, bool or int field, or a mix of types, is written the generic
-    # way before any numpy work
-    if not all(kind in ({str}, {float}, {list}) for kind in kinds):
-        return None
-    inner = newline + "  "
-    fields, cells = [], []  # the template of each field, its (row, slot) texts
-    for name, column, kind in zip(names, columns, kinds):
-        if kind == {str}:
-            fields.append("%s")
-            cells.append(np.array(list(map(encode_basestring_ascii, column)),
-                                  dtype=object).reshape(-1, 1))
-            continue
-        try:
-            leaves = np.array(column, dtype=object)
-        except ValueError:  # ragged beyond what an object array can hold
-            return None
-        if set(map(type, leaves.ravel())) != {float}:
-            return None
-        fields.append(_skeleton(leaves.shape[1:], inner))
-        values = leaves.astype(float).reshape(len(rows), -1)
-        # unique on the bits, so that -0.0 and 0.0 keep their own text
-        bits, index = np.unique(values.view(np.int64), return_inverse=True)
-        texts = np.array(list(map(_float_text, bits.view(float).tolist())), dtype=object)
-        cells.append(texts[index.reshape(values.shape)])
-    template = "{" + ",".join(
-        inner + encode_basestring_ascii(name).replace("%", "%%") + ": " + field
-        for name, field in zip(names, fields)) + newline + "}"
-    table = np.concatenate(cells, axis=1).tolist()
-    return ("," + newline).join(map(template.__mod__, map(tuple, table)))
-
-
 def dumps(data: dict) -> str:
-    """Deterministic JSON text: sorted keys, fixed layout, trailing newline.
-
-    The bytes are those of `json.dumps(data, indent=2, sort_keys=True)`
-    plus a newline, for data whose dict keys are str; the json module's
-    indented encoder is written in Python and much slower on the long
-    lists of records that POVM and catalog documents hold.
-    """
-    out = []
-    _write(data, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    """Deterministic JSON text of a report: sorted keys, two-space indent,
+    trailing newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def write_json(data: dict, path: str) -> None:
+def write_json(text: str, path: str) -> None:
     with open(path, "w") as handle:
-        handle.write(dumps(data))
+        handle.write(text)
 
 
 def read_json(path: str) -> dict:

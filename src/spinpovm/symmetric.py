@@ -45,10 +45,14 @@ def _embedding_arrays(dim: int, copies: int):
     """(occupations matrix, multinomial sqrt coefficients) for the basis."""
     occ = np.array(multi_indices(dim, copies), dtype=int)
     fact_n = math.factorial(copies)
-    coeff = np.array([
-        math.sqrt(fact_n / math.prod(math.factorial(int(n)) for n in row))
-        for row in occ
-    ])
+    try:
+        coeff = np.array([
+            math.sqrt(fact_n / math.prod(math.factorial(int(n)) for n in row))
+            for row in occ
+        ])
+    except OverflowError:  # a multinomial coefficient beyond the float range
+        raise ValueError(f"copies = {copies} is too many for dim = {dim}: the "
+                         "symmetric basis coefficients overflow a float") from None
     occ.setflags(write=False)
     coeff.setflags(write=False)
     return occ, coeff

@@ -228,6 +228,40 @@ def reference_dumps(data):
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _reference_pairs(states):
+    """[re, im] pairs of a (k, D) complex array, as k nested lists."""
+    return np.ascontiguousarray(states, dtype=complex).view(float).reshape(
+        *states.shape, 2).tolist()
+
+
+def reference_povm_document(povm):
+    """A POVM document as the dict that the json module writes."""
+    return {
+        "schema": "spinpovm/povm-v1",
+        "dim": povm.dim,
+        "copies": povm.copies,
+        "spin": povm.spin,
+        "provenance": povm.provenance,
+        "elements": [
+            {"weight": w, "state": pairs}
+            for w, pairs in zip(povm.weights.tolist(), _reference_pairs(povm.states))
+        ],
+    }
+
+
+def reference_catalog_document(cat):
+    """A ray catalog document as the dict that the json module writes."""
+    return {
+        "schema": "spinpovm/rays-v1",
+        "dim": cat.states.shape[1],
+        "label": cat.label,
+        "states": [
+            {"name": name, "state": pairs}
+            for name, pairs in zip(cat.names, _reference_pairs(cat.states))
+        ],
+    }
+
+
 def reference_csv(samples):
     """Per-trial CSV text written one f-string row at a time."""
     rows = [f"{index},{value!r}\n" for index, value in enumerate(samples.tolist())]

@@ -47,6 +47,13 @@ def _write_catalog(path, rows):
                                 "dim": len(rows[0]), "states": states}))
 
 
+def _write_qubit_povm(path, copies):
+    """A two-element qubit POVM document, |0> and |1> at unit weight."""
+    path.write_text(json.dumps({"schema": "spinpovm/povm-v1", "dim": 2, "copies": copies,
+                                "elements": [{"weight": 1.0, "state": [[1.0, 0.0], [0.0, 0.0]]},
+                                             {"weight": 1.0, "state": [[0.0, 0.0], [1.0, 0.0]]}]}))
+
+
 def test_target_table_order_and_names():
     assert tuple(cli.TARGETS) == (
         "table1-N2", "table1-N3", "table1-N4", "table1-N5",
@@ -187,6 +194,13 @@ class TestVerify:
         assert "bad POVM element: weight must be a number" in captured.err
         assert captured.out == ""
 
+    def test_copies_beyond_the_float_range_is_an_input_error(self, tmp_path, capsys):
+        # C(1100, 550) ~ 1e329 overflows the symmetric basis coefficients
+        path = tmp_path / "q.json"
+        _write_qubit_povm(path, 1100)
+        assert main(["verify", "--in", str(path), "--seed", "1"]) == EXIT_INPUT
+        assert "copies = 1100 is too many for dim = 2" in capsys.readouterr().err
+
     def test_missing_input_choice(self, capsys):
         assert main(["verify", "--trials", "10", "--seed", "1"]) == EXIT_INPUT
 
@@ -302,6 +316,13 @@ class TestSimulate:
         code = main(["simulate", "--in", str(path), "--trials", "100", "--seed", "1"])
         assert code == EXIT_VERIFY
         assert "refusing" in capsys.readouterr().err
+
+
+    def test_copies_beyond_the_float_range_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "q.json"
+        _write_qubit_povm(path, 1100)
+        assert main(["simulate", "--in", str(path), "--trials", "10", "--seed", "1"]) == EXIT_INPUT
+        assert "copies = 1100 is too many for dim = 2" in capsys.readouterr().err
 
 
 class TestSolveWeights:

@@ -1,5 +1,7 @@
 """JSON document round-trips and parse-failure reporting."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,17 @@ from spinpovm.documents import (
 )
 
 
+def _povm_dict(povm):
+    return json.loads(povm_to_document(povm))
+
+
+def _catalog_dict(cat):
+    return json.loads(catalog_to_document(cat))
+
+
 def test_povm_round_trip_is_lossless():
     povm = spin32_povm(catalog(PENROSE40), 2)
-    loaded = povm_from_document(povm_to_document(povm))
+    loaded = povm_from_document(_povm_dict(povm))
     assert np.array_equal(loaded.weights, povm.weights)
     assert np.array_equal(loaded.states, povm.states)
     assert loaded.copies == povm.copies
@@ -26,17 +36,15 @@ def test_povm_round_trip_is_lossless():
 
 
 def test_povm_round_trip_through_text():
-    import json
     povm = build_table1_povm(5)  # exercises the irrational (2 +- sqrt 2)/60 weights
-    text = dumps(povm_to_document(povm))
-    loaded = povm_from_document(json.loads(text))
+    loaded = povm_from_document(_povm_dict(povm))
     assert np.array_equal(loaded.weights, povm.weights)
     assert np.array_equal(loaded.states, povm.states)
 
 
 def test_catalog_round_trip():
     penrose = catalog(PENROSE40)
-    loaded = catalog_from_document(catalog_to_document(penrose))
+    loaded = catalog_from_document(_catalog_dict(penrose))
     assert loaded.names == penrose.names
     assert np.array_equal(loaded.states, penrose.states)
 
@@ -50,47 +58,48 @@ def test_file_round_trip(tmp_path):
 
 
 def test_dumps_is_deterministic():
-    doc = povm_to_document(build_table1_povm(2))
-    assert dumps(doc) == dumps(povm_to_document(build_table1_povm(2)))
+    text = povm_to_document(build_table1_povm(2))
+    assert text == povm_to_document(build_table1_povm(2))
+    assert dumps(json.loads(text)) == text
 
 
 def test_empty_element_list_rejected():
-    doc = povm_to_document(build_table1_povm(2))
+    doc = _povm_dict(build_table1_povm(2))
     doc["elements"] = []
     with pytest.raises(DocumentError, match="empty"):
         povm_from_document(doc)
 
 
 def test_wrong_schema_rejected():
-    doc = povm_to_document(build_table1_povm(2))
+    doc = _povm_dict(build_table1_povm(2))
     doc["schema"] = "something-else"
     with pytest.raises(DocumentError, match="schema"):
         povm_from_document(doc)
 
 
 def test_dimension_mismatch_rejected():
-    doc = povm_to_document(build_table1_povm(2))
+    doc = _povm_dict(build_table1_povm(2))
     doc["dim"] = 4
     with pytest.raises(DocumentError):
         povm_from_document(doc)
 
 
 def test_unnormalized_state_rejected():
-    doc = povm_to_document(build_table1_povm(2))
+    doc = _povm_dict(build_table1_povm(2))
     doc["elements"][0]["state"][0] = [2.0, 0.0]
     with pytest.raises(DocumentError):
         povm_from_document(doc)
 
 
 def test_unnormalized_catalog_state_rejected():
-    doc = catalog_to_document(catalog(PENROSE40))
+    doc = _catalog_dict(catalog(PENROSE40))
     doc["states"][0]["state"][0] = [2.0, 0.0]
     with pytest.raises(DocumentError, match="not normalized"):
         catalog_from_document(doc)
 
 
 def test_catalog_dimension_mismatch_rejected():
-    doc = catalog_to_document(catalog(PENROSE40))
+    doc = _catalog_dict(catalog(PENROSE40))
     doc["dim"] = 3
     with pytest.raises(DocumentError, match="dim = 3"):
         catalog_from_document(doc)
@@ -106,11 +115,11 @@ def test_unreadable_file_reported(tmp_path):
 
 
 def _povm_doc():
-    return povm_to_document(build_table1_povm(2)), povm_from_document, "elements"
+    return _povm_dict(build_table1_povm(2)), povm_from_document, "elements"
 
 
 def _catalog_doc():
-    return catalog_to_document(catalog(PENROSE40)), catalog_from_document, "states"
+    return _catalog_dict(catalog(PENROSE40)), catalog_from_document, "states"
 
 
 @pytest.mark.parametrize("make", [_povm_doc, _catalog_doc])
@@ -143,7 +152,7 @@ def test_ragged_state_rows_rejected(make):
 
 
 def test_amplitudes_keep_signed_zeros():
-    doc = povm_to_document(build_table1_povm(2))
+    doc = _povm_dict(build_table1_povm(2))
     zeros = 0
     for element in doc["elements"]:
         for pair in element["state"]:
@@ -160,7 +169,7 @@ def test_amplitudes_keep_signed_zeros():
 
 @pytest.mark.parametrize("copies", [2.7, 2.0, True, "2"])
 def test_non_integer_copies_rejected(copies):
-    doc = povm_to_document(build_table1_povm(2))
+    doc = _povm_dict(build_table1_povm(2))
     doc["copies"] = copies
     with pytest.raises(DocumentError, match="copies"):
         povm_from_document(doc)
@@ -177,7 +186,7 @@ def test_non_integer_dim_rejected(make, shift):
 
 @pytest.mark.parametrize("weight", ["0.5", True, 10**400], ids=["string", "bool", "huge"])
 def test_weight_that_is_not_a_float_rejected(weight):
-    doc = povm_to_document(build_table1_povm(2))
+    doc = _povm_dict(build_table1_povm(2))
     doc["elements"][0]["weight"] = weight
     with pytest.raises(DocumentError, match="bad POVM element"):
         povm_from_document(doc)

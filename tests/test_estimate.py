@@ -183,8 +183,9 @@ def _reference_picks(sums, u):
 
 @pytest.mark.parametrize("povm", [build_table1_povm(4), build_table1_povm(5),
                                   _split_last(build_table1_povm(4), 2),
-                                  _split_last(build_table1_povm(4), 6)],
-                         ids=["table1-N4", "table1-N5", "k481", "k485"])
+                                  _split_last(build_table1_povm(4), 6),
+                                  _split_last(build_table1_povm(3), 105)],
+                         ids=["table1-N4", "table1-N5", "k481", "k485", "k200"])
 def test_pick_recomputes_rows_whose_uniform_sits_on_a_prefix_sum(povm, recomputed):
     # u on, just below and just above a sequential prefix sum: the two-level
     # sums may land on either side of u, so each such row must be recomputed

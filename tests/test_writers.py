@@ -4,34 +4,67 @@ replace: every byte must match."""
 import numpy as np
 import pytest
 
-from oracles import reference_csv, reference_dumps
-from spinpovm import cli, documents, simulate
+from oracles import (
+    reference_catalog_document,
+    reference_csv,
+    reference_dumps,
+    reference_povm_document,
+)
+from spinpovm import Povm, RayCatalog, cli, documents, simulate
 from spinpovm.cli import EXIT_OK, main
-from spinpovm.documents import dumps
+from spinpovm.documents import catalog_to_document, dumps, povm_to_document
+
+
+def _expected(built):
+    if isinstance(built, RayCatalog):
+        return reference_dumps(reference_catalog_document(built))
+    return reference_dumps(reference_povm_document(built))
 
 
 @pytest.mark.parametrize("target", cli.TARGETS)
 def test_build_documents_match_the_json_module(target, tmp_path):
     path = tmp_path / "doc.json"
     assert main(["build", "--target", target, "--out", str(path)]) == EXIT_OK
-    built = cli.TARGETS[target]()
-    if target in cli.CATALOG_TARGETS:
-        doc = documents.catalog_to_document(built)
-    else:
-        doc = documents.povm_to_document(built)
-    assert path.read_text() == reference_dumps(doc)
+    assert path.read_text() == _expected(cli.TARGETS[target]())
+
+
+def _rows(re_im):
+    """(k, D) complex rows from (k, D, 2) [re, im] floats, bit for bit."""
+    return np.ascontiguousarray(re_im, dtype=float).view(complex)[..., 0]
+
+
+ODD_TEXT = 'a "quote", a back\\slash, %s %d %% and κ'
+# a qubit with signed zeros and the smallest subnormal in the amplitudes
+# and the weights, and D = 5 with a zero of each sign in every row
+QUBIT = _rows([[[1.0, -0.0], [-0.0, 0.0]],
+               [[5e-324, -0.0], [1.0, 5e-324]],
+               [[-0.0, -0.0], [0.6, -0.8]]])
+QUINT = _rows(np.where(np.eye(5)[..., None] == 1, [[[0.6, -0.8]]], [[[0.0, -0.0]]]))
+
+UNBUNDLED = {
+    "povm-D2": Povm(np.array([1.0, -0.0, 5e-324]), QUBIT, 3, provenance=ODD_TEXT),
+    "povm-D5": Povm(np.linspace(0.1, 0.5, 5), QUINT, 1, provenance=""),
+    "catalog-D2": RayCatalog(label=ODD_TEXT, names=("%s", '"\\κ', "3"), states=QUBIT),
+    "catalog-D5": RayCatalog(label="rays", names=tuple("abcde"), states=QUINT),
+}
+
+
+@pytest.mark.parametrize("built", UNBUNDLED.values(), ids=UNBUNDLED)
+def test_unbundled_documents_match_the_json_module(built):
+    to_document = catalog_to_document if isinstance(built, RayCatalog) else povm_to_document
+    assert to_document(built) == _expected(built)
 
 
 def _written(monkeypatch, argv):
-    """The dicts the command passes to write_json."""
+    """The reports the command passes to documents.dumps."""
     data = []
-    write_json = documents.write_json
+    write = documents.dumps
 
-    def record(payload, path):
+    def record(payload):
         data.append(payload)
-        write_json(payload, path)
+        return write(payload)
 
-    monkeypatch.setattr(documents, "write_json", record)
+    monkeypatch.setattr(documents, "dumps", record)
     assert main(argv) == EXIT_OK
     return data
 

@@ -6,7 +6,8 @@ The sweep calls `spinpovm.cli.main` in-process, with OUTDIR as the working
 directory, so every output file lands in OUTDIR under a relative name. It
 covers `build` for every target, `verify` and `simulate` for every POVM
 (by target and from the built documents), `spectrum` and `solve-weights`,
-including error cases. `OUTDIR/manifest.json` records, per command, its
+including error cases; one of them, a qubit POVM document at 1100
+copies, is written into OUTDIR first. `OUTDIR/manifest.json` records, per command, its
 argv, exit code, stdout, stderr and the sha256 of each output file it
 names. The package is imported from `src/` of the checkout this file sits
 in, so two checkouts give two manifests, and a plain `diff` of them shows
@@ -37,6 +38,13 @@ SOLVE_WEIGHTS = (
     ("24-cell", ("pi/6", "pi/4"), 2),
     ("24-cell", ("pi/6", "pi/4", "pi/3", "pi/2"), 4),
 )
+# C(1100, 550) ~ 1e329: the symmetric basis coefficients overflow a float
+HUGE_COPIES = "qubit-copies-1100.json"
+HUGE_COPIES_DOC = {
+    "schema": "spinpovm/povm-v1", "dim": 2, "copies": 1100,
+    "elements": [{"weight": 1.0, "state": [[1.0, 0.0], [0.0, 0.0]]},
+                 {"weight": 1.0, "state": [[0.0, 0.0], [1.0, 0.0]]}],
+}
 
 
 def commands() -> list[list[str]]:
@@ -64,6 +72,8 @@ def commands() -> list[list[str]]:
                      "--out", f"solve-{polytope}-N{copies}-{len(angles)}.json"])
     # more trials than memory holds
     runs.append(["simulate", "--target", "table1-N2", "--trials", str(10 ** 15), "--seed", "1"])
+    runs.append(["verify", "--in", HUGE_COPIES, "--seed", "1"])
+    runs.append(["simulate", "--in", HUGE_COPIES, "--seed", "1"])
     return runs
 
 
@@ -97,6 +107,7 @@ def main() -> int:
     here = os.getcwd()
     os.chdir(outdir)
     try:
+        Path(HUGE_COPIES).write_text(json.dumps(HUGE_COPIES_DOC))
         manifest = [run(command) for command in commands()]
     finally:
         os.chdir(here)
