@@ -11,6 +11,7 @@ documents are filled in from one fixed template per kind.
 
 import json
 import numbers
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -49,6 +50,17 @@ class DocumentError(ValueError):
     """Malformed or inconsistent document content."""
 
 
+def _numbers(values: list, what: str) -> list:
+    """`values`, refused unless each is a real number and not a bool (which np.array
+    reads as 1.0 or 0.0). Checked once per distinct type; the error names the first."""
+    bad = {kind for kind in set(map(type, values))
+           if issubclass(kind, bool) or not issubclass(kind, numbers.Real)}
+    if bad:
+        value = next(value for value in values if type(value) in bad)
+        raise DocumentError(f"{what}, got {value!r}")
+    return values
+
+
 def _states_from_pairs(rows: list) -> np.ndarray:
     """(k, D) complex array from k lists of D [re, im] pairs.
 
@@ -62,28 +74,52 @@ def _states_from_pairs(rows: list) -> np.ndarray:
     if pairs.ndim != 3 or pairs.shape[2] != 2:
         raise DocumentError(
             f"bad amplitude pairs: expected rows of [re, im] pairs, got shape {pairs.shape}")
-    if pairs.dtype.kind not in "biuf":
-        raise DocumentError(
-            f"bad amplitude pairs: entries must be numbers, got {pairs.dtype}")
+    _numbers(list(chain.from_iterable(chain.from_iterable(rows))),
+             "bad amplitude pairs: entries must be numbers")
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
-def _check_dim(dim, states: np.ndarray, kind: str) -> None:
-    """Refuse a document `dim` that is not an integer or not the row length."""
+# schema -> (document kind, what one entry is, required keys: the last holds the entries)
+_FORMATS = {
+    POVM_SCHEMA: ("POVM", "POVM element", ("dim", "copies", "elements")),
+    RAYS_SCHEMA: ("catalog", "catalog entry", ("dim", "states")),
+}
+
+
+def _from_document(doc, schema: str, field: str, read_field, make):
+    """`make(read_field(each entry's field), states)` for a document of
+    `schema`, after the checks both kinds share. Each fault of the document
+    raises DocumentError."""
+    kind, entry, keys = _FORMATS[schema]
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{kind} document must be a JSON object")
+    if doc.get("schema") != schema:
+        raise DocumentError(
+            f"unexpected schema {doc.get('schema')!r}; expected {schema!r}")
+    for key in keys:
+        if key not in doc:
+            raise DocumentError(f"{kind} document is missing {key!r}")
+    entries = doc[keys[-1]]
+    if not isinstance(entries, list) or not entries:
+        # "elements" -> "element", "states" -> "state"
+        raise DocumentError(f"{kind} document has an empty {keys[-1][:-1]} list")
+    try:
+        values = read_field([item[field] for item in entries])
+        states = _states_from_pairs([item["state"] for item in entries])
+    # OverflowError: an integer beyond the float range
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise DocumentError(f"bad {entry}: {err}") from None
+    dim = doc["dim"]
     # bool is an Integral, and int() would truncate 4.7 to 4
     if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
         raise DocumentError(f"{kind} document dim must be an integer, got {dim!r}")
     if states.shape[1] != dim:
         raise DocumentError(f"{kind} document states have {states.shape[1]} amplitudes, "
                             f"inconsistent with dim = {dim}")
-
-
-def _weight(element: dict) -> float:
-    """An element's weight, refused unless it is a JSON number."""
-    weight = element["weight"]
-    if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
-        raise DocumentError(f"weight must be a number, got {weight!r}")
-    return float(weight)
+    try:
+        return make(values, states)
+    except ValueError as err:
+        raise DocumentError(str(err)) from None
 
 
 def _float_texts(values: np.ndarray) -> list:
@@ -113,29 +149,11 @@ def povm_to_document(povm: Povm) -> str:
 
 
 def povm_from_document(doc: dict) -> Povm:
-    if not isinstance(doc, dict):
-        raise DocumentError("POVM document must be a JSON object")
-    if doc.get("schema") != POVM_SCHEMA:
-        raise DocumentError(
-            f"unexpected schema {doc.get('schema')!r}; expected {POVM_SCHEMA!r}")
-    for key in ("dim", "copies", "elements"):
-        if key not in doc:
-            raise DocumentError(f"POVM document is missing {key!r}")
-    elements = doc["elements"]
-    if not isinstance(elements, list) or not elements:
-        raise DocumentError("POVM document has an empty element list")
-    try:
-        weights = np.array([_weight(el) for el in elements])
-        states = _states_from_pairs([el["state"] for el in elements])
-    # OverflowError: an integer weight beyond the float range
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise DocumentError(f"bad POVM element: {err}") from None
-    _check_dim(doc["dim"], states, "POVM")
-    try:
-        return Povm(weights, states, doc["copies"],
-                    provenance=str(doc.get("provenance", "")))
-    except ValueError as err:
-        raise DocumentError(str(err)) from None
+    return _from_document(
+        doc, POVM_SCHEMA, "weight",
+        lambda weights: np.array(_numbers(weights, "weight must be a number"), dtype=float),
+        lambda weights, states: Povm(weights, states, doc["copies"],
+                                     provenance=str(doc.get("provenance", ""))))
 
 
 def catalog_to_document(cat: RayCatalog) -> str:
@@ -150,27 +168,10 @@ def catalog_to_document(cat: RayCatalog) -> str:
 
 
 def catalog_from_document(doc: dict) -> RayCatalog:
-    if not isinstance(doc, dict):
-        raise DocumentError("catalog document must be a JSON object")
-    if doc.get("schema") != RAYS_SCHEMA:
-        raise DocumentError(
-            f"unexpected schema {doc.get('schema')!r}; expected {RAYS_SCHEMA!r}")
-    for key in ("dim", "states"):
-        if key not in doc:
-            raise DocumentError(f"catalog document is missing {key!r}")
-    entries = doc["states"]
-    if not isinstance(entries, list) or not entries:
-        raise DocumentError("catalog document has an empty state list")
-    try:
-        names = tuple(str(entry["name"]) for entry in entries)
-        states = _states_from_pairs([entry["state"] for entry in entries])
-    except (KeyError, TypeError, ValueError) as err:
-        raise DocumentError(f"bad catalog entry: {err}") from None
-    _check_dim(doc["dim"], states, "catalog")
-    try:
-        return RayCatalog(label=str(doc.get("label", "rays")), names=names, states=states)
-    except ValueError as err:
-        raise DocumentError(str(err)) from None
+    return _from_document(
+        doc, RAYS_SCHEMA, "name", lambda names: tuple(map(str, names)),
+        lambda names, states: RayCatalog(label=str(doc.get("label", "rays")),
+                                         names=names, states=states))
 
 
 def dumps(data: dict) -> str:

@@ -99,7 +99,10 @@ class RayCatalog:
     states: np.ndarray  # (k, D) unit rows
 
     def __post_init__(self):
+        object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "states", unit_rows(self.states))
+        if len(self.names) != self.size:
+            raise ValueError(f"{len(self.names)} names for {self.size} states")
 
     @property
     def size(self) -> int:

@@ -10,6 +10,7 @@ instead of 3^5 = 243. The coordinate of |psi>^(x N) at occupation
 
 import math
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -23,21 +24,13 @@ def sym_dim(dim: int, copies: int) -> int:
     return math.comb(copies + dim - 1, dim - 1)
 
 
-def _occupations(dim: int, total: int):
-    if dim == 1:
-        return ((total,),)
-    out = []
-    for first in range(total, -1, -1):
-        for rest in _occupations(dim - 1, total - first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def multi_indices(dim: int, copies: int) -> tuple:
     """All occupation tuples summing to `copies`, in decreasing lexicographic order."""
     sym_dim(dim, copies)  # argument validation
-    return _occupations(dim, copies)
+    # the index multisets in increasing order are the occupations in decreasing order
+    return tuple(tuple(map(combo.count, range(dim)))
+                 for combo in combinations_with_replacement(range(dim), copies))
 
 
 @lru_cache(maxsize=None)

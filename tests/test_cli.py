@@ -54,6 +54,27 @@ def _write_qubit_povm(path, copies):
                                              {"weight": 1.0, "state": [[0.0, 0.0], [1.0, 0.0]]}]}))
 
 
+# |0> and |1> at unit weight, with |0> written as booleans: np.array reads
+# [true, false] among floats as [1.0, 0.0]
+BOOLEAN_QUBIT_POVM = {"schema": "spinpovm/povm-v1", "dim": 2, "copies": 1,
+                      "elements": [{"weight": 1.0, "state": [[True, False], [0.0, 0.0]]},
+                                   {"weight": 1.0, "state": [[0.0, 0.0], [1.0, 0.0]]}]}
+# the same two rays with every amplitude a boolean
+BOOLEAN_QUBIT_RAYS = {"schema": "spinpovm/rays-v1", "label": "rays", "dim": 2,
+                      "states": [{"name": "0", "state": [[True, False], [False, False]]},
+                                 {"name": "1", "state": [[False, False], [True, False]]}]}
+BOOLEAN_AMPLITUDE = "bad amplitude pairs: entries must be numbers, got True\n"
+
+
+def _refuses_boolean_amplitudes(argv, doc, tmp_path, capsys, entry):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert main([argv[0], "--in", str(path), *argv[1:]]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad {entry}: {BOOLEAN_AMPLITUDE}"
+    assert captured.out == ""
+
+
 def test_target_table_order_and_names():
     assert tuple(cli.TARGETS) == (
         "table1-N2", "table1-N3", "table1-N4", "table1-N5",
@@ -201,6 +222,10 @@ class TestVerify:
         assert main(["verify", "--in", str(path), "--seed", "1"]) == EXIT_INPUT
         assert "copies = 1100 is too many for dim = 2" in capsys.readouterr().err
 
+    def test_boolean_amplitude_is_an_input_error(self, tmp_path, capsys):
+        _refuses_boolean_amplitudes(["verify", "--seed", "1"], BOOLEAN_QUBIT_POVM,
+                                    tmp_path, capsys, "POVM element")
+
     def test_missing_input_choice(self, capsys):
         assert main(["verify", "--trials", "10", "--seed", "1"]) == EXIT_INPUT
 
@@ -323,6 +348,10 @@ class TestSimulate:
         _write_qubit_povm(path, 1100)
         assert main(["simulate", "--in", str(path), "--trials", "10", "--seed", "1"]) == EXIT_INPUT
         assert "copies = 1100 is too many for dim = 2" in capsys.readouterr().err
+
+    def test_boolean_amplitude_is_an_input_error(self, tmp_path, capsys):
+        _refuses_boolean_amplitudes(["simulate", "--trials", "10", "--seed", "1"],
+                                    BOOLEAN_QUBIT_POVM, tmp_path, capsys, "POVM element")
 
 
 class TestSolveWeights:
@@ -457,6 +486,10 @@ class TestSpectrum:
         captured = capsys.readouterr()
         assert "not normalized" in captured.err
         assert captured.out == ""
+
+    def test_boolean_amplitude_is_an_input_error(self, tmp_path, capsys):
+        _refuses_boolean_amplitudes(["spectrum"], BOOLEAN_QUBIT_RAYS, tmp_path, capsys,
+                                    "catalog entry")
 
 
 def test_argparse_failures_map_to_input_error():

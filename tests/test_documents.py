@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from spinpovm import PENROSE40, build_table1_povm, catalog, spin32_povm
+from spinpovm import PENROSE40, RayCatalog, build_table1_povm, catalog, spin32_povm
 from spinpovm.documents import (
     DocumentError,
     catalog_from_document,
@@ -135,12 +135,28 @@ def test_amplitude_pairs_of_wrong_length_rejected(make, resize):
 
 
 @pytest.mark.parametrize("make", [_povm_doc, _catalog_doc])
-@pytest.mark.parametrize("pair", [["0.5", 0.0], [0.5, "0"], [None, 0.0]])
+@pytest.mark.parametrize("pair", [["0.5", 0.0], [0.5, "0"], [None, 0.0],
+                                  [True, 0.0], [0.5, False]])
 def test_amplitude_that_is_not_a_number_rejected(make, pair):
     doc, load, key = make()
     doc[key][0]["state"][0] = pair
     with pytest.raises(DocumentError, match="amplitude pairs"):
         load(doc)
+
+
+def test_all_boolean_catalog_rejected():
+    # np.array reads these rows as a bool array, not by upcasting into floats
+    doc = {"schema": "spinpovm/rays-v1", "label": "basis", "dim": 2,
+           "states": [{"name": str(i), "state": [[i == j, False] for j in range(2)]}
+                      for i in range(2)]}
+    with pytest.raises(DocumentError, match="^bad catalog entry: bad amplitude pairs: "
+                                            "entries must be numbers, got True$"):
+        catalog_from_document(doc)
+
+
+def test_catalog_needs_one_name_per_ray():
+    with pytest.raises(ValueError, match="1 names for 2 states"):
+        RayCatalog(label="x", names=("a",), states=np.eye(2))
 
 
 @pytest.mark.parametrize("make", [_povm_doc, _catalog_doc])

@@ -6,8 +6,9 @@ The sweep calls `spinpovm.cli.main` in-process, with OUTDIR as the working
 directory, so every output file lands in OUTDIR under a relative name. It
 covers `build` for every target, `verify` and `simulate` for every POVM
 (by target and from the built documents), `spectrum` and `solve-weights`,
-including error cases; one of them, a qubit POVM document at 1100
-copies, is written into OUTDIR first. `OUTDIR/manifest.json` records, per command, its
+including error cases, some of them on documents written into OUTDIR
+first: a qubit POVM at 1100 copies, and a POVM and a catalog with
+boolean amplitudes. `OUTDIR/manifest.json` records, per command, its
 argv, exit code, stdout, stderr and the sha256 of each output file it
 names. The package is imported from `src/` of the checkout this file sits
 in, so two checkouts give two manifests, and a plain `diff` of them shows
@@ -40,10 +41,27 @@ SOLVE_WEIGHTS = (
 )
 # C(1100, 550) ~ 1e329: the symmetric basis coefficients overflow a float
 HUGE_COPIES = "qubit-copies-1100.json"
-HUGE_COPIES_DOC = {
-    "schema": "spinpovm/povm-v1", "dim": 2, "copies": 1100,
-    "elements": [{"weight": 1.0, "state": [[1.0, 0.0], [0.0, 0.0]]},
-                 {"weight": 1.0, "state": [[0.0, 0.0], [1.0, 0.0]]}],
+# |0> and |1> with boolean amplitudes, which np.array reads as 1.0 and 0.0:
+# among floats in the POVM, alone in the catalog
+BOOL_POVM = "qubit-bool-amplitudes.json"
+BOOL_RAYS = "rays-bool-amplitudes.json"
+# name -> content of each document the sweep writes into OUTDIR before it runs
+INPUT_DOCS = {
+    HUGE_COPIES: {
+        "schema": "spinpovm/povm-v1", "dim": 2, "copies": 1100,
+        "elements": [{"weight": 1.0, "state": [[1.0, 0.0], [0.0, 0.0]]},
+                     {"weight": 1.0, "state": [[0.0, 0.0], [1.0, 0.0]]}],
+    },
+    BOOL_POVM: {
+        "schema": "spinpovm/povm-v1", "dim": 2, "copies": 1,
+        "elements": [{"weight": 1.0, "state": [[True, False], [0.0, 0.0]]},
+                     {"weight": 1.0, "state": [[0.0, 0.0], [1.0, 0.0]]}],
+    },
+    BOOL_RAYS: {
+        "schema": "spinpovm/rays-v1", "dim": 2, "label": "rays",
+        "states": [{"name": "0", "state": [[True, False], [False, False]]},
+                   {"name": "1", "state": [[False, False], [True, False]]}],
+    },
 }
 
 
@@ -74,6 +92,9 @@ def commands() -> list[list[str]]:
     runs.append(["simulate", "--target", "table1-N2", "--trials", str(10 ** 15), "--seed", "1"])
     runs.append(["verify", "--in", HUGE_COPIES, "--seed", "1"])
     runs.append(["simulate", "--in", HUGE_COPIES, "--seed", "1"])
+    runs.append(["verify", "--in", BOOL_POVM, "--seed", "1"])
+    runs.append(["simulate", "--in", BOOL_POVM, "--seed", "1"])
+    runs.append(["spectrum", "--in", BOOL_RAYS])
     return runs
 
 
@@ -107,7 +128,8 @@ def main() -> int:
     here = os.getcwd()
     os.chdir(outdir)
     try:
-        Path(HUGE_COPIES).write_text(json.dumps(HUGE_COPIES_DOC))
+        for name, doc in INPUT_DOCS.items():
+            Path(name).write_text(json.dumps(doc))
         manifest = [run(command) for command in commands()]
     finally:
         os.chdir(here)
