@@ -146,6 +146,14 @@ def _check_writable(path: str | None) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
+def _same_file(first: str, second: str) -> bool:
+    """Whether two paths name one file: one path once symbolic links are
+    resolved, or, when both exist, one file through two hard links."""
+    if os.path.realpath(first) == os.path.realpath(second):
+        return True
+    return os.path.exists(first) and os.path.exists(second) and os.path.samefile(first, second)
+
+
 def _write_if_requested(data: dict, path: str | None) -> None:
     if path is not None:
         documents.write_json(documents.dumps(data), path)
@@ -196,11 +204,8 @@ def cmd_simulate(args) -> int:
     if args.csv is not None:
         with open(args.csv, "w") as handle:
             handle.write("trial,fidelity\n")
-            # one slice of rows at a time; tolist() gives Python floats,
-            # whose repr round-trips exactly
             for start, stop in chunks(report.trials):
-                handle.write("".join(map("%d,%r\n".__mod__, enumerate(
-                    report.samples[start:stop].tolist(), start))))
+                handle.write(documents._csv_rows(report.samples[start:stop], start))
         print(f"wrote per-trial fidelities to {args.csv}")
     return EXIT_OK
 
@@ -298,8 +303,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
+        csv = getattr(args, "csv", None)
         _check_writable(args.out)
-        _check_writable(getattr(args, "csv", None))
+        _check_writable(csv)
+        if None not in (args.out, csv) and _same_file(args.out, csv):
+            raise CliInputError(f"--out and --csv name the same file: {csv}")
         return args.func(args)
     # ValueError covers DocumentError and the solver's argument checks;
     # its typed subclasses for unsupported parameters exit 3 where raised

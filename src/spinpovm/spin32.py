@@ -103,6 +103,9 @@ class RayCatalog:
         object.__setattr__(self, "states", unit_rows(self.states))
         if len(self.names) != self.size:
             raise ValueError(f"{len(self.names)} names for {self.size} states")
+        for name in self.names:
+            if not isinstance(name, str):
+                raise ValueError(f"catalog names must be strings, got {name!r}")
 
     @property
     def size(self) -> int:

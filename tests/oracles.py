@@ -262,7 +262,13 @@ def reference_catalog_document(cat):
     }
 
 
+def reference_csv_rows(samples, start=0):
+    """Per-trial CSV rows, the first one trial `start`, written one f-string
+    row at a time."""
+    rows = enumerate(samples.tolist(), start)
+    return "".join(f"{index},{value!r}\n" for index, value in rows)
+
+
 def reference_csv(samples):
-    """Per-trial CSV text written one f-string row at a time."""
-    rows = [f"{index},{value!r}\n" for index, value in enumerate(samples.tolist())]
-    return "trial,fidelity\n" + "".join(rows)
+    """Per-trial CSV text: the header, then the rows."""
+    return "trial,fidelity\n" + reference_csv_rows(samples)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -323,6 +324,22 @@ class TestSimulate:
                      flag, str(tmp_path)])
         assert code == EXIT_INPUT
         assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("csv", ["same.json", "./same.json", "symlink.json",
+                                     "hardlink.json"])
+    def test_report_and_csv_on_one_file_is_an_input_error(self, csv, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(cli, "simulate", _must_not_run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "same.json").write_text("before\n")
+        (tmp_path / "symlink.json").symlink_to(tmp_path / "same.json")
+        os.link(tmp_path / "same.json", tmp_path / "hardlink.json")
+        code = main(["simulate", "--target", "table1-N2", "--trials", "10", "--seed", "1",
+                     "--out", "same.json", "--csv", csv])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: --out and --csv name the same file: {csv}\n")
+        assert (tmp_path / "same.json").read_text() == "before\n"
 
     def test_mean_lands_near_bound(self, tmp_path):
         out = tmp_path / "sim.json"

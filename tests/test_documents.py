@@ -159,6 +159,12 @@ def test_catalog_needs_one_name_per_ray():
         RayCatalog(label="x", names=("a",), states=np.eye(2))
 
 
+def test_catalog_names_must_be_strings():
+    # the JSON writer would fail on such a name with a TypeError
+    with pytest.raises(ValueError, match="^catalog names must be strings, got 1$"):
+        catalog_to_document(RayCatalog(label="x", names=(1, 2), states=np.eye(2)))
+
+
 @pytest.mark.parametrize("make", [_povm_doc, _catalog_doc])
 def test_ragged_state_rows_rejected(make):
     doc, load, key = make()

@@ -7,12 +7,20 @@ import pytest
 from oracles import (
     reference_catalog_document,
     reference_csv,
+    reference_csv_rows,
     reference_dumps,
     reference_povm_document,
 )
 from spinpovm import Povm, RayCatalog, cli, documents, simulate
 from spinpovm.cli import EXIT_OK, main
-from spinpovm.documents import catalog_to_document, dumps, povm_to_document
+from spinpovm.documents import (
+    _csv_rows,
+    _shortest_digits,
+    catalog_to_document,
+    dumps,
+    povm_to_document,
+)
+from spinpovm.sampling import CHUNK
 
 
 def _expected(built):
@@ -137,7 +145,7 @@ def test_adversarial_data_matches_the_json_module(data):
     assert dumps(data) == reference_dumps(data)
 
 
-@pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, 20_000])
+@pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, 10_001, 20_000])
 def test_csv_matches_the_row_writer(trials, tmp_path):
     path = tmp_path / "f.csv"
     assert main(["simulate", "--target", "table1-N2", "--trials", str(trials),
@@ -146,3 +154,46 @@ def test_csv_matches_the_row_writer(trials, tmp_path):
     report = simulate(povm, trials, np.random.default_rng(5), keep_samples=True)
     assert path.read_text() == reference_csv(report.samples)
 
+
+
+def _near(value: float, steps: int) -> list:
+    """`value` and the `steps` doubles on each side of it."""
+    below, above = [value], [value]
+    for _ in range(steps):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], 2.0))
+    return below[::-1] + above[1:]
+
+
+_RNG = np.random.default_rng(2026)
+# the doubles next to 10**-1 .. 10**-5
+_EDGES = np.concatenate([_near(10.0 ** -j, 40) for j in range(1, 6)])
+# the fast path: uniform and log-uniform in [1e-4, 1), and the edges in it
+FAST_VALUES = np.concatenate([
+    _RNG.uniform(1e-4, 1.0, 40_000),
+    10.0 ** _RNG.uniform(-4.0, 0.0, 40_000),
+    _EDGES[_EDGES >= 1e-4],
+])
+# the same with what repr formats: the edges below 1e-4, powers of two,
+# 0, 1, the smallest subnormal, values below 1e-4, and doubles of few
+# significant bits, which are exact decimals and include the ties
+CSV_VALUES = np.concatenate([
+    FAST_VALUES,
+    _EDGES[_EDGES < 1e-4],
+    2.0 ** -np.arange(40.0),
+    [0.0, 1.0, 5e-324],
+    10.0 ** _RNG.uniform(-12.0, -4.0, 2_000),
+    np.concatenate([_RNG.integers(1, 2 ** bits, 100) / 2.0 ** bits for bits in range(1, 50)]),
+])
+
+
+def test_fast_path_takes_every_value_it_should():
+    fast, _ = _shortest_digits(FAST_VALUES)
+    assert fast.all()
+
+
+@pytest.mark.parametrize("start", [0, 4096, 9_999, 99_999])
+def test_row_writer_matches_repr(start):
+    for first in range(0, len(CSV_VALUES), CHUNK):
+        values = CSV_VALUES[first:first + CHUNK]
+        assert _csv_rows(values, start + first) == reference_csv_rows(values, start + first)

@@ -5,14 +5,15 @@
 The sweep calls `spinpovm.cli.main` in-process, with OUTDIR as the working
 directory, so every output file lands in OUTDIR under a relative name. It
 covers `build` for every target, `verify` and `simulate` for every POVM
-(by target and from the built documents), `spectrum` and `solve-weights`,
-including error cases, some of them on documents written into OUTDIR
-first: a qubit POVM at 1100 copies, and a POVM and a catalog with
-boolean amplitudes. `OUTDIR/manifest.json` records, per command, its
-argv, exit code, stdout, stderr and the sha256 of each output file it
-names. The package is imported from `src/` of the checkout this file sits
-in, so two checkouts give two manifests, and a plain `diff` of them shows
-every changed byte of output.
+(by target and from the built documents), one `simulate --csv` of 10_001
+trials, `spectrum` and `solve-weights`, including error cases, some of
+them on documents written into OUTDIR first: a qubit POVM at 1100
+copies, and a POVM and a catalog with boolean amplitudes.
+`OUTDIR/manifest.json` records, per command, its argv, exit code, stdout,
+stderr and the sha256 of each output file it names. The package is
+imported from `src/` of the checkout this file sits in, so two checkouts
+give two manifests, and a plain `diff` of them shows every changed byte
+of output.
 """
 
 import contextlib
@@ -88,6 +89,10 @@ def commands() -> list[list[str]]:
         runs.append(["solve-weights", "--polytope", polytope, "--angles", *angles,
                      "--copies", str(copies),
                      "--out", f"solve-{polytope}-N{copies}-{len(angles)}.json"])
+    # 10_001 rows: the trial index gains a fifth digit inside the third slice
+    runs.append(["simulate", "--target", "penrose40-povm-N2", "--trials", "10001",
+                 "--seed", "5", "--out", "simulate-csv-10001.json",
+                 "--csv", "simulate-csv-10001.csv"])
     # more trials than memory holds
     runs.append(["simulate", "--target", "table1-N2", "--trials", str(10 ** 15), "--seed", "1"])
     runs.append(["verify", "--in", HUGE_COPIES, "--seed", "1"])
