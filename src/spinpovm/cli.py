@@ -308,6 +308,10 @@ def main(argv=None) -> int:
         _check_writable(csv)
         if None not in (args.out, csv) and _same_file(args.out, csv):
             raise CliInputError(f"--out and --csv name the same file: {csv}")
+        infile = getattr(args, "infile", None)
+        for flag, path in (("--out", args.out), ("--csv", csv)):
+            if None not in (infile, path) and _same_file(infile, path):
+                raise CliInputError(f"{flag} names the --in file: {path}")
         return args.func(args)
     # ValueError covers DocumentError and the solver's argument checks;
     # its typed subclasses for unsupported parameters exit 3 where raised

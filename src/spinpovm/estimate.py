@@ -107,11 +107,12 @@ def simulate(povm: Povm, trials: int, rng: np.random.Generator,
 # within noise of each other at k = 480 and 720.
 _SEGMENT = 16
 # Fewest outcomes that take the two-level pick. Its ~20 numpy calls per
-# block cost more than the cumsum they replace below k = 150-190 on
-# 128-row blocks, and below k = 160 on simulate's element-sized blocks,
-# where two-level over sequential time per block measured 0.99 at k = 160,
-# 0.88 at 192 and 0.86 at 224; the bundled POVMs have k = 40-96 or 480-720.
-_TWO_LEVEL_MIN = 160
+# block cost more than the k - 1 vector adds of the sequential prefix sums
+# below k = 128 on simulate's element-sized blocks, where two-level over
+# sequential time per block measured 1.23-1.42 at k = 96, 1.22-1.27 at 112,
+# 0.90-0.95 at 128, 0.87-0.98 at 144 and 0.73-0.91 at 160; the bundled
+# POVMs have k = 40-96 or 480-720.
+_TWO_LEVEL_MIN = 128
 
 
 def _pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -128,7 +129,6 @@ def _pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     |S - S'| <= 2 gamma_(k+2L) (Higham, Accuracy and Stability of
     Numerical Algorithms, ch. 4) <= delta, and the sequential sums, being
     monotone, cross u at j too.
-    May overwrite `probs`.
     """
     rows, k = probs.shape
     if k < _TWO_LEVEL_MIN:
@@ -168,14 +168,28 @@ def _pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _sequential_pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """First j whose sequential prefix sum p_0 + ... + p_j reaches u, per
-    row, or the last outcome when none does. Overwrites `probs`."""
-    cdf = np.cumsum(probs, axis=1, out=probs)
-    _check_normalized(cdf[:, -1])
+    """First j whose sequential prefix sum S_j = p_0 + ... + p_j reaches u,
+    per row, or the last outcome when none does.
+
+    The sums run outcome by outcome across all rows, on the transposed
+    block: S_j = fl(S_(j-1) + p_j), the additions `cumsum` makes along a
+    row, in the same order, as k - 1 vector adds instead of one k-long
+    chain of scalar adds per row. The pick counts the sums below u. A
+    `Povm` refuses negative weights, so p >= 0 and S is non-decreasing;
+    #{j : S_j < u} is then the first j with S_j >= u, also where runs of
+    zero probabilities make plateaus in S.
+    """
+    k = probs.shape[1]
+    cdf = np.ascontiguousarray(probs.T)
+    # row views made once: indexing cdf[j] at every add costs as much as the add
+    sums = list(cdf)
+    for prev, row in zip(sums, sums[1:]):
+        np.add(prev, row, out=row)
+    _check_normalized(cdf[-1])
     # picks the last outcome when rounding leaves the top of the prefix
     # sums below u
-    cdf[:, -1] = np.inf
-    return np.argmax(cdf >= u[:, None], axis=1)
+    cdf[-1] = np.inf
+    return np.add.reduce(cdf < u, axis=0, dtype=np.min_scalar_type(k))
 
 
 def _check_normalized(totals: np.ndarray) -> None:

@@ -25,8 +25,13 @@ def haar_random_states(dim: int, count: int, rng: np.random.Generator) -> np.nda
     # one contiguous row of draws per state, so batching does not change
     # which stream values any given state consumes
     block = rng.standard_normal((count, 2 * dim))
-    z = block[:, :dim] + 1j * block[:, dim:]
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z = np.empty((count, dim), dtype=complex)
+    z.real = block[:, :dim]
+    z.imag = block[:, dim:]
+    # the norm np.linalg.norm computes; complex division by c + 0i is
+    # (a + b*0) * (1/c), so scaling by the reciprocal gives the same bits
+    norms = np.sqrt(np.add.reduce((z.conj() * z).real, axis=1, keepdims=True))
+    z *= 1.0 / norms
     return z
 
 

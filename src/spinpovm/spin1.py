@@ -13,6 +13,7 @@ turns the shells into a POVM that is optimal for estimating an unknown
 state from N copies.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,6 +112,25 @@ def _cheb_nodes(count: int) -> np.ndarray:
     return 0.5 * (1.0 + np.cos(np.pi * (2 * j + 1) / (2 * count)))
 
 
+@functools.lru_cache(maxsize=1)
+def _probes(copies: int) -> np.ndarray:
+    """Probe rows of `shell_polynomial`, read-only: the reference triple at
+    every node, then 20 random triples per node, drawn in node order.
+
+    They depend on `copies` alone, so the shells of one solve share one
+    set, and the cache holds one set whatever `copies` is.
+    """
+    thetas = np.arccos(np.sqrt(_cheb_nodes(copies + 1)))
+    rng = np.random.default_rng(_INDEPENDENCE_SEED)
+    draws = rng.uniform(0.0, _ANGLE_SPANS, size=(copies + 1, _INDEPENDENCE_TRIPLES, 3))
+    probes = np.array(
+        [state_from_angles(th, *_REF_ANGLES) for th in thetas]
+        + [state_from_angles(th, *angles)
+           for th, triples in zip(thetas, draws.tolist()) for angles in triples])
+    probes.setflags(write=False)
+    return probes
+
+
 def shell_polynomial(polytope: str, theta_r: float, copies: int) -> ShellPolynomial:
     """Extract the shell sum's polynomial coefficients in t = cos^2(theta).
 
@@ -123,17 +143,8 @@ def shell_polynomial(polytope: str, theta_r: float, copies: int) -> ShellPolynom
     if copies < 1:
         raise ValueError(f"copies must be >= 1, got {copies}")
     nodes = _cheb_nodes(copies + 1)
-    thetas = np.arccos(np.sqrt(nodes))
     states = shell_states(polytope, theta_r)
-
-    # Probe rows: the reference triple at every node, then 20 random
-    # triples per node, drawn in node order.
-    rng = np.random.default_rng(_INDEPENDENCE_SEED)
-    draws = rng.uniform(0.0, _ANGLE_SPANS, size=(copies + 1, _INDEPENDENCE_TRIPLES, 3))
-    probes = np.array(
-        [state_from_angles(th, *_REF_ANGLES) for th in thetas]
-        + [state_from_angles(th, *angles)
-           for th, triples in zip(thetas, draws.tolist()) for angles in triples])
+    probes = _probes(copies)
     # One matrix-vector product per probe, the routine `states @ probe.conj()`
     # runs. A single matrix product would round differently and move the
     # solved weights in the last digits.

@@ -40,9 +40,10 @@ def outcome_probabilities(povm: Povm, psis: np.ndarray) -> tuple[np.ndarray, np.
     Each row of the probabilities sums to 1 when the POVM resolves the
     identity. Both arrays are fresh, so callers may overwrite them.
     """
-    overlaps_sq = np.abs(psis.conj() @ povm.states.T) ** 2
-    probs = overlaps_sq.copy()
-    for _ in range(povm.copies - 1):
+    overlaps_sq = np.abs(psis.conj() @ povm.states.T)
+    overlaps_sq *= overlaps_sq
+    probs = overlaps_sq * overlaps_sq if povm.copies > 1 else overlaps_sq.copy()
+    for _ in range(povm.copies - 2):
         probs *= overlaps_sq
     probs *= povm.weights
     return overlaps_sq, probs

@@ -107,6 +107,16 @@ def brute_force_identity_residual(weights, states, copies):
     return float(np.linalg.norm(acc - sym))
 
 
+def reference_haar_states(dim, count, rng):
+    """Haar states by the first expression the package used: the draw's
+    halves as real and imaginary parts, divided in place by the row norms
+    of np.linalg.norm."""
+    block = rng.standard_normal((count, 2 * dim))
+    z = block[:, :dim] + 1j * block[:, dim:]
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z
+
+
 def reference_simulate_samples(povm, trials, rng):
     """Per-trial fidelities from the unblocked forward estimation kernel.
 

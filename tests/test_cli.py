@@ -512,3 +512,29 @@ class TestSpectrum:
 def test_argparse_failures_map_to_input_error():
     assert main(["verify", "--target", "table1-N2"]) == EXIT_INPUT  # missing --seed
     assert main(["no-such-command"]) == EXIT_INPUT
+
+
+_SIMULATE_10 = ["simulate", "--trials", "10", "--seed", "1"]
+
+
+# command, the target its --in document is built from, the work it must not
+# start, the output flag
+@pytest.mark.parametrize("argv, target, work, flag", [
+    (["verify", "--seed", "1"], "table1-N2", "verify_scalar_identity", "--out"),
+    (_SIMULATE_10, "table1-N2", "simulate", "--out"),
+    (_SIMULATE_10, "table1-N2", "simulate", "--csv"),
+    (["spectrum"], "penrose40", "overlap_spectrum", "--out"),
+], ids=["verify-out", "simulate-out", "simulate-csv", "spectrum-out"])
+@pytest.mark.parametrize("out", ["doc.json", "./doc.json", "symlink.json", "hardlink.json"])
+def test_output_over_the_input_document_is_an_input_error(argv, target, work, flag, out,
+                                                          tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "--target", target, "--out", "doc.json"]) == EXIT_OK
+    before = read(tmp_path / "doc.json")
+    (tmp_path / "symlink.json").symlink_to(tmp_path / "doc.json")
+    os.link(tmp_path / "doc.json", tmp_path / "hardlink.json")
+    capsys.readouterr()
+    monkeypatch.setattr(cli, work, _must_not_run)
+    assert main([*argv, "--in", "doc.json", flag, out]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {flag} names the --in file: {out}\n"
+    assert read(tmp_path / "doc.json") == before

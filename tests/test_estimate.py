@@ -181,6 +181,48 @@ def _reference_picks(sums, u):
     return np.minimum(np.sum(sums < u[:, None], axis=1), sums.shape[1] - 1)
 
 
+# around the two-level gate and the count dtype boundary at 256 outcomes
+_SEQUENTIAL_KS = [1, 2, 40, 60, 159, 255, 256, 300]
+
+
+def _rows_with_plateaus(k, rows, rng, scale=1.0):
+    """Normalized (times `scale`) rows; every other row has a run of zero
+    probabilities at outcomes k // 4 ... k // 2 - 1."""
+    probs = rng.random((rows, k))
+    probs[::2, k // 4:k // 2] = 0.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs * scale
+
+
+@pytest.mark.parametrize("k", _SEQUENTIAL_KS)
+def test_sequential_pick_matches_the_reference(k):
+    rows = 64
+    rng = np.random.default_rng(k)
+    probs = _rows_with_plateaus(k, rows, rng)
+    sums = np.cumsum(probs, axis=1)
+    on = sums[np.arange(rows), rng.integers(0, k, rows)]
+    plateau = sums[:, max(k // 2 - 1, 0)]   # on the plateau in the even rows
+    for u in (on, np.nextafter(on, 0), np.nextafter(on, 2), plateau, np.zeros(rows),
+              rng.random(rows)):
+        picks = estimate._sequential_pick(probs.copy(), u)
+        assert np.array_equal(picks, _reference_picks(sums, u))
+    if k >= 4:   # a u on a plateau picks its first outcome
+        picks = estimate._sequential_pick(probs.copy(), plateau)
+        assert np.all(picks[::2] == k // 4 - 1)
+
+
+@pytest.mark.parametrize("k", _SEQUENTIAL_KS)
+def test_sequential_pick_clamps_to_the_last_outcome(k):
+    rows = 64
+    probs = _rows_with_plateaus(k, rows, np.random.default_rng(k), scale=1 - 1e-12)
+    sums = np.cumsum(probs, axis=1)
+    u = np.full(rows, np.nextafter(1.0, 0.0))
+    assert np.all(sums[:, -1] < u)
+    picks = estimate._sequential_pick(probs, u)
+    assert np.array_equal(picks, _reference_picks(sums, u))
+    assert np.all(picks == k - 1)
+
+
 @pytest.mark.parametrize("povm", [build_table1_povm(4), build_table1_povm(5),
                                   _split_last(build_table1_povm(4), 2),
                                   _split_last(build_table1_povm(4), 6),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinpovm import haar_moment, haar_random_states
-from oracles import projective_moment_quadrature
+from oracles import projective_moment_quadrature, reference_haar_states
 
 
 def test_same_seed_gives_identical_states():
@@ -18,6 +18,15 @@ def test_batch_matches_sequence_of_singles():
     rng = np.random.default_rng(9)
     singles = np.array([haar_random_states(4, 1, rng)[0] for _ in range(5)])
     assert np.array_equal(batch, singles)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("count", [1, 7, 4096])
+def test_states_match_the_reference_bit_for_bit(dim, count):
+    for seed in (0, 5, 2026):
+        states = haar_random_states(dim, count, np.random.default_rng(seed))
+        reference = reference_haar_states(dim, count, np.random.default_rng(seed))
+        assert states.tobytes() == reference.tobytes()
 
 
 def test_states_are_normalized():

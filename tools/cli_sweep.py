@@ -8,7 +8,8 @@ covers `build` for every target, `verify` and `simulate` for every POVM
 (by target and from the built documents), one `simulate --csv` of 10_001
 trials, `spectrum` and `solve-weights`, including error cases, some of
 them on documents written into OUTDIR first: a qubit POVM at 1100
-copies, and a POVM and a catalog with boolean amplitudes.
+copies, and a POVM and a catalog with boolean amplitudes; the last two
+commands name their `--in` document as an output.
 `OUTDIR/manifest.json` records, per command, its argv, exit code, stdout,
 stderr and the sha256 of each output file it names. The package is
 imported from `src/` of the checkout this file sits in, so two checkouts
@@ -100,6 +101,12 @@ def commands() -> list[list[str]]:
     runs.append(["verify", "--in", BOOL_POVM, "--seed", "1"])
     runs.append(["simulate", "--in", BOOL_POVM, "--seed", "1"])
     runs.append(["spectrum", "--in", BOOL_RAYS])
+    # an output path naming the --in document, last so that no other
+    # command reads what it would have written
+    runs.append(["verify", "--in", "build-table1-N2.json", "--seed", "1",
+                 "--out", "build-table1-N2.json"])
+    runs.append(["simulate", "--in", "build-table1-N2.json", "--seed", "1",
+                 "--csv", "./build-table1-N2.json"])
     return runs
 
 
