@@ -17,7 +17,6 @@ import numpy as np
 from . import documents
 from .estimate import IncompletePovmError, simulate
 from .povm import AGGREGATE_TOL, Povm
-from .sampling import chunks
 from .spin1 import (
     TABLE1,
     AngularCancellationError,
@@ -91,17 +90,6 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _tolerance(text: str) -> float:
-    """argparse type for residual tolerances: finite and >= 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return value
-
-
 def _build(name: str, names) -> Povm | RayCatalog:
     """Build the bundled target `name`, which must be one of `names`."""
     if name in names:
@@ -173,15 +161,15 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     povm = _load(args, POVM_TARGETS, documents.povm_from_document)
     rng = np.random.default_rng(args.seed)
-    report = verify_completeness(povm, args.tolerance)
-    report = report.merged(verify_scalar_identity(povm, args.trials, rng, args.tolerance))
+    report = verify_completeness(povm)
+    report = report.merged(verify_scalar_identity(povm, args.trials, rng))
     # the moment hierarchy covers the copy counts of the bundled spin-3/2 POVMs
     if povm.dim == 4 and povm.copies in {n for _, n in CATALOG_WEIGHTS}:
-        report = report.merged(verify_hierarchy(povm, args.tolerance))
+        report = report.merged(verify_hierarchy(povm))
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status}  {check.name}: residual {check.residual:.6e} "
-              f"(tolerance {check.tolerance:.1e})")
+              f"(tolerance {AGGREGATE_TOL:.1e})")
     print(f"{report.povm_id}: worst residual {report.worst:.6e} -> "
           f"{'PASS' if report.passed else 'FAIL'}")
     _write_if_requested(report.to_dict(), args.out)
@@ -202,10 +190,7 @@ def cmd_simulate(args) -> int:
           f"{report.optimal_bound!r}")
     _write_if_requested(report.to_dict(), args.out)
     if args.csv is not None:
-        with open(args.csv, "w") as handle:
-            handle.write("trial,fidelity\n")
-            for start, stop in chunks(report.trials):
-                handle.write(documents._csv_rows(report.samples[start:stop], start))
+        documents.write_csv(args.csv, report.samples)
         print(f"wrote per-trial fidelities to {args.csv}")
     return EXIT_OK
 
@@ -262,8 +247,6 @@ def _make_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trials", type=_int_at_least(1), default=1000,
                         help="Haar probes for the scalar identity (default 1000)")
     verify.add_argument("--seed", type=_int_at_least(0), required=True, help="RNG seed")
-    verify.add_argument("--tolerance", type=_tolerance, default=AGGREGATE_TOL,
-                        help="residual tolerance (default 1e-9)")
     verify.add_argument("--out", help="write the verification report as JSON")
     verify.set_defaults(func=cmd_verify)
 

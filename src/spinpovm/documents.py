@@ -8,8 +8,9 @@ in-memory POVM bit for bit.
 Every JSON file holds the bytes of `json.dumps(data, indent=2,
 sort_keys=True)` plus a newline. Reports are written by the json module;
 POVM and catalog documents are filled in from one fixed template per kind.
-CSV rows hold the bytes of "%d,%r\\n", with the digits of most fidelities
-computed in numpy (`_csv_rows`).
+`write_csv` writes the CSV of `simulate`: its rows hold the bytes of
+"%d,%r\\n", with the digits of most fidelities computed in numpy
+(`_csv_rows`).
 """
 
 import json
@@ -20,6 +21,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .povm import Povm
+from .sampling import chunks
 from .spin32 import RayCatalog
 
 POVM_SCHEMA = "spinpovm/povm-v1"
@@ -156,7 +158,7 @@ def povm_from_document(doc: dict) -> Povm:
         doc, POVM_SCHEMA, "weight",
         lambda weights: np.array(_numbers(weights, "weight must be a number"), dtype=float),
         lambda weights, states: Povm(weights, states, doc["copies"],
-                                     provenance=str(doc.get("provenance", ""))))
+                                     provenance=doc.get("provenance", "")))
 
 
 def catalog_to_document(cat: RayCatalog) -> str:
@@ -172,8 +174,8 @@ def catalog_to_document(cat: RayCatalog) -> str:
 
 def catalog_from_document(doc: dict) -> RayCatalog:
     return _from_document(
-        doc, RAYS_SCHEMA, "name", lambda names: tuple(map(str, names)),
-        lambda names, states: RayCatalog(label=str(doc.get("label", "rays")),
+        doc, RAYS_SCHEMA, "name", tuple,
+        lambda names, states: RayCatalog(label=doc.get("label", "rays"),
                                          names=names, states=states))
 
 
@@ -334,6 +336,15 @@ def _csv_rows(values: np.ndarray, start: int) -> str:
         rows[row, at:at + field] = np.frombuffer(text.ljust(field, b"\0"), np.uint8)
     rows[:, -1] = ord("\n")
     return rows.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def write_csv(path: str, samples: np.ndarray) -> None:
+    """Write the per-trial CSV of `samples`: the header, then one row per
+    trial, built one chunk of trials at a time."""
+    with open(path, "w") as handle:
+        handle.write("trial,fidelity\n")
+        for start, stop in chunks(len(samples)):
+            handle.write(_csv_rows(samples[start:stop], start))
 
 
 def dumps(data: dict) -> str:

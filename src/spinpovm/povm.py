@@ -82,6 +82,8 @@ class Povm:
             raise ValueError(f"copies must be >= 1, got {self.copies}")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0):
             raise ValueError("weights must be finite and non-negative")
+        if not isinstance(self.provenance, str):
+            raise ValueError(f"provenance must be a string, got {self.provenance!r}")
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "states", states)

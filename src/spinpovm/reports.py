@@ -4,24 +4,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .povm import AGGREGATE_TOL
+
 
 @dataclass(frozen=True)
 class Check:
-    """One named residual compared against its tolerance."""
+    """One named residual; it passes when at most `AGGREGATE_TOL`."""
 
     name: str
     residual: float
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance
+        return self.residual <= AGGREGATE_TOL
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "residual": float(self.residual),
-            "tolerance": float(self.tolerance),
+            "tolerance": AGGREGATE_TOL,
             "passed": bool(self.passed),
         }
 

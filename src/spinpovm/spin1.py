@@ -68,7 +68,7 @@ def state_from_angles(theta: float, phi: float, chi1: float, chi2: float) -> np.
 def _points_to_states(theta: float, points: np.ndarray) -> np.ndarray:
     """Rows (sin(theta)(x1 + i x2), sin(theta)(x3 + i x4), cos(theta)) of
     unit points (x1..x4), after checking the theta range."""
-    if not 0.0 <= theta <= math.pi / 2 + 1e-12:
+    if not 0.0 <= theta <= math.pi / 2 + CONSTRUCTIVE_TOL:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
     st = math.sin(theta)
     states = np.empty((points.shape[0], 3), dtype=complex)

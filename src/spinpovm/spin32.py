@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import AGGREGATE_TOL, Povm, normalized, unit_rows
+from .povm import Povm, normalized, unit_rows
 from .reports import Check, VerificationReport
 from .verify import _povm_id
 
@@ -103,6 +103,8 @@ class RayCatalog:
         object.__setattr__(self, "states", unit_rows(self.states))
         if len(self.names) != self.size:
             raise ValueError(f"{len(self.names)} names for {self.size} states")
+        if not isinstance(self.label, str):
+            raise ValueError(f"catalog label must be a string, got {self.label!r}")
         for name in self.names:
             if not isinstance(name, str):
                 raise ValueError(f"catalog names must be strings, got {name!r}")
@@ -275,7 +277,7 @@ def hierarchy_targets(spin: float, copies: int) -> tuple:
     raise ValueError(f"moment hierarchy is defined for 2 or 3 copies, got {copies}")
 
 
-def verify_hierarchy(povm: Povm, tolerance: float = AGGREGATE_TOL) -> VerificationReport:
+def verify_hierarchy(povm: Povm) -> VerificationReport:
     """Check the moment hierarchy of a two- or three-copy POVM.
 
     Check bloch-moment-m holds the residual of sum_r c_r (n_r.n_s)^m =
@@ -285,15 +287,14 @@ def verify_hierarchy(povm: Povm, tolerance: float = AGGREGATE_TOL) -> Verificati
     """
     total, *moment_targets = hierarchy_targets(povm.spin, povm.copies)
     dots = bloch_dots(povm.states)
-    checks = [Check("bloch-moment-0", abs(povm.weight_sum - total), tolerance)]
+    checks = [Check("bloch-moment-0", abs(povm.weight_sum - total))]
     for power, target in enumerate(moment_targets, start=1):
         sums = (dots ** power).T @ povm.weights  # one value per s
-        checks.append(Check(f"bloch-moment-{power}", float(np.max(np.abs(sums - target))),
-                            tolerance))
+        checks.append(Check(f"bloch-moment-{power}", float(np.max(np.abs(sums - target)))))
     return VerificationReport(_povm_id(povm), tuple(checks))
 
 
-def reduce_n3_to_n2(povm: Povm, tolerance: float = AGGREGATE_TOL) -> Povm:
+def reduce_n3_to_n2(povm: Povm) -> Povm:
     """Turn a valid three-copy POVM into a two-copy one.
 
     Scales every weight by 3/(2J+3), which maps the three-copy moment
@@ -302,7 +303,7 @@ def reduce_n3_to_n2(povm: Povm, tolerance: float = AGGREGATE_TOL) -> Povm:
     """
     if povm.copies != 3:
         raise ValueError(f"expected a three-copy POVM, got copies = {povm.copies}")
-    report = verify_hierarchy(povm, tolerance)
+    report = verify_hierarchy(povm)
     if not report.passed:
         raise ValueError(
             f"input fails the three-copy hierarchy (worst residual {report.worst:.3e})")

@@ -12,7 +12,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .povm import AGGREGATE_TOL, Povm
+from .povm import Povm
 from .reports import Check, VerificationReport
 from .sampling import chunks, haar_random_states
 from .symmetric import _frobenius_identity_residual, sym_dim, symmetric_power_matrix
@@ -49,7 +49,7 @@ def outcome_probabilities(povm: Povm, psis: np.ndarray) -> tuple[np.ndarray, np.
     return overlaps_sq, probs
 
 
-def verify_completeness(povm: Povm, tolerance: float = AGGREGATE_TOL) -> VerificationReport:
+def verify_completeness(povm: Povm) -> VerificationReport:
     """Operator check: Frobenius residual against the identity, plus the weight sum.
 
     The trace of the identity fixes sum_r c_r = C(N+D-1, D-1), so the
@@ -59,14 +59,14 @@ def verify_completeness(povm: Povm, tolerance: float = AGGREGATE_TOL) -> Verific
     frobenius = _frobenius_identity_residual(povm.weights, vectors)
     expected_sum = sym_dim(povm.dim, povm.copies)
     checks = (
-        Check("completeness-frobenius", frobenius, tolerance),
-        Check("weight-sum", abs(povm.weight_sum - expected_sum), tolerance),
+        Check("completeness-frobenius", frobenius),
+        Check("weight-sum", abs(povm.weight_sum - expected_sum)),
     )
     return VerificationReport(_povm_id(povm), checks)
 
 
-def verify_scalar_identity(povm: Povm, trials: int, rng: np.random.Generator,
-                           tolerance: float = AGGREGATE_TOL) -> VerificationReport:
+def verify_scalar_identity(povm: Povm, trials: int,
+                           rng: np.random.Generator) -> VerificationReport:
     """Scalar check: worst deviation of the weighted overlap sum from 1.
 
     Probes `trials` Haar-random states of the POVM's dimension through
@@ -82,7 +82,7 @@ def verify_scalar_identity(povm: Povm, trials: int, rng: np.random.Generator,
             _, probs = outcome_probabilities(povm, psis[lo:hi])
             worst = max(worst, float(np.max(np.abs(probs.sum(axis=1) - 1.0))))
     return VerificationReport(
-        _povm_id(povm), (Check("scalar-identity", worst, tolerance),))
+        _povm_id(povm), (Check("scalar-identity", worst),))
 
 
 def _povm_id(povm: Povm) -> str:

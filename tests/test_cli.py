@@ -41,18 +41,34 @@ class TestParseAngle:
                 parse_angle(bad)
 
 
-def _write_catalog(path, rows):
+def _catalog_doc(rows):
     states = [{"name": str(i), "state": [[float(re), 0.0] for re in row]}
               for i, row in enumerate(rows)]
-    path.write_text(json.dumps({"schema": "spinpovm/rays-v1", "label": "rays",
-                                "dim": len(rows[0]), "states": states}))
+    return {"schema": "spinpovm/rays-v1", "label": "rays", "dim": len(rows[0]),
+            "states": states}
+
+
+def _write_catalog(path, rows):
+    path.write_text(json.dumps(_catalog_doc(rows)))
+
+
+KET0 = [[1.0, 0.0], [0.0, 0.0]]
+KET1 = [[0.0, 0.0], [1.0, 0.0]]
+
+
+def _qubit_elements(weight=1.0, ket0=KET0):
+    """|0> (or `ket0`) at `weight`, then |1> at weight 1."""
+    return [{"weight": weight, "state": ket0}, {"weight": 1.0, "state": KET1}]
+
+
+def _qubit_povm_doc(copies):
+    """A two-element qubit POVM document, |0> and |1> at unit weight."""
+    return {"schema": "spinpovm/povm-v1", "dim": 2, "copies": copies,
+            "elements": _qubit_elements()}
 
 
 def _write_qubit_povm(path, copies):
-    """A two-element qubit POVM document, |0> and |1> at unit weight."""
-    path.write_text(json.dumps({"schema": "spinpovm/povm-v1", "dim": 2, "copies": copies,
-                                "elements": [{"weight": 1.0, "state": [[1.0, 0.0], [0.0, 0.0]]},
-                                             {"weight": 1.0, "state": [[0.0, 0.0], [1.0, 0.0]]}]}))
+    path.write_text(json.dumps(_qubit_povm_doc(copies)))
 
 
 # |0> and |1> at unit weight, with |0> written as booleans: np.array reads
@@ -65,6 +81,7 @@ BOOLEAN_QUBIT_RAYS = {"schema": "spinpovm/rays-v1", "label": "rays", "dim": 2,
                       "states": [{"name": "0", "state": [[True, False], [False, False]]},
                                  {"name": "1", "state": [[False, False], [True, False]]}]}
 BOOLEAN_AMPLITUDE = "bad amplitude pairs: entries must be numbers, got True\n"
+_SIMULATE_10 = ["simulate", "--trials", "10", "--seed", "1"]
 
 
 def _refuses_boolean_amplitudes(argv, doc, tmp_path, capsys, entry):
@@ -249,17 +266,27 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf", "abc"])
+    # the --tolerance option is gone: any value, valid or not, is an unknown argument
+    @pytest.mark.parametrize("tolerance", ["1e-3", "-1", "nan", "inf", "abc"])
     def test_bad_tolerance_is_an_input_error(self, tolerance, capsys):
         assert main(["verify", "--target", "table1-N2", "--trials", "10", "--seed", "1",
                      "--tolerance", tolerance]) == EXIT_INPUT
-        assert "--tolerance" in capsys.readouterr().err
+        assert f"unrecognized arguments: --tolerance {tolerance}" in capsys.readouterr().err
 
-    def test_zero_tolerance_is_accepted(self, capsys):
+    def test_non_integer_trials_is_an_input_error(self, capsys):
+        assert main(["verify", "--target", "table1-N2", "--trials", "abc",
+                     "--seed", "1"]) == EXIT_INPUT
+        assert "expected an integer, got 'abc'" in capsys.readouterr().err
+
+    def test_read_only_out_directory_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        # root passes os.access on any directory, so the check is made to fail
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        monkeypatch.setattr(cli, "verify_scalar_identity", _must_not_run)
         code = main(["verify", "--target", "table1-N2", "--trials", "10", "--seed", "1",
-                     "--tolerance", "0"])
-        assert code in (EXIT_OK, EXIT_VERIFY)
-        assert "(tolerance 0.0e+00)" in capsys.readouterr().out
+                     "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_INPUT
+        assert "error: [Errno 13] Permission denied" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_negative_seed_is_an_input_error(self, capsys):
         assert main(["verify", "--target", "table1-N2", "--trials", "10",
@@ -509,12 +536,92 @@ class TestSpectrum:
                                     "catalog entry")
 
 
+def test_build_povm_target():
+    assert cli.build_povm_target("set60-povm-N2").provenance == "set60-povm-N2"
+    with pytest.raises(CliInputError, match="penrose40-povm-N2"):
+        cli.build_povm_target("penrose40")
+
+
+@pytest.mark.parametrize("scale, code", [(1.0, EXIT_OK), (1 + 1e-7, EXIT_VERIFY)],
+                         ids=["exact", "scaled"])
+def test_verify_and_simulate_apply_one_gate(scale, code, tmp_path, capsys):
+    # scaled by 1 + 1e-7, the weight sum of table1-N2 is 6e-7 off
+    path = tmp_path / "p.json"
+    main(["build", "--target", "table1-N2", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    for element in doc["elements"]:
+        element["weight"] *= scale
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--in", str(path), "--seed", "1"]) == code
+    assert main(["simulate", "--in", str(path), "--trials", "100", "--seed", "1"]) == code
+
+
+# a key given this value is left out of the document
+DROP = object()
+
+
+def _edited(doc, **changes):
+    doc = {**doc, **changes}
+    return {key: value for key, value in doc.items() if value is not DROP}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["verify", "--seed", "1"], _qubit_povm_doc(1)),
+    (_SIMULATE_10, _qubit_povm_doc(1)),
+    (["spectrum"], _catalog_doc(np.eye(2))),
+], ids=["verify", "simulate", "spectrum"])
+def test_document_that_is_an_array_is_an_input_error(argv, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps([doc]))
+    assert main([*argv, "--in", str(path)]) == EXIT_INPUT
+    assert "document must be a JSON object" in capsys.readouterr().err
+
+
+# changes to the qubit POVM document, a fragment of the error it must exit 2 with
+@pytest.mark.parametrize("changes, message", [
+    ({"dim": DROP}, "POVM document is missing 'dim'"),
+    ({"copies": DROP}, "POVM document is missing 'copies'"),
+    ({"elements": DROP}, "POVM document is missing 'elements'"),
+    ({"dim": 1, "elements": [{"weight": 2.0, "state": [[1.0, 0.0]]}]},
+     "states must have dimension >= 2"),
+    ({"elements": _qubit_elements(ket0=[[math.nan, 0.0], [0.0, 0.0]])},
+     "non-finite amplitudes"),
+    ({"copies": 0}, "copies must be >= 1, got 0"),
+    ({"elements": _qubit_elements(-1.0)}, "weights must be finite and non-negative"),
+    ({"elements": _qubit_elements(math.inf)}, "weights must be finite and non-negative"),
+    ({"provenance": {"x": 1}}, "provenance must be a string, got {'x': 1}"),
+], ids=["no-dim", "no-copies", "no-elements", "dim-1", "nan-amplitude", "copies-0",
+        "negative-weight", "infinite-weight", "provenance-object"])
+@pytest.mark.parametrize("argv", [["verify", "--seed", "1"], _SIMULATE_10],
+                         ids=["verify", "simulate"])
+def test_povm_document_fault_is_an_input_error(argv, changes, message, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(_edited(_qubit_povm_doc(1), **changes)))
+    assert main([*argv, "--in", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"dim": DROP}, "catalog document is missing 'dim'"),
+    ({"states": DROP}, "catalog document is missing 'states'"),
+    ({"label": None}, "catalog label must be a string, got None"),
+    ({"states": [{"name": [0], "state": KET0}, {"name": None, "state": KET1}]},
+     "catalog names must be strings, got [0]"),
+], ids=["no-dim", "no-states", "label-null", "names-not-strings"])
+def test_catalog_document_fault_is_an_input_error(changes, message, tmp_path, capsys):
+    path = tmp_path / "rays.json"
+    path.write_text(json.dumps(_edited(_catalog_doc(np.eye(2)), **changes)))
+    assert main(["spectrum", "--in", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_argparse_failures_map_to_input_error():
     assert main(["verify", "--target", "table1-N2"]) == EXIT_INPUT  # missing --seed
     assert main(["no-such-command"]) == EXIT_INPUT
-
-
-_SIMULATE_10 = ["simulate", "--trials", "10", "--seed", "1"]
 
 
 # command, the target its --in document is built from, the work it must not

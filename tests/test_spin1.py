@@ -119,6 +119,10 @@ class TestShellPolynomial:
                                  (CELL600, 2), (CELL600, 3), (CELL600, 4), (CELL600, 5)]:
             shell_polynomial(polytope, PI / 5, copies)  # must not raise
 
+    def test_rejects_zero_copies(self):
+        with pytest.raises(ValueError, match="copies must be >= 1, got 0"):
+            shell_polynomial(CELL24, PI / 4, 0)
+
     def test_cell24_four_copies_fails_cancellation(self):
         with pytest.raises(AngularCancellationError) as info:
             shell_polynomial(CELL24, PI / 4, 4)
@@ -184,6 +188,10 @@ class TestSolveWeights:
     def test_unsupported_pair_propagates_cancellation_error(self):
         with pytest.raises(AngularCancellationError):
             solve_weights(CELL24, [PI / 6, PI / 4, PI / 3, PI / 2, PI / 5], 4)
+
+    def test_rejects_no_angles(self):
+        with pytest.raises(ValueError, match="at least one angle"):
+            solve_weights(CELL24, [], 2)
 
     def test_rejects_duplicate_angles(self):
         with pytest.raises(ValueError, match="distinct"):

@@ -20,7 +20,7 @@ from spinpovm import (
     verify_hierarchy,
 )
 from spinpovm.povm import Povm
-from spinpovm.spin32 import BlochDotSpectrum
+from spinpovm.spin32 import BlochDotSpectrum, _parse_row
 from spinpovm.verify import outcome_probabilities
 
 THIRD = round(1 / 3, 9)
@@ -82,6 +82,16 @@ def test_catalogs_are_built_once_and_read_only(label):
     assert catalog(label) is cat
     with pytest.raises(ValueError, match="read-only"):
         cat.states[0, 0] = 0.0
+
+
+def test_unknown_catalog_token_rejected():
+    with pytest.raises(ValueError, match="unknown catalog entry 'x'"):
+        _parse_row(("1", "x", "0", "0"))
+
+
+def test_copies_without_a_bundled_weight_rejected():
+    with pytest.raises(ValueError, match="no bundled weight for catalog 'set60' with 4 copies"):
+        spin32_povm(catalog(SET60), 4)
 
 
 def test_unknown_catalog_rejected():

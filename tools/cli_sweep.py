@@ -8,8 +8,10 @@ covers `build` for every target, `verify` and `simulate` for every POVM
 (by target and from the built documents), one `simulate --csv` of 10_001
 trials, `spectrum` and `solve-weights`, including error cases, some of
 them on documents written into OUTDIR first: a qubit POVM at 1100
-copies, and a POVM and a catalog with boolean amplitudes; the last two
-commands name their `--in` document as an output.
+copies, a POVM and a catalog with boolean amplitudes, catalogs with a
+null label or names that are not strings, and qubit POVMs with an object
+for provenance, zero copies, a negative weight or a NaN amplitude; the
+last two commands name their `--in` document as an output.
 `OUTDIR/manifest.json` records, per command, its argv, exit code, stdout,
 stderr and the sha256 of each output file it names. The package is
 imported from `src/` of the checkout this file sits in, so two checkouts
@@ -47,18 +49,38 @@ HUGE_COPIES = "qubit-copies-1100.json"
 # among floats in the POVM, alone in the catalog
 BOOL_POVM = "qubit-bool-amplitudes.json"
 BOOL_RAYS = "rays-bool-amplitudes.json"
+# documents with a text field that is not a string
+NULL_LABEL_RAYS = "rays-null-label.json"
+ODD_NAMES_RAYS = "rays-odd-names.json"
+OBJECT_PROVENANCE = "qubit-object-provenance.json"
+# POVM documents with a fault that a Povm refuses
+ZERO_COPIES = "qubit-copies-0.json"
+NEGATIVE_WEIGHT = "qubit-negative-weight.json"
+NAN_AMPLITUDE = "qubit-nan-amplitude.json"
+KET0, KET1 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+
+
+def _qubit(copies=1, weight=1.0, ket0=KET0, **extra) -> dict:
+    """A POVM document of |0> (at `weight`) and |1> (at weight 1)."""
+    return {"schema": "spinpovm/povm-v1", "dim": 2, "copies": copies, **extra,
+            "elements": [{"weight": weight, "state": ket0}, {"weight": 1.0, "state": KET1}]}
+
+
+def _rays(label="rays", names=("0", "1")) -> dict:
+    return {"schema": "spinpovm/rays-v1", "dim": 2, "label": label,
+            "states": [{"name": name, "state": ket} for name, ket in zip(names, (KET0, KET1))]}
+
+
 # name -> content of each document the sweep writes into OUTDIR before it runs
 INPUT_DOCS = {
-    HUGE_COPIES: {
-        "schema": "spinpovm/povm-v1", "dim": 2, "copies": 1100,
-        "elements": [{"weight": 1.0, "state": [[1.0, 0.0], [0.0, 0.0]]},
-                     {"weight": 1.0, "state": [[0.0, 0.0], [1.0, 0.0]]}],
-    },
-    BOOL_POVM: {
-        "schema": "spinpovm/povm-v1", "dim": 2, "copies": 1,
-        "elements": [{"weight": 1.0, "state": [[True, False], [0.0, 0.0]]},
-                     {"weight": 1.0, "state": [[0.0, 0.0], [1.0, 0.0]]}],
-    },
+    NULL_LABEL_RAYS: _rays(label=None),
+    ODD_NAMES_RAYS: _rays(names=([0], None)),
+    OBJECT_PROVENANCE: _qubit(provenance={"x": 1}),
+    ZERO_COPIES: _qubit(copies=0),
+    NEGATIVE_WEIGHT: _qubit(weight=-1.0),
+    NAN_AMPLITUDE: _qubit(ket0=[[float("nan"), 0.0], [0.0, 0.0]]),
+    HUGE_COPIES: _qubit(copies=1100),
+    BOOL_POVM: _qubit(ket0=[[True, False], [0.0, 0.0]]),
     BOOL_RAYS: {
         "schema": "spinpovm/rays-v1", "dim": 2, "label": "rays",
         "states": [{"name": "0", "state": [[True, False], [False, False]]},
@@ -101,6 +123,13 @@ def commands() -> list[list[str]]:
     runs.append(["verify", "--in", BOOL_POVM, "--seed", "1"])
     runs.append(["simulate", "--in", BOOL_POVM, "--seed", "1"])
     runs.append(["spectrum", "--in", BOOL_RAYS])
+    for doc in (OBJECT_PROVENANCE, ZERO_COPIES, NEGATIVE_WEIGHT, NAN_AMPLITUDE):
+        runs.append(["verify", "--in", doc, "--seed", "1"])
+        runs.append(["simulate", "--in", doc, "--seed", "1"])
+    runs.append(["spectrum", "--in", NULL_LABEL_RAYS])
+    runs.append(["spectrum", "--in", ODD_NAMES_RAYS])
+    # verify has no --tolerance: its gate is fixed at 1e-9
+    runs.append(["verify", "--target", "table1-N2", "--seed", "1", "--tolerance", "1e-3"])
     # an output path naming the --in document, last so that no other
     # command reads what it would have written
     runs.append(["verify", "--in", "build-table1-N2.json", "--seed", "1",
