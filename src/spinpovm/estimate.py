@@ -6,7 +6,11 @@ input the average fidelity of any POVM resolving the identity equals
 (N+1)/(N+D), the optimal value.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 
 import numpy as np
 
@@ -21,6 +25,11 @@ from .verify import _BLOCK, blocks, outcome_probabilities, verify_completeness, 
 # costs dominate. Of 20480, 40960, 61440 and 92160, this budget was the
 # fastest at k = 40-60; from k = 320 on, blocks keep 128 rows.
 _BLOCK_ELEMENTS = 40960
+# Most threads that run the blocks of one `simulate` call: the count that
+# was measured (2 CPUs; with BLAS on one thread, 100k trials of table1-N5
+# took 435 against 610 ms on one). More threads are untried; each one
+# holds the interpreter lock between its numpy calls.
+_MOST_THREADS = 2
 
 
 class IncompletePovmError(ValueError):
@@ -78,17 +87,28 @@ def simulate(povm: Povm, trials: int, rng: np.random.Generator,
             f"--trials {trials} needs {8 * trials} bytes for the per-trial "
             "fidelities, more than can be allocated") from None
     most = max(_BLOCK, _BLOCK_ELEMENTS // povm.size)
-    for start, stop in chunks(trials):
-        rows = stop - start
-        psis = haar_random_states(povm.dim, rows, rng)
-        u = rng.random(rows)
-        for lo, hi in blocks(rows, most):
-            overlaps_sq, probs = outcome_probabilities(povm, psis[lo:hi])
-            picks = _pick(probs, u[lo:hi])
-            fidelities[start + lo:start + hi] = overlaps_sq[np.arange(hi - lo), picks]
-            # freed before the next block allocates, which then reuses this
-            # cache-warm memory instead of a second set of buffers
-            del overlaps_sq, probs
+    threads = _block_threads(povm.size)
+    if threads > 1:
+        # not loaded by `import spinpovm.cli`, so imported only when used
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(threads - 1)
+    else:
+        pool = contextlib.nullcontext()
+    # leaving the block joins the pool's threads, also when a block raised
+    with pool:
+        for start, stop in chunks(trials):
+            rows = stop - start
+            # only this thread draws, so the stream order is the serial one
+            psis = haar_random_states(povm.dim, rows, rng)
+            u = rng.random(rows)
+            # block i runs on thread i % threads, this thread being thread 0
+            spans = list(blocks(rows, most))
+            chunk = (povm, psis, u, fidelities[start:stop])
+            jobs = [pool.submit(_run_blocks, *chunk, spans[i::threads])
+                    for i in range(1, threads)]
+            _run_blocks(*chunk, spans[::threads])
+            for job in jobs:
+                job.result()  # raises again what the block raised
 
     mean = float(np.mean(fidelities))
     std_error = float(np.std(fidelities, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -101,6 +121,75 @@ def simulate(povm: Povm, trials: int, rng: np.random.Generator,
         optimal_bound=optimal_fidelity(povm.copies, povm.dim),
         samples=fidelities if keep_samples else None,
     )
+
+
+def _run_blocks(povm: Povm, psis: np.ndarray, u: np.ndarray, out: np.ndarray,
+                spans: list[tuple[int, int]]) -> None:
+    """Write the fidelity of each trial of the (lo, hi) row ranges in `spans`
+    of one chunk's states and uniforms into `out`, the chunk's slice."""
+    for lo, hi in spans:
+        overlaps_sq, probs = outcome_probabilities(povm, psis[lo:hi])
+        picks = _pick(probs, u[lo:hi])
+        out[lo:hi] = overlaps_sq[np.arange(hi - lo), picks]
+        # freed before the next block allocates, which then reuses this
+        # cache-warm memory instead of a second set of buffers
+        del overlaps_sq, probs
+
+
+def _block_threads(k: int) -> int:
+    """Threads to run `simulate`'s blocks on for a POVM of k elements.
+
+    The CPUs this process may run on, at most _MOST_THREADS, when k is at
+    least _TWO_LEVEL_MIN and BLAS runs on one thread; otherwise 1. With 2
+    threads on 2 CPUs, perfbench's sim-spin32-narrow (k = 40 and 60) lost
+    in 5 of 5 pairs, 1.15M against 1.21M trials/s and a 146 against 114 ms
+    tail, while sim-spin1-wide (k = 480 and 720) gained; no bundled POVM
+    lies between. A multi-threaded BLAS already holds the other CPUs. A
+    wrong answer costs speed, never bytes: a block computes the same
+    doubles on any thread.
+    """
+    if k < _TWO_LEVEL_MIN:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return 1
+    if cpus < 2 or _blas_threads() != 1:
+        return 1
+    return min(cpus, _MOST_THREADS)
+
+
+def _blas_threads() -> int | None:
+    """Threads of the OpenBLAS numpy loaded, read now; None when there is
+    no such library, as with another BLAS."""
+    getter = _openblas_thread_getter()
+    return None if getter is None else getter()
+
+
+@functools.cache
+def _openblas_thread_getter():
+    # a numpy wheel carries its OpenBLAS in numpy.libs beside the package;
+    # loading that file again returns the library numpy already loaded
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(os.listdir(libs))
+    except OSError:
+        return None
+    for name in names:
+        if "openblas" not in name:
+            continue
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return getter
+    return None
 
 
 # Outcomes per segment of the two-level pick. Lengths 8 to 32 measured
@@ -193,5 +282,8 @@ def _sequential_pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _check_normalized(totals: np.ndarray) -> None:
-    if float(np.max(np.abs(totals - 1.0))) > AGGREGATE_TOL:
-        raise RuntimeError("outcome probabilities failed to normalize")
+    worst = float(np.max(np.abs(totals - 1.0)))
+    if worst > AGGREGATE_TOL:
+        raise RuntimeError(
+            f"outcome probabilities failed to normalize: worst |sum p - 1| = {worst:.3e}, "
+            f"above the tolerance {AGGREGATE_TOL:.1e}")

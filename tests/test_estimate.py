@@ -1,5 +1,10 @@
 """Estimation statistics: exact averages, Monte Carlo convergence, determinism."""
 
+import ctypes
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -122,6 +127,128 @@ def test_blocked_kernel_matches_unblocked_reference(shipped_povms, trials):
         samples, reference = _kernel_samples(
             povm, trials, lambda: np.random.default_rng(trials))
         assert np.array_equal(samples, reference), povm.provenance
+
+
+def _bases_povm(count, seed):
+    """`count` Haar-random orthonormal bases of C^3, each weighted 1/count:
+    a one-copy POVM of 3 * count elements."""
+    rng = np.random.default_rng(seed)
+    gaussians = rng.standard_normal((count, 3, 3)) + 1j * rng.standard_normal((count, 3, 3))
+    states = np.concatenate([np.linalg.qr(g)[0].T for g in gaussians])
+    return Povm(np.full(3 * count, 1 / count), states, 1, provenance=f"bases{count}-D3-N1")
+
+
+@pytest.fixture
+def fake_cpus_and_blas(monkeypatch):
+    """Set the CPU count and the BLAS thread count `_block_threads` sees."""
+    def fake(cpus, blas):
+        monkeypatch.setattr(estimate.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(estimate, "_blas_threads", lambda: blas)
+    return fake
+
+
+@pytest.mark.parametrize("k, cpus, blas", [
+    (estimate._TWO_LEVEL_MIN - 1, 2, 1),
+    (720, 1, 1),
+    (720, 2, 2),
+    (720, 2, None),
+], ids=["k-below-two-level", "one-cpu", "blas-threads-2", "blas-threads-unknown"])
+def test_blocks_stay_on_the_calling_thread(fake_cpus_and_blas, k, cpus, blas):
+    fake_cpus_and_blas(cpus, blas)
+    assert estimate._block_threads(k) == 1
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 64])
+def test_blocks_run_on_the_available_cpus(fake_cpus_and_blas, cpus):
+    fake_cpus_and_blas(cpus, 1)
+    assert estimate._block_threads(estimate._TWO_LEVEL_MIN) == min(cpus, estimate._MOST_THREADS)
+
+
+def test_blas_threads_follow_the_live_openblas_setting():
+    if estimate._blas_threads() is None:
+        pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    lib = next(ctypes.CDLL(os.path.join(libs, name)) for name in sorted(os.listdir(libs))
+               if "openblas" in name)
+    setter = next(getattr(lib, symbol) for symbol in (
+        "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+        "openblas_set_num_threads") if hasattr(lib, symbol))
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    before = estimate._blas_threads()
+    try:
+        for threads in (1, before):
+            setter(threads)
+            assert estimate._blas_threads() == threads
+    finally:
+        setter(before)
+
+
+@pytest.fixture(scope="module")
+def wide_povms(shipped_povms):
+    """table1-N4 and N5 (k = 480, 720), and a hand-built k = 129 whose
+    last segment of the two-level pick is one outcome long."""
+    table1_n4, table1_n5 = shipped_povms[2:4]
+    return table1_n4, table1_n5, _bases_povm(43, 5)
+
+
+@pytest.mark.parametrize("trials", [1, 127, 129, 4097, 20_000])
+def test_threaded_blocks_match_the_reference_and_the_serial_path(monkeypatch, wide_povms,
+                                                                 trials):
+    assert [povm.size for povm in wide_povms] == [480, 720, 129]
+    for povm in wide_povms:
+        reports = {}
+        for threads in (2, 1):
+            monkeypatch.setattr(estimate, "_block_threads", lambda k, n=threads: n)
+            reports[threads] = simulate(povm, trials, np.random.default_rng(trials),
+                                        keep_samples=True)
+        reference = reference_simulate_samples(povm, trials, np.random.default_rng(trials))
+        assert np.array_equal(reports[2].samples, reference), povm.provenance
+        assert reports[2].to_dict() == reports[1].to_dict()
+
+
+def test_more_block_threads_than_cpus_under_fast_thread_switching(monkeypatch, wide_povms):
+    # 5 threads on 32 blocks per full chunk, then a one-row chunk, switching
+    # every microsecond: a block skipped or given another block's rows shows
+    monkeypatch.setattr(estimate, "_block_threads", lambda k: 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        samples, reference = _kernel_samples(
+            wide_povms[1], 8193, lambda: np.random.default_rng(12))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(samples, reference)
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_threaded_simulate_reraises_and_leaves_no_thread(monkeypatch, wide_povms, failing):
+    monkeypatch.setattr(estimate, "_block_threads", lambda k: 2)
+    pick = estimate._pick
+    error = RuntimeError("injected")
+    callers = set()
+
+    def failing_pick(probs, u):
+        worker = threading.current_thread() is not threading.main_thread()
+        if worker == (failing == "worker"):
+            raise error
+        return pick(probs, u)
+
+    def recording_pick(probs, u):
+        callers.add(threading.get_ident())
+        return pick(probs, u)
+
+    povm = wide_povms[1]
+    before = threading.active_count()
+    monkeypatch.setattr(estimate, "_pick", failing_pick)
+    with pytest.raises(RuntimeError) as raised:
+        simulate(povm, 1000, np.random.default_rng(8))
+    assert raised.value is error
+    assert threading.active_count() == before
+    monkeypatch.setattr(estimate, "_pick", recording_pick)
+    simulate(povm, 1000, np.random.default_rng(8))
+    assert len(callers) == 2
+    assert threading.active_count() == before
 
 
 class _UniformsAtTop:
@@ -263,7 +390,8 @@ def test_two_level_pick_on_a_short_last_segment(parts, recomputed):
 def test_pick_rejects_rows_that_do_not_sum_to_one(k):
     assert 48 < estimate._TWO_LEVEL_MIN <= 720   # one case on each side of the gate
     probs = np.full((4, k), (1 + 1e-8) / k)
-    with pytest.raises(RuntimeError, match="normalize"):
+    with pytest.raises(RuntimeError, match=r"normalize: worst \|sum p - 1\| = 1\.000e-08, "
+                                           r"above the tolerance 1\.0e-09"):
         estimate._pick(probs, np.full(4, 0.5))
 
 
