@@ -3,7 +3,7 @@
 Constructs weighted rank-one POVMs on the symmetric subspace of N qudit
 copies: spin-1 sets from 24-cell/600-cell shells (2 to 5 copies) and
 spin-3/2 sets from the 40 Penrose-dodecahedron rays or a 60-ray catalog
-(2 or 3 copies). Verifies the identities each set must satisfy to machine
+(N = 2 and 3). Verifies the identities each set must satisfy to machine
 precision and demonstrates, by exact computation and by simulation, that
 every bundled POVM attains the optimal average fidelity (N+1)/(N+D).
 """

@@ -3,21 +3,23 @@
 Two catalogs are bundled: the 40 rays of the Penrose dodecahedron (20
 "explicit" rays along dodecahedron vertices plus 20 "implicit" partners)
 and a 60-ray set whose first 24 members form the Peres Kochen-Specker
-configuration. With a single uniform weight per catalog, either set
-resolves the identity on the symmetric subspace of N = 2 or 3 copies; the
-checks here express that through moments of pairwise Bloch-vector dot
-products, recovered from state overlaps via
+configuration. With one uniform weight each, both resolve the identity on
+the symmetric subspace of N = 2 and 3 copies. The moment hierarchy checks
+that, for any N, through moments of pairwise Bloch-vector dot products
+(printed by `verify` for every spin-3/2 POVM), recovered from overlaps via
 
     |<a|b>|^2 = (1 + 2J n_a.n_b) / (2J + 1),   D = 2J + 1.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .povm import Povm, normalized, unit_rows
 from .reports import Check, VerificationReport
+from .symmetric import sym_dim
 from .verify import _povm_id
 
 PHASE = np.exp(1j * np.pi / 3)  # the phase p; p^3 = -1
@@ -251,41 +253,39 @@ def overlap_spectrum(cat: RayCatalog) -> BlochDotSpectrum:
 
 
 def spin32_povm(cat: RayCatalog, copies: int) -> Povm:
-    """Uniform-weight POVM from a bundled catalog for 2 or 3 copies."""
+    """Uniform-weight POVM from a bundled catalog at a CATALOG_WEIGHTS copy count."""
     key = (cat.label, copies)
     if key not in CATALOG_WEIGHTS:
-        raise ValueError(
-            f"no bundled weight for catalog {cat.label!r} with {copies} copies")
-    weight = CATALOG_WEIGHTS[key]
-    weights = np.full(cat.size, weight)
-    return Povm(weights, cat.states, copies,
+        raise ValueError(f"no bundled weight for catalog {cat.label!r} with {copies} copies")
+    return Povm(np.full(cat.size, CATALOG_WEIGHTS[key]), cat.states, copies,
                 provenance=f"{cat.label}-povm-N{copies}")
 
 
-def hierarchy_targets(spin: float, copies: int) -> tuple:
-    """Right-hand sides (weight sum, then Bloch-dot moment values) for N = 2 or 3."""
-    j2 = 2 * spin
-    if copies == 2:
-        return ((j2 + 1) * (spin + 1),
-                0.0,
-                (j2 + 1) / (2 * j2))
-    if copies == 3:
-        return ((j2 + 3) * (j2 + 1) * (spin + 1) / 3,
-                0.0,
-                (j2 + 3) * (j2 + 1) / (6 * j2),
-                (j2 + 1) * (j2 - 1) / (3 * j2 ** 2))
-    raise ValueError(f"moment hierarchy is defined for 2 or 3 copies, got {copies}")
+def hierarchy_targets(dim: int, copies: int) -> tuple:
+    """Targets T_0..T_N with sum_r c_r (n_r.n_s)^m = T_m for every s, m <= N.
+
+    An N-copy POVM is a weighted N-design: sum_r c_r |<psi_r|psi_s>|^(2j) =
+    d_sym h_j for j <= N, with d_sym = sym_dim(D, N) and h_j =
+    j!(D-1)!/(j+D-1)! the Haar moment. Expanding n_r.n_s = (D x - 1)/(D - 1)
+    binomially, each T_m is summed in integers and rounded once.
+    """
+    total = sym_dim(dim, copies)
+    targets = []
+    for m in range(copies + 1):
+        top = m + dim - 1  # h_j = j! perm(top, m - j) / perm(top, m)
+        numerator = sum(math.comb(m, j) * (-1) ** (m - j) * dim ** j * math.factorial(j)
+                        * math.perm(top, m - j) for j in range(m + 1))
+        targets.append(total * numerator / ((dim - 1) ** m * math.perm(top, m)))
+    return tuple(targets)
 
 
 def verify_hierarchy(povm: Povm) -> VerificationReport:
-    """Check the moment hierarchy of a two- or three-copy POVM.
+    """Check the moment hierarchy of an N-copy POVM, for any N and D.
 
-    Check bloch-moment-m holds the residual of sum_r c_r (n_r.n_s)^m =
-    target_m; m = 0 is the one equation sum_r c_r = total, and each m >= 1
-    has one equation per s. The 2k+1 two-copy equations take the first two
-    dot moments, the 3k+1 three-copy equations the first three.
-    """
-    total, *moment_targets = hierarchy_targets(povm.spin, povm.copies)
+    Check bloch-moment-m holds the residual of sum_r c_r (n_r.n_s)^m = T_m
+    (`hierarchy_targets`): one equation at m = 0, the weight sum, and one
+    per s at each m = 1..N, Nk+1 in all."""
+    total, *moment_targets = hierarchy_targets(povm.dim, povm.copies)
     dots = bloch_dots(povm.states)
     checks = [Check("bloch-moment-0", abs(povm.weight_sum - total))]
     for power, target in enumerate(moment_targets, start=1):
@@ -297,9 +297,9 @@ def verify_hierarchy(povm: Povm) -> VerificationReport:
 def reduce_n3_to_n2(povm: Povm) -> Povm:
     """Turn a valid three-copy POVM into a two-copy one.
 
-    Scales every weight by 3/(2J+3), which maps the three-copy moment
-    equations onto the two-copy ones. The input must pass the three-copy
-    hierarchy.
+    Scales every weight by sym_dim(D, 2)/sym_dim(D, 3), which maps the
+    three-copy moment equations onto the two-copy ones. The input must
+    pass the three-copy hierarchy.
     """
     if povm.copies != 3:
         raise ValueError(f"expected a three-copy POVM, got copies = {povm.copies}")
@@ -307,6 +307,6 @@ def reduce_n3_to_n2(povm: Povm) -> Povm:
     if not report.passed:
         raise ValueError(
             f"input fails the three-copy hierarchy (worst residual {report.worst:.3e})")
-    factor = 3.0 / (2 * povm.spin + 3)
+    factor = sym_dim(povm.dim, 2) / sym_dim(povm.dim, 3)
     return Povm(povm.weights * factor, povm.states, 2,
                 provenance=f"{povm.provenance or 'spin32'}-reduced-N2")

@@ -7,7 +7,16 @@ import os
 import numpy as np
 import pytest
 
-from spinpovm import RayCatalog, build_table1_povm, cli, simulate
+from spinpovm import (
+    PENROSE40,
+    Povm,
+    RayCatalog,
+    build_table1_povm,
+    catalog,
+    cli,
+    documents,
+    simulate,
+)
 from spinpovm.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -186,6 +195,37 @@ class TestVerify:
               "--seed", "2", "--out", str(out)])
         names = {row["name"] for row in json.loads(out.read_text())["checks"]}
         assert "bloch-moment-3" in names
+
+    def test_hierarchy_rows_for_a_one_copy_spin32_basis(self, tmp_path, capsys):
+        path, out = tmp_path / "basis.json", tmp_path / "r.json"
+        path.write_text(documents.povm_to_document(Povm(np.ones(4), np.eye(4), 1)))
+        assert main(["verify", "--in", str(path), "--trials", "100", "--seed", "2",
+                     "--out", str(out)]) == EXIT_OK
+        names = [row["name"] for row in json.loads(out.read_text())["checks"]]
+        assert names[-2:] == ["bloch-moment-0", "bloch-moment-1"]
+        assert "PASS  bloch-moment-1" in capsys.readouterr().out
+
+    def test_four_copy_penrose_fails_the_fourth_moment(self, tmp_path, capsys):
+        # uniform weights summing to sym_dim(4, 4) = 35: not a 4-design
+        path, out = tmp_path / "p.json", tmp_path / "r.json"
+        penrose = catalog(PENROSE40)
+        path.write_text(documents.povm_to_document(
+            Povm(np.full(40, 35 / 40), penrose.states, 4)))
+        assert main(["verify", "--in", str(path), "--trials", "100", "--seed", "2",
+                     "--out", str(out)]) == EXIT_VERIFY
+        checks = {row["name"]: row for row in json.loads(out.read_text())["checks"]}
+        assert [f"bloch-moment-{m}" in checks for m in range(6)] == [True] * 5 + [False]
+        assert not checks["bloch-moment-4"]["passed"]
+        assert all(checks[f"bloch-moment-{m}"]["passed"] for m in range(4))
+        assert "FAIL  bloch-moment-4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", [t for t in cli.POVM_TARGETS if t.startswith("table1-")])
+    def test_spin1_reports_have_no_hierarchy_rows(self, target, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["verify", "--target", target, "--trials", "10", "--seed", "2",
+                     "--out", str(out)]) == EXIT_OK
+        assert "bloch-moment" not in out.read_text()
+        assert "bloch-moment" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("target", cli.POVM_TARGETS)
     def test_check_names_are_unique(self, target, tmp_path):

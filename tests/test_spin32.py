@@ -1,5 +1,8 @@
 """Spin-3/2 catalogs: spectra, moment hierarchies, and identity resolution."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from oracles import reference_value_counts
@@ -10,20 +13,36 @@ from spinpovm import (
     SET60,
     bloch_dots,
     bloch_vector,
+    build_table1_povm,
     catalog,
     haar_random_states,
     overlap_spectrum,
     reduce_n3_to_n2,
     spin32_povm,
+    sym_dim,
     traceless_hermitian_basis,
     verify_completeness,
     verify_hierarchy,
 )
 from spinpovm.povm import Povm
-from spinpovm.spin32 import BlochDotSpectrum, _parse_row
+from spinpovm.spin32 import BlochDotSpectrum, _parse_row, hierarchy_targets
 from spinpovm.verify import outcome_probabilities
 
 THIRD = round(1 / 3, 9)
+
+
+def _reference_targets(dim, copies):
+    """T_m = sym_dim * E[((D x - 1)/(D - 1))^m] over x = |<phi|psi>|^2 of a
+    Haar state psi, whose density on [0, 1] is (D-1)(1-x)^(D-2); each Haar
+    moment E[x^j] is integrated exactly, then each T_m rounded once."""
+    haar = [(dim - 1) * sum(Fraction((-1) ** i * math.comb(dim - 2, i), j + i + 1)
+                            for i in range(dim - 1))
+            for j in range(copies + 1)]
+    return tuple(
+        float(sym_dim(dim, copies) * Fraction(sum(
+            math.comb(m, j) * (-1) ** (m - j) * dim ** j * haar[j] for j in range(m + 1)),
+            (dim - 1) ** m))
+        for m in range(copies + 1))
 NINTH = round(1 / 9, 9)
 
 
@@ -221,18 +240,50 @@ class TestHierarchies:
         assert report.passed and report.worst < 1e-9
 
     def test_three_copy_moment_targets_at_spin_three_halves(self):
-        # substituting J = 3/2: second moment 6*4/18 = 4/3, third 4*2/27 = 8/27
-        from spinpovm.spin32 import hierarchy_targets
-        targets = hierarchy_targets(3 / 2, 3)
-        assert abs(targets[2] - 4 / 3) < 1e-15
-        assert abs(targets[3] - 8 / 27) < 1e-15
+        # the paper's N = 2 and 3 equations at J = 3/2, to the last bit
+        assert hierarchy_targets(4, 2) == (10.0, 0.0, 2 / 3)
+        assert hierarchy_targets(4, 3) == (20.0, 0.0, 4 / 3, 8 / 27)
+        assert hierarchy_targets(3, 5) == (21.0, 0.0, 21 / 8, 21 / 40, 63 / 80, 3 / 8)
+
+    @pytest.mark.parametrize("dim, copies", [(4, 2), (4, 3), (3, 5), (2, 2), (4, 1), (4, 4)])
+    def test_targets_are_the_rounded_haar_averages(self, dim, copies):
+        assert hierarchy_targets(dim, copies) == _reference_targets(dim, copies)
 
     def test_copies_preconditions(self, penrose):
-        for copies in (1, 4):
-            with pytest.raises(ValueError, match="2 or 3 copies"):
-                verify_hierarchy(Povm(np.full(40, 0.5), penrose.states, copies))
         with pytest.raises(ValueError, match="three-copy"):
             reduce_n3_to_n2(spin32_povm(penrose, 2))
+
+
+class TestGeneralHierarchy:
+    @pytest.mark.parametrize("copies", [2, 3, 4, 5])
+    def test_table1_povms(self, copies):
+        report = verify_hierarchy(build_table1_povm(copies))
+        assert [c.name for c in report.checks] == \
+            [f"bloch-moment-{m}" for m in range(copies + 1)]
+        assert report.passed and report.worst < 1e-13
+
+    def test_qubit_tetrahedron_at_two_copies(self):
+        # the SIC, a 2-design: weights sym_dim(2, 2)/4
+        a, b, w = np.sqrt(1 / 3), np.sqrt(2 / 3), np.exp(2j * np.pi / 3)
+        states = [[1, 0], [a, b], [a, b * w], [a, b * w ** 2]]
+        report = verify_hierarchy(Povm(np.full(4, 3 / 4), states, 2))
+        assert len(report.checks) == 3
+        assert report.passed and report.worst < 1e-14
+
+    def test_orthonormal_basis_at_one_copy(self):
+        report = verify_hierarchy(Povm(np.ones(4), np.eye(4), 1))
+        assert [c.name for c in report.checks] == ["bloch-moment-0", "bloch-moment-1"]
+        assert report.passed and report.worst < 1e-14
+
+    @pytest.mark.parametrize("name, excess", [("penrose", 128 / 243), ("set60", 8 / 27)])
+    def test_catalogs_are_not_four_designs(self, name, excess, request):
+        # uniform weights summing to sym_dim(4, 4) meet every moment but the fourth
+        cat = request.getfixturevalue(name)
+        povm = Povm(np.full(cat.size, sym_dim(4, 4) / cat.size), cat.states, 4)
+        report = verify_hierarchy(povm)
+        assert [c.name for c in report.checks if not c.passed] == ["bloch-moment-4"]
+        assert abs(report.checks[-1].residual - excess) < 1e-12
+        assert not verify_completeness(povm).passed
 
 
 class TestReduction:

@@ -11,7 +11,8 @@ them on documents written into OUTDIR first: a qubit POVM at 1100
 copies, a POVM and a catalog with boolean amplitudes, catalogs with a
 null label or names that are not strings, and qubit POVMs with an object
 for provenance, zero copies, a negative weight or a NaN amplitude; the
-last two commands name their `--in` document as an output.
+last two commands name their `--in` document as an output. Two
+spin-3/2 documents at copy counts no bundled POVM has run `verify` too.
 `OUTDIR/manifest.json` records, per command, its argv, exit code, stdout,
 stderr and the sha256 of each output file it names. The package is
 imported from `src/` of the checkout this file sits in, so two checkouts
@@ -27,9 +28,11 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from spinpovm import cli  # noqa: E402
+from spinpovm import PENROSE40, Povm, catalog, cli, documents  # noqa: E402
 
 SEEDS = (11, 2026)
 # Table 1 of the paper, then a trailing zero-weight shell, an infeasible
@@ -58,6 +61,10 @@ ZERO_COPIES = "qubit-copies-0.json"
 NEGATIVE_WEIGHT = "qubit-negative-weight.json"
 NAN_AMPLITUDE = "qubit-nan-amplitude.json"
 KET0, KET1 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+# the moment hierarchy at N = 1 and 4: a spin-3/2 basis passes it; the
+# Penrose rays, weighted to sum to sym_dim(4, 4) = 35, fail its fourth moment
+BASIS_N1 = "spin32-basis-N1.json"
+PENROSE_N4 = "penrose40-uniform-N4.json"
 
 
 def _qubit(copies=1, weight=1.0, ket0=KET0, **extra) -> dict:
@@ -81,6 +88,9 @@ INPUT_DOCS = {
     NAN_AMPLITUDE: _qubit(ket0=[[float("nan"), 0.0], [0.0, 0.0]]),
     HUGE_COPIES: _qubit(copies=1100),
     BOOL_POVM: _qubit(ket0=[[True, False], [0.0, 0.0]]),
+    BASIS_N1: json.loads(documents.povm_to_document(Povm(np.ones(4), np.eye(4), 1))),
+    PENROSE_N4: json.loads(documents.povm_to_document(
+        Povm(np.full(40, 35 / 40), catalog(PENROSE40).states, 4))),
     BOOL_RAYS: {
         "schema": "spinpovm/rays-v1", "dim": 2, "label": "rays",
         "states": [{"name": "0", "state": [[True, False], [False, False]]},
@@ -123,6 +133,8 @@ def commands() -> list[list[str]]:
     runs.append(["verify", "--in", BOOL_POVM, "--seed", "1"])
     runs.append(["simulate", "--in", BOOL_POVM, "--seed", "1"])
     runs.append(["spectrum", "--in", BOOL_RAYS])
+    for doc in (BASIS_N1, PENROSE_N4):
+        runs.append(["verify", "--in", doc, "--seed", "1", "--out", f"verify-{doc}"])
     for doc in (OBJECT_PROVENANCE, ZERO_COPIES, NEGATIVE_WEIGHT, NAN_AMPLITUDE):
         runs.append(["verify", "--in", doc, "--seed", "1"])
         runs.append(["simulate", "--in", doc, "--seed", "1"])
