@@ -21,6 +21,7 @@ import numpy as np
 
 from .polytopes import CELL24, CELL600, vertices
 from .povm import AGGREGATE_TOL, CONSTRUCTIVE_TOL, Povm
+from .symmetric import _check_copies
 
 _POLE = np.array([0.0, 0.0, 1.0], dtype=complex)
 
@@ -138,10 +139,10 @@ def shell_polynomial(polytope: str, theta_r: float, copies: int) -> ShellPolynom
     Vandermonde system. Before solving, the independence from the angular
     variables is checked at each node against 20 random angle triples;
     failure raises AngularCancellationError (the 24-cell supports at most
-    3 copies, the 600-cell up to 5).
+    3 copies, the 600-cell up to 5). Above 43 copies the symmetric
+    subspace exceeds `symmetric.MAX_SYM_DIM` and ValueError is raised.
     """
-    if copies < 1:
-        raise ValueError(f"copies must be >= 1, got {copies}")
+    _check_copies(3, copies)
     nodes = _cheb_nodes(copies + 1)
     states = shell_states(polytope, theta_r)
     probes = _probes(copies)

@@ -13,6 +13,7 @@ that, for any N, through moments of pairwise Bloch-vector dot products
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,35 +219,15 @@ class BlochDotSpectrum:
         }
 
 
-def _row_value_counts(rows: np.ndarray) -> list:
-    """One {value: count} dict per row, keys in order of first occurrence.
-
-    Each key is the first occurrence itself, so -0.0 and 0.0 are counted
-    under whichever of them comes first in the row.
-    """
-    n, m = rows.shape
-    order = np.argsort(rows, axis=1, kind="stable")
-    ranked = np.take_along_axis(rows, order, axis=1)
-    starts = np.ones((n, m), dtype=bool)
-    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    row_ids, pos = np.nonzero(starts)
-    counts = np.diff(np.append(row_ids * m + pos, n * m))
-    first = order[row_ids, pos]  # stable sort: the earliest index of each run
-    keep = np.lexsort((first, row_ids))
-    tables = [{} for _ in range(n)]
-    for r, value, count in zip(row_ids[keep].tolist(), rows[row_ids, first][keep].tolist(),
-                               counts[keep].tolist()):
-        tables[r][value] = count
-    return tables
-
-
 def overlap_spectrum(cat: RayCatalog) -> BlochDotSpectrum:
     """Pairwise Bloch-dot spectrum of a catalog, rounded to 1e-9."""
     dots = np.round(bloch_dots(cat.states), 9)
     k = cat.size
     off_diagonal = dots[~np.eye(k, dtype=bool)].reshape(k, k - 1)
-    per_state = tuple(_row_value_counts(off_diagonal))
-    pair_counts = _row_value_counts(dots[np.triu_indices(k, 1)][None, :])[0]
+    # a dict keeps the first key object it meets, so a row counts -0.0 and
+    # 0.0 under whichever of them comes first
+    per_state = tuple(dict(Counter(row)) for row in off_diagonal.tolist())
+    pair_counts = dict(Counter(dots[np.triu_indices(k, 1)].tolist()))
     values = tuple(sorted(pair_counts))
     return BlochDotSpectrum(label=cat.label, values=values, pair_counts=pair_counts,
                             per_state=per_state, names=cat.names)

@@ -24,6 +24,21 @@ def sym_dim(dim: int, copies: int) -> int:
     return math.comb(copies + dim - 1, dim - 1)
 
 
+# The largest symmetric subspace any check works in: a document of a few
+# kB could otherwise ask for any amount of memory. At the bound the
+# sym_dim x sym_dim operator takes 16 MiB, and below it every basis
+# coefficient fits a float (the first overflow is at sym_dim 1031).
+MAX_SYM_DIM = 1024
+
+
+def _check_copies(dim: int, copies: int) -> None:
+    """Refuse a copy count whose symmetric subspace exceeds MAX_SYM_DIM."""
+    size = sym_dim(dim, copies)
+    if size > MAX_SYM_DIM:
+        raise ValueError(f"copies = {copies} is too many for dim = {dim}: the symmetric "
+                         f"subspace has dimension {size}, above {MAX_SYM_DIM}")
+
+
 @lru_cache(maxsize=None)
 def multi_indices(dim: int, copies: int) -> tuple:
     """All occupation tuples summing to `copies`, in decreasing lexicographic order."""
@@ -36,16 +51,13 @@ def multi_indices(dim: int, copies: int) -> tuple:
 @lru_cache(maxsize=None)
 def _embedding_arrays(dim: int, copies: int):
     """(occupations matrix, multinomial sqrt coefficients) for the basis."""
+    _check_copies(dim, copies)
     occ = np.array(multi_indices(dim, copies), dtype=int)
     fact_n = math.factorial(copies)
-    try:
-        coeff = np.array([
-            math.sqrt(fact_n / math.prod(math.factorial(int(n)) for n in row))
-            for row in occ
-        ])
-    except OverflowError:  # a multinomial coefficient beyond the float range
-        raise ValueError(f"copies = {copies} is too many for dim = {dim}: the "
-                         "symmetric basis coefficients overflow a float") from None
+    coeff = np.array([
+        math.sqrt(fact_n / math.prod(math.factorial(int(n)) for n in row))
+        for row in occ
+    ])
     occ.setflags(write=False)
     coeff.setflags(write=False)
     return occ, coeff

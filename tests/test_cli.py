@@ -274,7 +274,7 @@ class TestVerify:
         assert captured.out == ""
 
     def test_copies_beyond_the_float_range_is_an_input_error(self, tmp_path, capsys):
-        # C(1100, 550) ~ 1e329 overflows the symmetric basis coefficients
+        # sym_dim(2, 1100) = 1101 is above symmetric.MAX_SYM_DIM = 1024
         path = tmp_path / "q.json"
         _write_qubit_povm(path, 1100)
         assert main(["verify", "--in", str(path), "--seed", "1"]) == EXIT_INPUT
@@ -436,6 +436,47 @@ class TestSimulate:
     def test_boolean_amplitude_is_an_input_error(self, tmp_path, capsys):
         _refuses_boolean_amplitudes(["simulate", "--trials", "10", "--seed", "1"],
                                     BOOLEAN_QUBIT_POVM, tmp_path, capsys, "POVM element")
+
+
+class TestSymmetricSubspaceBound:
+    """A copy count whose symmetric subspace is above symmetric.MAX_SYM_DIM
+    = 1024 exits 2 before any work, whatever the size of the document."""
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    @pytest.mark.parametrize("copies", [60, 500])
+    def test_penrose_document_at_many_copies(self, command, copies, tmp_path, capsys):
+        # sym_dim(4, 60) = 39,711, whose operator would take 23.5 GiB;
+        # sym_dim(4, 500) = 21,084,251 multi-indices would take minutes
+        path = tmp_path / "p.json"
+        path.write_text(documents.povm_to_document(
+            Povm(np.ones(40), catalog(PENROSE40).states, copies)))
+        assert main([command, "--in", str(path), "--seed", "1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert f"error: copies = {copies} is too many for dim = 4" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [["verify"], ["simulate", "--trials", "10"]])
+    def test_qubit_boundary(self, command, tmp_path, capsys):
+        # sym_dim(2, 1023) = 1024 is checked, and fails; sym_dim(2, 1024) = 1025 is refused
+        path = tmp_path / "q.json"
+        _write_qubit_povm(path, 1023)
+        assert main([*command, "--in", str(path), "--seed", "1"]) == EXIT_VERIFY
+        _write_qubit_povm(path, 1024)
+        capsys.readouterr()
+        assert main([*command, "--in", str(path), "--seed", "1"]) == EXIT_INPUT
+        assert "copies = 1024 is too many for dim = 2" in capsys.readouterr().err
+
+    def test_solve_weights_copies(self, capsys):
+        # sym_dim(3, 43) = 990 reaches the angular check, sym_dim(3, 44) = 1035 does not
+        argv = ["solve-weights", "--polytope", "24-cell", "--angles", "pi/4", "pi/2",
+                "--copies"]
+        assert main(argv + ["43"]) == EXIT_UNSUPPORTED
+        assert "unsupported" in capsys.readouterr().err
+        for copies in ("44", "1000000000"):
+            assert main(argv + [copies]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert f"error: copies = {copies} is too many for dim = 3" in captured.err
+            assert captured.out == ""
 
 
 class TestSolveWeights:

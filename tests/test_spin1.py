@@ -123,6 +123,16 @@ class TestShellPolynomial:
         with pytest.raises(ValueError, match="copies must be >= 1, got 0"):
             shell_polynomial(CELL24, PI / 4, 0)
 
+    def test_rejects_copies_beyond_the_symmetric_bound(self, monkeypatch):
+        # sym_dim(3, 43) = 990 reaches the angular check; 44 copies (1035) and
+        # more are refused before any probe is drawn
+        with pytest.raises(AngularCancellationError):
+            shell_polynomial(CELL24, PI / 4, 43)
+        monkeypatch.setattr(spin1, "_probes", None)
+        for copies in (44, 10 ** 9):
+            with pytest.raises(ValueError, match=f"copies = {copies} is too many for dim = 3"):
+                shell_polynomial(CELL24, PI / 4, copies)
+
     def test_cell24_four_copies_fails_cancellation(self):
         with pytest.raises(AngularCancellationError) as info:
             shell_polynomial(CELL24, PI / 4, 4)

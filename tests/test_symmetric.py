@@ -11,6 +11,7 @@ from spinpovm import (
     symmetric_power_matrix,
     verify_completeness,
 )
+from spinpovm import symmetric
 from conftest import scaled
 from oracles import count_multisets, tensor_power_overlap
 
@@ -42,6 +43,27 @@ def test_sym_dim_matches_multiset_enumeration():
 def test_sym_dim_rejects_bad_arguments(dim, copies):
     with pytest.raises(ValueError):
         sym_dim(dim, copies)
+
+
+@pytest.mark.parametrize("dim,copies", [(2, 1023), (3, 43), (4, 16)])
+def test_embedding_up_to_the_bound(dim, copies):
+    assert sym_dim(dim, copies) <= symmetric.MAX_SYM_DIM < sym_dim(dim, copies + 1)
+    psi = haar_random_states(dim, 1, np.random.default_rng(5))[0]
+    coords = symmetric_power_matrix(psi, copies)[0]
+    assert coords.shape == (sym_dim(dim, copies),)
+    assert abs(np.vdot(coords, coords).real - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("dim,copies", [(2, 1024), (2, 1100), (3, 44), (4, 17), (4, 500)])
+def test_embedding_beyond_the_bound_is_refused_before_enumeration(dim, copies, monkeypatch):
+    monkeypatch.setattr(symmetric, "multi_indices", None)
+    with pytest.raises(ValueError, match=f"copies = {copies} is too many for dim = {dim}"):
+        symmetric_power_matrix(np.eye(dim)[0], copies)
+
+
+def test_sym_dim_and_multi_indices_are_not_bounded():
+    assert sym_dim(4, 500) == 21_084_251
+    assert len(multi_indices(2, 1100)) == 1101
 
 
 def test_multi_indices_enumeration_is_a_bijection():

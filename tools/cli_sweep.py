@@ -8,10 +8,12 @@ covers `build` for every target, `verify` and `simulate` for every POVM
 (by target and from the built documents), one `simulate --csv` of 10_001
 trials, `spectrum` and `solve-weights`, including error cases, some of
 them on documents written into OUTDIR first: a qubit POVM at 1100
-copies, a POVM and a catalog with boolean amplitudes, catalogs with a
-null label or names that are not strings, and qubit POVMs with an object
-for provenance, zero copies, a negative weight or a NaN amplitude; the
-last two commands name their `--in` document as an output. Two
+copies and the Penrose rays at 60 and 500 copies (`solve-weights` runs
+at 44 and 10^9 copies too), a POVM and a catalog with boolean
+amplitudes, catalogs with a null label or names that are not strings,
+and qubit POVMs with an object for provenance, zero copies, a negative
+weight or a NaN amplitude; the last two commands name their `--in`
+document as an output. Two
 spin-3/2 documents at copy counts no bundled POVM has run `verify` too.
 `OUTDIR/manifest.json` records, per command, its argv, exit code, stdout,
 stderr and the sha256 of each output file it names. The package is
@@ -46,8 +48,13 @@ SOLVE_WEIGHTS = (
     ("24-cell", ("pi/6", "pi/4"), 2),
     ("24-cell", ("pi/6", "pi/4", "pi/3", "pi/2"), 4),
 )
-# C(1100, 550) ~ 1e329: the symmetric basis coefficients overflow a float
+# copy counts whose symmetric subspace is above symmetric.MAX_SYM_DIM =
+# 1024: a qubit at 1100 copies (sym_dim 1101, where C(1100, 550) ~ 1e329
+# would overflow a float), the Penrose rays at 60 and 500 copies (sym_dim
+# 39,711 and 21,084,251) and solve-weights above 43 copies (sym_dim(3, 44)
+# = 1035)
 HUGE_COPIES = "qubit-copies-1100.json"
+PENROSE_MANY = {copies: f"penrose40-uniform-N{copies}.json" for copies in (60, 500)}
 # |0> and |1> with boolean amplitudes, which np.array reads as 1.0 and 0.0:
 # among floats in the POVM, alone in the catalog
 BOOL_POVM = "qubit-bool-amplitudes.json"
@@ -91,6 +98,9 @@ INPUT_DOCS = {
     BASIS_N1: json.loads(documents.povm_to_document(Povm(np.ones(4), np.eye(4), 1))),
     PENROSE_N4: json.loads(documents.povm_to_document(
         Povm(np.full(40, 35 / 40), catalog(PENROSE40).states, 4))),
+    **{name: json.loads(documents.povm_to_document(
+        Povm(np.ones(40), catalog(PENROSE40).states, copies)))
+       for copies, name in PENROSE_MANY.items()},
     BOOL_RAYS: {
         "schema": "spinpovm/rays-v1", "dim": 2, "label": "rays",
         "states": [{"name": "0", "state": [[True, False], [False, False]]},
@@ -128,8 +138,12 @@ def commands() -> list[list[str]]:
                  "--csv", "simulate-csv-10001.csv"])
     # more trials than memory holds
     runs.append(["simulate", "--target", "table1-N2", "--trials", str(10 ** 15), "--seed", "1"])
-    runs.append(["verify", "--in", HUGE_COPIES, "--seed", "1"])
-    runs.append(["simulate", "--in", HUGE_COPIES, "--seed", "1"])
+    for doc in (HUGE_COPIES, *PENROSE_MANY.values()):
+        runs.append(["verify", "--in", doc, "--seed", "1"])
+        runs.append(["simulate", "--in", doc, "--seed", "1"])
+    for copies in ("44", "1000000000"):
+        runs.append(["solve-weights", "--polytope", "24-cell", "--angles", "pi/4", "pi/2",
+                     "--copies", copies])
     runs.append(["verify", "--in", BOOL_POVM, "--seed", "1"])
     runs.append(["simulate", "--in", BOOL_POVM, "--seed", "1"])
     runs.append(["spectrum", "--in", BOOL_RAYS])
