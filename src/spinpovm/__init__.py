@@ -16,7 +16,6 @@ from .sampling import haar_random_states
 from .spin1 import (
     TABLE1,
     AngularCancellationError,
-    ShellPolynomial,
     WeightSolveError,
     build_table1_povm,
     povm_from_shells,
@@ -66,7 +65,6 @@ __all__ = [
     "Povm",
     "RayCatalog",
     "SET60",
-    "ShellPolynomial",
     "TABLE1",
     "VerificationReport",
     "WeightSolveError",

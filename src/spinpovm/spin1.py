@@ -15,7 +15,6 @@ state from N copies.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,9 +65,16 @@ def state_from_angles(theta: float, phi: float, chi1: float, chi2: float) -> np.
     ])
 
 
-def _points_to_states(theta: float, points: np.ndarray) -> np.ndarray:
-    """Rows (sin(theta)(x1 + i x2), sin(theta)(x3 + i x4), cos(theta)) of
-    unit points (x1..x4), after checking the theta range."""
+def shell_states(polytope: str, theta: float) -> np.ndarray:
+    """All states of one shell, as rows (sin(theta)(x1 + i x2),
+    sin(theta)(x3 + i x4), cos(theta)) over the vertices (x1..x4).
+
+    At theta = 0 every vertex yields the same state (0, 0, 1), so the
+    shell degenerates to that single state; it is counted once.
+    """
+    if theta == 0.0:
+        return _POLE[None, :].copy()
+    points = vertices(polytope)
     if not 0.0 <= theta <= math.pi / 2 + CONSTRUCTIVE_TOL:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
     st = math.sin(theta)
@@ -77,35 +83,6 @@ def _points_to_states(theta: float, points: np.ndarray) -> np.ndarray:
     states[:, 1] = st * (points[:, 2] + 1j * points[:, 3])
     states[:, 2] = math.cos(theta)
     return states
-
-
-def shell_states(polytope: str, theta: float) -> np.ndarray:
-    """All states of one shell, as rows.
-
-    At theta = 0 every vertex yields the same state (0, 0, 1), so the
-    shell degenerates to that single state; it is counted once.
-    """
-    if theta == 0.0:
-        return _POLE[None, :].copy()
-    return _points_to_states(theta, vertices(polytope))
-
-
-@dataclass(frozen=True)
-class ShellPolynomial:
-    """Shell sum sum_i |<psi|psi_i>|^(2N) as a polynomial in t = cos^2(theta)."""
-
-    polytope: str
-    theta: float
-    copies: int
-    coeffs: np.ndarray  # coeffs[m] multiplies t^m
-
-    def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=float)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __call__(self, t):
-        return np.polynomial.polynomial.polyval(t, self.coeffs)
 
 
 def _cheb_nodes(count: int) -> np.ndarray:
@@ -132,8 +109,9 @@ def _probes(copies: int) -> np.ndarray:
     return probes
 
 
-def shell_polynomial(polytope: str, theta_r: float, copies: int) -> ShellPolynomial:
-    """Extract the shell sum's polynomial coefficients in t = cos^2(theta).
+def shell_polynomial(polytope: str, theta_r: float, copies: int) -> np.ndarray:
+    """Coefficients of the shell sum sum_i |<psi|psi_i>|^(2N) as a polynomial
+    in t = cos^2(theta), constant term first, as a read-only array.
 
     Evaluates the sum at copies+1 Chebyshev-spaced t values and solves the
     Vandermonde system. Before solving, the independence from the angular
@@ -159,7 +137,8 @@ def shell_polynomial(polytope: str, theta_r: float, copies: int) -> ShellPolynom
 
     vander = np.polynomial.polynomial.polyvander(nodes, copies)
     coeffs = np.linalg.solve(vander, values)
-    return ShellPolynomial(polytope=polytope, theta=theta_r, copies=copies, coeffs=coeffs)
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def solve_weights(polytope: str, angles, copies: int) -> np.ndarray:
@@ -175,8 +154,8 @@ def solve_weights(polytope: str, angles, copies: int) -> np.ndarray:
         raise ValueError("need at least one angle")
     if len(set(angles)) != len(angles):
         raise ValueError(f"angles must be distinct, got {angles}")
-    polys = [shell_polynomial(polytope, a, copies) for a in angles]
-    coeff_matrix = np.column_stack([p.coeffs for p in polys])  # (copies+1, k)
+    coeff_matrix = np.column_stack(
+        [shell_polynomial(polytope, a, copies) for a in angles])  # (copies+1, k)
     target = np.zeros(copies + 1)
     target[0] = 1.0
     weights, *_ = np.linalg.lstsq(coeff_matrix, target, rcond=None)
@@ -208,8 +187,6 @@ def povm_from_shells(polytope: str, shells, copies: int, provenance: str = "") -
     all_weights = []
     for theta, weight in shells:
         weight = float(weight)
-        if weight < 0:
-            raise ValueError(f"shell weight must be non-negative, got {weight}")
         if weight == 0.0:
             continue
         block = shell_states(polytope, float(theta))

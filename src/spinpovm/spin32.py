@@ -147,16 +147,26 @@ def catalog(label: str) -> RayCatalog:
     return RayCatalog(label=label, names=names, states=states)
 
 
+# The most rows `bloch_dots` takes: the k x k complex Gram matrix is then
+# at most 64 MiB, where a document of a few MB could otherwise ask for
+# gigabytes. The bound still admits catalogs of a thousand rays.
+MAX_BLOCH_ROWS = 2048
+
+
 def bloch_dots(states) -> np.ndarray:
     """Pairwise scalar products of the generalized Bloch vectors of the rows.
 
     Recovered from the overlaps: ((2J+1)|<a|b>|^2 - 1) / (2J), with
     2J + 1 = D the row length. An entry is 1 iff the two rays coincide
-    and -1/(2J) iff they are orthogonal.
+    and -1/(2J) iff they are orthogonal. More than MAX_BLOCH_ROWS rows
+    raise ValueError before the matrix is formed.
     """
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2 or states.shape[1] < 2:
         raise ValueError(f"expected rows of one dimension >= 2, got shape {states.shape}")
+    if states.shape[0] > MAX_BLOCH_ROWS:
+        raise ValueError(f"{states.shape[0]} rows are too many for the Bloch-dot matrix: "
+                         f"the bound is MAX_BLOCH_ROWS = {MAX_BLOCH_ROWS}")
     dim = states.shape[1]
     gram = states.conj() @ states.T
     return (dim * np.abs(gram) ** 2 - 1.0) / (dim - 1)

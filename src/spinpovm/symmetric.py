@@ -39,7 +39,6 @@ def _check_copies(dim: int, copies: int) -> None:
                          f"subspace has dimension {size}, above {MAX_SYM_DIM}")
 
 
-@lru_cache(maxsize=None)
 def multi_indices(dim: int, copies: int) -> tuple:
     """All occupation tuples summing to `copies`, in decreasing lexicographic order."""
     sym_dim(dim, copies)  # argument validation

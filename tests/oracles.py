@@ -183,7 +183,6 @@ def reference_shell_polynomial(polytope, theta_r, copies):
         _INDEPENDENCE_TRIPLES,
         _REF_ANGLES,
         AngularCancellationError,
-        ShellPolynomial,
         _cheb_nodes,
         state_from_angles,
     )
@@ -207,8 +206,7 @@ def reference_shell_polynomial(polytope, theta_r, copies):
     if worst > AGGREGATE_TOL:
         raise AngularCancellationError(polytope, copies, worst)
     vander = np.polynomial.polynomial.polyvander(nodes, copies)
-    coeffs = np.linalg.solve(vander, values)
-    return ShellPolynomial(polytope=polytope, theta=theta_r, copies=copies, coeffs=coeffs)
+    return np.linalg.solve(vander, values)
 
 
 def reference_value_counts(dots):

@@ -88,8 +88,8 @@ def test_criterion_4_golden_shell_polynomials():
     ]
     worst = 0.0
     for theta, coeffs in golden:
-        poly = shell_polynomial(CELL24, theta, 2)
-        worst = max(worst, float(np.max(np.abs(poly.coeffs - np.array(coeffs)))))
+        solved = shell_polynomial(CELL24, theta, 2)
+        worst = max(worst, float(np.max(np.abs(solved - np.array(coeffs)))))
     _criterion(4, "24-cell two-copy shell polynomials match term by term",
                worst < 1e-10, f"worst coefficient error {worst:.2e}")
 

@@ -479,6 +479,40 @@ class TestSymmetricSubspaceBound:
             assert captured.out == ""
 
 
+class TestBlochDotBound:
+    """More rays or elements than spin32.MAX_BLOCH_ROWS = 2048 exit 2 before
+    the Bloch-dot matrix is formed (20,000 rows would need 6 GiB)."""
+
+    REFUSAL = ("error: 2049 rows are too many for the Bloch-dot matrix: "
+               "the bound is MAX_BLOCH_ROWS = 2048\n")
+
+    @staticmethod
+    def _basis_rows(count):
+        # the spin-3/2 basis repeated, which keeps the spectrum at the bound small
+        return np.eye(4)[np.arange(count) % 4]
+
+    def test_spectrum_catalog(self, tmp_path, capsys):
+        path = tmp_path / "rays.json"
+        _write_catalog(path, self._basis_rows(2048).tolist())
+        assert main(["spectrum", "--in", str(path)]) == EXIT_OK
+        assert "bloch dot -0.333333333: 1572864 pairs" in capsys.readouterr().out
+        _write_catalog(path, self._basis_rows(2049).tolist())
+        assert main(["spectrum", "--in", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", self.REFUSAL)
+
+    def test_verify_spin32_povm(self, tmp_path, capsys):
+        path = tmp_path / "povm.json"
+        argv = ["verify", "--in", str(path), "--trials", "10", "--seed", "1"]
+        path.write_text(documents.povm_to_document(
+            Povm(np.full(2048, 4 / 2048), self._basis_rows(2048), 1)))
+        assert main(argv) == EXIT_OK
+        assert "PASS  bloch-moment-1" in capsys.readouterr().out
+        path.write_text(documents.povm_to_document(
+            Povm(np.full(2049, 4 / 2049), self._basis_rows(2049), 1)))
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr() == ("", self.REFUSAL)
+
+
 class TestSolveWeights:
     def test_two_copy_solution(self, tmp_path):
         out = tmp_path / "w.json"

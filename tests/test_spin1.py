@@ -90,29 +90,33 @@ class TestTable1:
 
 class TestShellPolynomial:
     def test_golden_coefficients_quarter_pi(self):
-        poly = shell_polynomial(CELL24, PI / 4, 2)
-        assert np.allclose(poly.coeffs, [2.0, 8.0, -4.0], atol=1e-10)
+        assert np.allclose(shell_polynomial(CELL24, PI / 4, 2), [2.0, 8.0, -4.0], atol=1e-10)
 
     def test_golden_coefficients_half_pi(self):
-        poly = shell_polynomial(CELL24, PI / 2, 2)
-        assert np.allclose(poly.coeffs, [8.0, -16.0, 8.0], atol=1e-10)
+        assert np.allclose(shell_polynomial(CELL24, PI / 2, 2), [8.0, -16.0, 8.0], atol=1e-10)
 
     def test_golden_coefficients_zero_angle(self):
-        poly = shell_polynomial(CELL24, 0.0, 2)
-        assert np.allclose(poly.coeffs, [0.0, 0.0, 1.0], atol=1e-10)
+        assert np.allclose(shell_polynomial(CELL24, 0.0, 2), [0.0, 0.0, 1.0], atol=1e-10)
 
     def test_polynomial_reproduces_direct_shell_sum(self):
         rng = np.random.default_rng(2718)
         for polytope, copies in [(CELL24, 2), (CELL24, 3), (CELL600, 4), (CELL600, 5)]:
             theta_r = rng.uniform(0, PI / 2)
-            poly = shell_polynomial(polytope, theta_r, copies)
+            coeffs = shell_polynomial(polytope, theta_r, copies)
             states = shell_states(polytope, theta_r)
             for _ in range(20):
                 theta = rng.uniform(0, PI / 2)
                 psi = state_from_angles(theta, rng.uniform(0, PI / 2),
                                         rng.uniform(0, 2 * PI), rng.uniform(0, 2 * PI))
                 direct = float(np.sum(np.abs(states @ psi.conj()) ** (2 * copies)))
-                assert abs(poly(math.cos(theta) ** 2) - direct) < 1e-9
+                value = np.polynomial.polynomial.polyval(math.cos(theta) ** 2, coeffs)
+                assert abs(value - direct) < 1e-9
+
+    def test_coefficients_are_read_only(self):
+        coeffs = shell_polynomial(CELL24, PI / 4, 2)
+        assert coeffs.dtype == float and coeffs.shape == (3,)
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs[0] = 0.0
 
     def test_cancellation_holds_for_supported_pairs(self):
         for polytope, copies in [(CELL24, 2), (CELL24, 3),
@@ -245,8 +249,11 @@ class TestPovmFromShells:
             povm_from_shells(CELL24, [(PI / 4, 0.0)], 2)
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
+        # Povm refuses it, as it refuses a negative weight from any source
+        with pytest.raises(ValueError, match="weights must be finite and non-negative"):
             povm_from_shells(CELL24, [(PI / 4, -0.1)], 2)
+        with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+            povm_from_shells(CELL24, [(PI / 4, 1 / 6), (PI / 2, -1 / 12)], 2)
 
 
 def test_state_from_angles_matches_shell_states():

@@ -25,7 +25,12 @@ from spinpovm import (
     verify_hierarchy,
 )
 from spinpovm.povm import Povm
-from spinpovm.spin32 import BlochDotSpectrum, _parse_row, hierarchy_targets
+from spinpovm.spin32 import (
+    MAX_BLOCH_ROWS,
+    BlochDotSpectrum,
+    _parse_row,
+    hierarchy_targets,
+)
 from spinpovm.verify import outcome_probabilities
 
 THIRD = round(1 / 3, 9)
@@ -152,6 +157,13 @@ class TestBlochDots:
         dots = bloch_dots([a, np.exp(0.7j) * a, b])
         assert abs(dots[0, 1] - 1.0) < 1e-12
         assert dots[0, 2] < 1.0 - 1e-6
+
+    def test_rows_up_to_the_bound(self):
+        states = np.eye(4)[np.arange(MAX_BLOCH_ROWS + 1) % 4]
+        assert MAX_BLOCH_ROWS == 2048
+        assert bloch_dots(states[:-1]).shape == (2048, 2048)
+        with pytest.raises(ValueError, match="2049 rows .* MAX_BLOCH_ROWS = 2048"):
+            bloch_dots(states)
 
     def test_matches_explicit_bloch_vectors(self):
         # cross-check against the 15-component construction, on the matrix

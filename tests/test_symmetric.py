@@ -66,6 +66,12 @@ def test_sym_dim_and_multi_indices_are_not_bounded():
     assert len(multi_indices(2, 1100)) == 1101
 
 
+def test_multi_indices_keeps_no_cache():
+    # the embedding caches its arrays; the enumeration pins nothing a caller dropped
+    assert multi_indices(3, 3) == multi_indices(3, 3)
+    assert multi_indices(3, 3) is not multi_indices(3, 3)
+
+
 def test_multi_indices_enumeration_is_a_bijection():
     for dim, copies in [(3, 2), (3, 5), (4, 3)]:
         idx = multi_indices(dim, copies)

@@ -13,8 +13,10 @@ at 44 and 10^9 copies too), a POVM and a catalog with boolean
 amplitudes, catalogs with a null label or names that are not strings,
 and qubit POVMs with an object for provenance, zero copies, a negative
 weight or a NaN amplitude; the last two commands name their `--in`
-document as an output. Two
-spin-3/2 documents at copy counts no bundled POVM has run `verify` too.
+document as an output. Two spin-3/2 documents at copy counts no bundled
+POVM has run `verify` too, and `spectrum` and `verify` each run on a
+document of 2049 repeated spin-3/2 basis rays, one row above the
+Bloch-dot bound.
 `OUTDIR/manifest.json` records, per command, its argv, exit code, stdout,
 stderr and the sha256 of each output file it names. The package is
 imported from `src/` of the checkout this file sits in, so two checkouts
@@ -34,7 +36,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from spinpovm import PENROSE40, Povm, catalog, cli, documents  # noqa: E402
+from spinpovm import PENROSE40, Povm, RayCatalog, catalog, cli, documents  # noqa: E402
 
 SEEDS = (11, 2026)
 # Table 1 of the paper, then a trailing zero-weight shell, an infeasible
@@ -72,6 +74,11 @@ KET0, KET1 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
 # Penrose rays, weighted to sum to sym_dim(4, 4) = 35, fail its fourth moment
 BASIS_N1 = "spin32-basis-N1.json"
 PENROSE_N4 = "penrose40-uniform-N4.json"
+# one row above spin32.MAX_BLOCH_ROWS = 2048: the spin-3/2 basis repeated,
+# as a catalog for spectrum and as a one-copy POVM for verify's hierarchy
+MANY_RAYS = "spin32-basis-rays-2049.json"
+MANY_ELEMENTS = "spin32-basis-N1-2049.json"
+BASIS_2049 = np.eye(4)[np.arange(2049) % 4]
 
 
 def _qubit(copies=1, weight=1.0, ket0=KET0, **extra) -> dict:
@@ -98,6 +105,10 @@ INPUT_DOCS = {
     BASIS_N1: json.loads(documents.povm_to_document(Povm(np.ones(4), np.eye(4), 1))),
     PENROSE_N4: json.loads(documents.povm_to_document(
         Povm(np.full(40, 35 / 40), catalog(PENROSE40).states, 4))),
+    MANY_RAYS: json.loads(documents.catalog_to_document(
+        RayCatalog("rays", tuple(map(str, range(2049))), BASIS_2049))),
+    MANY_ELEMENTS: json.loads(documents.povm_to_document(
+        Povm(np.full(2049, 4 / 2049), BASIS_2049, 1))),
     **{name: json.loads(documents.povm_to_document(
         Povm(np.ones(40), catalog(PENROSE40).states, copies)))
        for copies, name in PENROSE_MANY.items()},
@@ -154,6 +165,8 @@ def commands() -> list[list[str]]:
         runs.append(["simulate", "--in", doc, "--seed", "1"])
     runs.append(["spectrum", "--in", NULL_LABEL_RAYS])
     runs.append(["spectrum", "--in", ODD_NAMES_RAYS])
+    runs.append(["spectrum", "--in", MANY_RAYS])
+    runs.append(["verify", "--in", MANY_ELEMENTS, "--seed", "1"])
     # verify has no --tolerance: its gate is fixed at 1e-9
     runs.append(["verify", "--target", "table1-N2", "--seed", "1", "--tolerance", "1e-3"])
     # an output path naming the --in document, last so that no other
