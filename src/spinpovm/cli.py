@@ -29,6 +29,7 @@ from .spin32 import (
     PENROSE40,
     SET60,
     RayCatalog,
+    _check_bloch_rows,
     catalog,
     overlap_spectrum,
     spin32_povm,
@@ -160,6 +161,9 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     povm = _load(args, POVM_TARGETS, documents.povm_from_document)
+    if povm.dim == 4:
+        # refused before the checks below, whose work grows with the rows
+        _check_bloch_rows(povm.size)
     rng = np.random.default_rng(args.seed)
     report = verify_completeness(povm)
     report = report.merged(verify_scalar_identity(povm, args.trials, rng))

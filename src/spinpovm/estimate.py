@@ -6,11 +6,13 @@ input the average fidelity of any POVM resolving the identity equals
 (N+1)/(N+D), the optimal value.
 """
 
-import contextlib
 import ctypes
 import functools
 import math
+import mmap
 import os
+import signal
+import threading
 
 import numpy as np
 
@@ -25,11 +27,21 @@ from .verify import _BLOCK, blocks, outcome_probabilities, verify_completeness, 
 # costs dominate. Of 20480, 40960, 61440 and 92160, this budget was the
 # fastest at k = 40-60; from k = 320 on, blocks keep 128 rows.
 _BLOCK_ELEMENTS = 40960
-# Most threads that run the blocks of one `simulate` call: the count that
-# was measured (2 CPUs; with BLAS on one thread, 100k trials of table1-N5
-# took 435 against 610 ms on one). More threads are untried; each one
-# holds the interpreter lock between its numpy calls.
-_MOST_THREADS = 2
+# Fewest trial-elements (trials x k) for which `simulate` forks a worker.
+# Below it the fork and the worker's copy-on-write faults cost more than
+# the worker's share saves: on 2 CPUs with BLAS on one thread, 20k trials
+# of penrose40-N2 (800k elements) took 13.3 ms forked against 12.6 serial,
+# while at 2^21 elements forking took penrose40-N2 from 31.9 to 25.5 ms,
+# table1-N2 from 29.2 to 21.4 and table1-N5 from 15.7 to 12.6 (medians
+# of 15 alternating calls).
+_WORKER_ELEMENTS = 2 ** 21
+# Most processes, the caller included, that run the blocks of one
+# `simulate` call: the count that was measured (2 CPUs). Each process
+# draws every state, so a third one adds a third copy of the draws.
+_MOST_WORKERS = 2
+# Longest failure message a worker sends back, in bytes: less than a pipe
+# holds, so the worker never blocks on writing it.
+_MESSAGE_BYTES = 4096
 
 
 class IncompletePovmError(ValueError):
@@ -80,35 +92,22 @@ def simulate(povm: Povm, trials: int, rng: np.random.Generator,
             "POVM fails completeness (worst residual "
             f"{completeness.worst:.3e}); outcome probabilities would not normalize")
 
+    workers = _workers(trials * povm.size)
     try:
-        fidelities = np.empty(trials)
-    except MemoryError:
+        if workers > 1:
+            # shared with the forked workers, which write their blocks into it
+            fidelities = np.frombuffer(mmap.mmap(-1, 8 * trials), dtype=np.float64)
+        else:
+            fidelities = np.empty(trials)
+    except (OSError, OverflowError, ValueError, MemoryError):
         raise ValueError(
             f"--trials {trials} needs {8 * trials} bytes for the per-trial "
             "fidelities, more than can be allocated") from None
     most = max(_BLOCK, _BLOCK_ELEMENTS // povm.size)
-    threads = _block_threads(povm.size)
-    if threads > 1:
-        # not loaded by `import spinpovm.cli`, so imported only when used
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(threads - 1)
+    if workers > 1:
+        _run_forked(povm, rng, fidelities, most, workers)
     else:
-        pool = contextlib.nullcontext()
-    # leaving the block joins the pool's threads, also when a block raised
-    with pool:
-        for start, stop in chunks(trials):
-            rows = stop - start
-            # only this thread draws, so the stream order is the serial one
-            psis = haar_random_states(povm.dim, rows, rng)
-            u = rng.random(rows)
-            # block i runs on thread i % threads, this thread being thread 0
-            spans = list(blocks(rows, most))
-            chunk = (povm, psis, u, fidelities[start:stop])
-            jobs = [pool.submit(_run_blocks, *chunk, spans[i::threads])
-                    for i in range(1, threads)]
-            _run_blocks(*chunk, spans[::threads])
-            for job in jobs:
-                job.result()  # raises again what the block raised
+        _run_share(povm, rng, fidelities, most, 0, 1)
 
     mean = float(np.mean(fidelities))
     std_error = float(np.std(fidelities, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -121,6 +120,19 @@ def simulate(povm: Povm, trials: int, rng: np.random.Generator,
         optimal_bound=optimal_fidelity(povm.copies, povm.dim),
         samples=fidelities if keep_samples else None,
     )
+
+
+def _run_share(povm: Povm, rng: np.random.Generator, out: np.ndarray, most: int,
+               index: int, count: int) -> None:
+    """Draw every chunk's states and uniforms from `rng` in the serial order,
+    and write into `out` the fidelities of blocks index, index + count, ...
+    of each chunk, `count` processes sharing the work."""
+    for start, stop in chunks(len(out)):
+        rows = stop - start
+        psis = haar_random_states(povm.dim, rows, rng)
+        u = rng.random(rows)
+        spans = list(blocks(rows, most))[index::count]
+        _run_blocks(povm, psis, u, out[start:stop], spans)
 
 
 def _run_blocks(povm: Povm, psis: np.ndarray, u: np.ndarray, out: np.ndarray,
@@ -136,38 +148,95 @@ def _run_blocks(povm: Povm, psis: np.ndarray, u: np.ndarray, out: np.ndarray,
         del overlaps_sq, probs
 
 
-def _block_threads(k: int) -> int:
-    """Threads to run `simulate`'s blocks on for a POVM of k elements.
+def _run_forked(povm: Povm, rng: np.random.Generator, out: np.ndarray, most: int,
+                workers: int) -> None:
+    """`_run_share` in this process and in workers - 1 forked ones, process
+    i running blocks i, i + workers, ... of each chunk, `out` being shared
+    memory. Each worker draws from its own copy of `rng`, so this one's
+    ends where the serial path leaves it. No worker outlives the call: a
+    raise here kills them, and a worker's failure raises RuntimeError."""
+    get_threads, set_threads = _openblas()
+    blas_threads = get_threads()
+    set_threads(1)  # a second BLAS thread per process would only contend
+    children = {}
+    try:
+        for index in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _worker(povm, rng, out, most, index, workers, write)
+            os.close(write)
+            children[pid] = read
+        _run_share(povm, rng, out, most, 0, workers)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        failures = []
+        for pid, read in children.items():
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            with os.fdopen(read, "rb") as pipe:
+                message = pipe.read().decode(errors="replace")
+            if code < 0:
+                failures.append(f"killed by {signal.Signals(-code).name}")
+            elif code:
+                failures.append(message)
+        set_threads(blas_threads)
+    if failures:
+        raise RuntimeError(f"simulate worker failed: {failures[0]}")
 
-    The CPUs this process may run on, at most _MOST_THREADS, when k is at
-    least _TWO_LEVEL_MIN and BLAS runs on one thread; otherwise 1. With 2
-    threads on 2 CPUs, perfbench's sim-spin32-narrow (k = 40 and 60) lost
-    in 5 of 5 pairs, 1.15M against 1.21M trials/s and a 146 against 114 ms
-    tail, while sim-spin1-wide (k = 480 and 720) gained; no bundled POVM
-    lies between. A multi-threaded BLAS already holds the other CPUs. A
-    wrong answer costs speed, never bytes: a block computes the same
-    doubles on any thread.
+
+def _worker(povm: Povm, rng: np.random.Generator, out: np.ndarray, most: int,
+            index: int, workers: int, write: int) -> None:
+    """Body of a forked worker. It never returns into the caller's stack,
+    whose frames would run a second time: it leaves by `os._exit`, which
+    also flushes no buffered output the caller will flush."""
+    status = 1
+    try:
+        _run_share(povm, rng, out, most, index, workers)
+        status = 0
+    except BaseException as error:
+        message = f"{type(error).__name__}: {error}".encode(errors="replace")
+        os.write(write, message[:_MESSAGE_BYTES])
+    finally:
+        os._exit(status)
+
+
+def _workers(elements: int) -> int:
+    """Processes to run `simulate`'s blocks in, the caller included, for
+    trials x k = `elements`.
+
+    The CPUs this process may run on, at most _MOST_WORKERS, when elements
+    is at least _WORKER_ELEMENTS, the platform can fork, this is the
+    process's only Python thread (a fork copies no other thread, and one
+    holding a lock leaves it held in the child) and numpy's OpenBLAS is
+    found, whose threads `_run_forked` sets to one and whose fork handler
+    stops its thread pool; otherwise 1. A spawned process would start an
+    interpreter and import numpy on every call, about 80 ms, more than
+    a whole call of 100k trials at k = 40 takes. A wrong answer costs
+    speed, never bytes: a block computes the same doubles in any process.
     """
-    if k < _TWO_LEVEL_MIN:
+    if elements < _WORKER_ELEMENTS or not hasattr(os, "fork"):
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         return 1
-    if cpus < 2 or _blas_threads() != 1:
+    if cpus < 2 or threading.active_count() != 1 or _openblas() is None:
         return 1
-    return min(cpus, _MOST_THREADS)
-
-
-def _blas_threads() -> int | None:
-    """Threads of the OpenBLAS numpy loaded, read now; None when there is
-    no such library, as with another BLAS."""
-    getter = _openblas_thread_getter()
-    return None if getter is None else getter()
+    return min(cpus, _MOST_WORKERS)
 
 
 @functools.cache
-def _openblas_thread_getter():
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None
+    when there is no such library, as with another BLAS."""
     # a numpy wheel carries its OpenBLAS in numpy.libs beside the package;
     # loading that file again returns the library numpy already loaded
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
@@ -182,13 +251,16 @@ def _openblas_thread_getter():
             lib = ctypes.CDLL(os.path.join(libs, name))
         except OSError:
             continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            getter = getattr(lib, symbol, None)
-            if getter is not None:
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                               ("openblas", "")):
+            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
                 getter.argtypes = []
                 getter.restype = ctypes.c_int
-                return getter
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                return getter, setter
     return None
 
 

@@ -164,12 +164,17 @@ def bloch_dots(states) -> np.ndarray:
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2 or states.shape[1] < 2:
         raise ValueError(f"expected rows of one dimension >= 2, got shape {states.shape}")
-    if states.shape[0] > MAX_BLOCH_ROWS:
-        raise ValueError(f"{states.shape[0]} rows are too many for the Bloch-dot matrix: "
-                         f"the bound is MAX_BLOCH_ROWS = {MAX_BLOCH_ROWS}")
+    _check_bloch_rows(states.shape[0])
     dim = states.shape[1]
     gram = states.conj() @ states.T
     return (dim * np.abs(gram) ** 2 - 1.0) / (dim - 1)
+
+
+def _check_bloch_rows(count: int) -> None:
+    """Refuse more than MAX_BLOCH_ROWS rows for the Bloch-dot matrix."""
+    if count > MAX_BLOCH_ROWS:
+        raise ValueError(f"{count} rows are too many for the Bloch-dot matrix: "
+                         f"the bound is MAX_BLOCH_ROWS = {MAX_BLOCH_ROWS}")
 
 
 def traceless_hermitian_basis(dim: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from spinpovm import (
     catalog,
     cli,
     documents,
+    estimate,
     simulate,
 )
 from spinpovm.cli import (
@@ -376,6 +377,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "--trials" in err and f"{8 * 10 ** 15} bytes" in err
 
+    def test_trials_beyond_memory_on_the_worker_path(self, capsys, monkeypatch):
+        # the shared buffer of the forked workers is refused with the same text
+        monkeypatch.setattr(estimate, "_workers", lambda elements: 2)
+        assert main(["simulate", "--target", "table1-N2", "--trials", str(10 ** 15),
+                     "--seed", "1"]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", (
+            f"error: --trials {10 ** 15} needs {8 * 10 ** 15} bytes for the per-trial "
+            "fidelities, more than can be allocated\n"))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_output_is_an_input_error(self, flag, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "simulate", _must_not_run)
@@ -511,6 +523,17 @@ class TestBlochDotBound:
             Povm(np.full(2049, 4 / 2049), self._basis_rows(2049), 1)))
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr() == ("", self.REFUSAL)
+
+    def test_verify_refuses_before_any_check(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        for check in ("verify_completeness", "verify_scalar_identity"):
+            monkeypatch.setattr(cli, check, lambda *args, name=check: calls.append(name))
+        path = tmp_path / "povm.json"
+        path.write_text(documents.povm_to_document(
+            Povm(np.full(2049, 4 / 2049), self._basis_rows(2049), 1)))
+        assert main(["verify", "--in", str(path), "--trials", "10", "--seed", "1"]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", self.REFUSAL)
+        assert calls == []
 
 
 class TestSolveWeights:

@@ -1,9 +1,10 @@
 """Estimation statistics: exact averages, Monte Carlo convergence, determinism."""
 
-import ctypes
+import contextlib
 import os
-import sys
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from spinpovm import (
     verify_completeness,
 )
 from spinpovm import estimate
-from spinpovm.verify import outcome_probabilities
+from spinpovm.verify import blocks, outcome_probabilities
 from conftest import scaled
 from oracles import projective_moment_quadrature, reference_simulate_samples
 
@@ -138,50 +139,70 @@ def _bases_povm(count, seed):
     return Povm(np.full(3 * count, 1 / count), states, 1, provenance=f"bases{count}-D3-N1")
 
 
+needs_openblas = pytest.mark.skipif(estimate._openblas() is None,
+                                    reason="numpy's BLAS is not a bundled OpenBLAS")
+
+
 @pytest.fixture
-def fake_cpus_and_blas(monkeypatch):
-    """Set the CPU count and the BLAS thread count `_block_threads` sees."""
-    def fake(cpus, blas):
-        monkeypatch.setattr(estimate.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(estimate, "_blas_threads", lambda: blas)
-    return fake
+def open_gate(monkeypatch):
+    """Every condition of `_workers` met: 2 CPUs, and an OpenBLAS found that
+    runs on 2 threads, as it does when nothing is set in the environment."""
+    monkeypatch.setattr(estimate.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(estimate, "_openblas", lambda: (lambda: 2, lambda threads: None))
+    return monkeypatch
 
 
-@pytest.mark.parametrize("k, cpus, blas", [
-    (estimate._TWO_LEVEL_MIN - 1, 2, 1),
-    (720, 1, 1),
-    (720, 2, 2),
-    (720, 2, None),
-], ids=["k-below-two-level", "one-cpu", "blas-threads-2", "blas-threads-unknown"])
-def test_blocks_stay_on_the_calling_thread(fake_cpus_and_blas, k, cpus, blas):
-    fake_cpus_and_blas(cpus, blas)
-    assert estimate._block_threads(k) == 1
+@contextlib.contextmanager
+def _second_thread():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("case", ["below-worker-elements", "no-fork", "no-affinity", "one-cpu",
+                                  "second-thread", "blas-threads-unknown"])
+def test_blocks_stay_on_the_calling_thread(open_gate, case):
+    elements = estimate._WORKER_ELEMENTS
+    assert estimate._workers(elements) == 2
+    with contextlib.ExitStack() as stack:
+        if case == "below-worker-elements":
+            elements -= 1
+        elif case == "no-fork":
+            open_gate.delattr(estimate.os, "fork")
+        elif case == "no-affinity":
+            open_gate.delattr(estimate.os, "sched_getaffinity")
+        elif case == "one-cpu":
+            open_gate.setattr(estimate.os, "sched_getaffinity", lambda pid: {0})
+        elif case == "second-thread":
+            # a fork copies no other thread, and one holding a lock leaves it held
+            stack.enter_context(_second_thread())
+        else:
+            open_gate.setattr(estimate, "_openblas", lambda: None)
+        assert estimate._workers(elements) == 1
 
 
 @pytest.mark.parametrize("cpus", [2, 3, 64])
-def test_blocks_run_on_the_available_cpus(fake_cpus_and_blas, cpus):
-    fake_cpus_and_blas(cpus, 1)
-    assert estimate._block_threads(estimate._TWO_LEVEL_MIN) == min(cpus, estimate._MOST_THREADS)
+def test_blocks_run_on_the_available_cpus(open_gate, cpus):
+    open_gate.setattr(estimate.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert estimate._workers(estimate._WORKER_ELEMENTS) == min(cpus, estimate._MOST_WORKERS)
 
 
+@needs_openblas
 def test_blas_threads_follow_the_live_openblas_setting():
-    if estimate._blas_threads() is None:
-        pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    lib = next(ctypes.CDLL(os.path.join(libs, name)) for name in sorted(os.listdir(libs))
-               if "openblas" in name)
-    setter = next(getattr(lib, symbol) for symbol in (
-        "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-        "openblas_set_num_threads") if hasattr(lib, symbol))
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = None
-    before = estimate._blas_threads()
+    get_threads, set_threads = estimate._openblas()
+    before = get_threads()
     try:
         for threads in (1, before):
-            setter(threads)
-            assert estimate._blas_threads() == threads
+            set_threads(threads)
+            assert get_threads() == threads
     finally:
-        setter(before)
+        set_threads(before)
 
 
 @pytest.fixture(scope="module")
@@ -192,63 +213,120 @@ def wide_povms(shipped_povms):
     return table1_n4, table1_n5, _bases_povm(43, 5)
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_openblas
 @pytest.mark.parametrize("trials", [1, 127, 129, 4097, 20_000])
-def test_threaded_blocks_match_the_reference_and_the_serial_path(monkeypatch, wide_povms,
-                                                                 trials):
-    assert [povm.size for povm in wide_povms] == [480, 720, 129]
-    for povm in wide_povms:
-        reports = {}
-        for threads in (2, 1):
-            monkeypatch.setattr(estimate, "_block_threads", lambda k, n=threads: n)
-            reports[threads] = simulate(povm, trials, np.random.default_rng(trials),
-                                        keep_samples=True)
+def test_threaded_blocks_match_the_reference_and_the_serial_path(monkeypatch, shipped_povms,
+                                                                 wide_povms, trials):
+    # the caller and one forked worker, each running every other block
+    povms = (shipped_povms[4], *wide_povms)
+    assert [povm.size for povm in povms] == [40, 480, 720, 129]
+    for povm in povms:
+        reports, states = {}, {}
+        for workers in (2, 1):
+            monkeypatch.setattr(estimate, "_workers", lambda elements, n=workers: n)
+            rng = np.random.default_rng(trials)
+            reports[workers] = simulate(povm, trials, rng, keep_samples=True)
+            states[workers] = rng.bit_generator.state
         reference = reference_simulate_samples(povm, trials, np.random.default_rng(trials))
         assert np.array_equal(reports[2].samples, reference), povm.provenance
         assert reports[2].to_dict() == reports[1].to_dict()
+        assert states[2] == states[1]
+        _assert_no_child_left()
 
 
-def test_more_block_threads_than_cpus_under_fast_thread_switching(monkeypatch, wide_povms):
-    # 5 threads on 32 blocks per full chunk, then a one-row chunk, switching
-    # every microsecond: a block skipped or given another block's rows shows
-    monkeypatch.setattr(estimate, "_block_threads", lambda k: 5)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        samples, reference = _kernel_samples(
-            wide_povms[1], 8193, lambda: np.random.default_rng(12))
-    finally:
-        sys.setswitchinterval(interval)
+@needs_openblas
+def test_more_workers_than_cpus(monkeypatch, wide_povms):
+    # 5 processes on 32 blocks per full chunk, then a one-row chunk: a block
+    # skipped or given another block's rows shows
+    monkeypatch.setattr(estimate, "_workers", lambda elements: 5)
+    pick = estimate._pick
+    caller_picks = []
+
+    def recording_pick(probs, u):
+        caller_picks.append(len(u))  # the workers' appends stay in their own memory
+        return pick(probs, u)
+
+    monkeypatch.setattr(estimate, "_pick", recording_pick)
+    samples, reference = _kernel_samples(
+        wide_povms[1], 8193, lambda: np.random.default_rng(12))
     assert np.array_equal(samples, reference)
+    # the caller ran blocks 0, 5, 10, ... of each chunk and no others
+    assert caller_picks == [hi - lo for lo, hi in [*blocks(4096, 128)][::5] * 2] + [1]
+    _assert_no_child_left()
 
 
-@pytest.mark.parametrize("failing", ["worker", "caller"])
+@needs_openblas
+@pytest.mark.parametrize("failing", ["worker", "caller", "killed-worker"])
 def test_threaded_simulate_reraises_and_leaves_no_thread(monkeypatch, wide_povms, failing):
-    monkeypatch.setattr(estimate, "_block_threads", lambda k: 2)
+    monkeypatch.setattr(estimate, "_workers", lambda elements: 2)
     pick = estimate._pick
     error = RuntimeError("injected")
-    callers = set()
+    caller = os.getpid()
 
     def failing_pick(probs, u):
-        worker = threading.current_thread() is not threading.main_thread()
-        if worker == (failing == "worker"):
+        if os.getpid() == caller:
+            if failing == "caller":
+                raise error
+        elif failing == "caller":
+            time.sleep(10)  # a worker the caller waited for would hold it here
+        elif failing == "killed-worker":
+            os.kill(os.getpid(), signal.SIGKILL)
+        else:
             raise error
         return pick(probs, u)
 
-    def recording_pick(probs, u):
-        callers.add(threading.get_ident())
-        return pick(probs, u)
-
-    povm = wide_povms[1]
     before = threading.active_count()
     monkeypatch.setattr(estimate, "_pick", failing_pick)
+    start = time.monotonic()
     with pytest.raises(RuntimeError) as raised:
-        simulate(povm, 1000, np.random.default_rng(8))
-    assert raised.value is error
+        simulate(wide_povms[1], 1000, np.random.default_rng(8))
+    if failing == "caller":
+        assert raised.value is error
+        assert time.monotonic() - start < 5  # the worker was killed, not waited out
+    elif failing == "worker":
+        assert str(raised.value) == "simulate worker failed: RuntimeError: injected"
+    else:
+        assert str(raised.value) == "simulate worker failed: killed by SIGKILL"
+    _assert_no_child_left()
     assert threading.active_count() == before
-    monkeypatch.setattr(estimate, "_pick", recording_pick)
-    simulate(povm, 1000, np.random.default_rng(8))
-    assert len(callers) == 2
-    assert threading.active_count() == before
+
+
+@needs_openblas
+@pytest.mark.parametrize("failing", [False, True], ids=["returns", "raises"])
+def test_worker_path_runs_blas_on_one_thread_and_restores_it(monkeypatch, wide_povms,
+                                                             failing):
+    get_threads, set_threads = estimate._openblas()
+    before = get_threads()
+    set_threads(2)
+    try:
+        if get_threads() != 2:
+            pytest.skip("this OpenBLAS runs on one thread at most")
+        monkeypatch.setattr(estimate, "_workers", lambda elements: 2)
+        pick = estimate._pick
+        seen = []
+
+        def recording_pick(probs, u):
+            seen.append(get_threads())
+            if failing:
+                raise RuntimeError("injected")
+            return pick(probs, u)
+
+        monkeypatch.setattr(estimate, "_pick", recording_pick)
+        if failing:
+            with pytest.raises(RuntimeError, match="injected"):
+                simulate(wide_povms[0], 1000, np.random.default_rng(3))
+        else:
+            simulate(wide_povms[0], 1000, np.random.default_rng(3))
+        assert seen and set(seen) == {1}
+        assert get_threads() == 2
+        _assert_no_child_left()
+    finally:
+        set_threads(before)
 
 
 class _UniformsAtTop:
