@@ -6,7 +6,6 @@ input the average fidelity of any POVM resolving the identity equals
 (N+1)/(N+D), the optimal value.
 """
 
-import ctypes
 import functools
 import math
 import mmap
@@ -16,10 +15,12 @@ import threading
 
 import numpy as np
 
+from .blas import _openblas, one_blas_thread
 from .povm import AGGREGATE_TOL, Povm
 from .reports import EstimationReport
-from .sampling import chunks, haar_random_states
-from .verify import _BLOCK, blocks, outcome_probabilities, verify_completeness, _povm_id
+from .sampling import CHUNK, chunks, haar_random_states
+from .verify import (_BLOCK, blocks, kernel_buffers, outcome_probabilities, verify_completeness,
+                     _povm_id)
 
 # Fewest elements (rows x outcomes) per block of `simulate`, whose blocks
 # have at least _BLOCK rows. A few-outcome POVM then runs fewer, larger
@@ -35,9 +36,9 @@ _BLOCK_ELEMENTS = 40960
 # table1-N2 from 29.2 to 21.4 and table1-N5 from 15.7 to 12.6 (medians
 # of 15 alternating calls).
 _WORKER_ELEMENTS = 2 ** 21
-# Most processes, the caller included, that run the blocks of one
-# `simulate` call: the count that was measured (2 CPUs). Each process
-# draws every state, so a third one adds a third copy of the draws.
+# Most processes, the caller included, that run the chunks of one
+# `simulate` call: the count that was measured (2 CPUs). Each process draws
+# only the states of its own chunks, so more may pay on more CPUs, unmeasured.
 _MOST_WORKERS = 2
 # Longest failure message a worker sends back, in bytes: less than a pipe
 # holds, so the worker never blocks on writing it.
@@ -83,34 +84,45 @@ def simulate(povm: Povm, trials: int, rng: np.random.Generator,
     fidelity |<psi_r|psi>|^2 of the guess. The POVM is verified first and
     rejected if it fails completeness. With `keep_samples` the per-trial
     fidelities are attached to the report.
+
+    Trials run in chunks of `sampling.CHUNK`. Chunk j draws its states,
+    then one uniform per trial, from the generator of the j-th call of
+    `rng.spawn(1)`, so `rng` must support `spawn` (numpy >= 1.25, and a
+    bit generator seeded from a `SeedSequence`, as `default_rng(seed)`
+    makes); any other is refused with `TypeError` before any work. The
+    mean and standard error are merged from each chunk's mean and sum of
+    squared deviations, so only `keep_samples` holds a value per trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    try:
+        rng.spawn(0)  # spawns nothing; raises for a legacy-seeded generator
+    except TypeError as error:
+        raise TypeError(f"simulate needs a generator that can spawn: {error}") from None
     completeness = verify_completeness(povm)
     if not completeness.passed:
         raise IncompletePovmError(
             "POVM fails completeness (worst residual "
             f"{completeness.worst:.3e}); outcome probabilities would not normalize")
 
-    workers = _workers(trials * povm.size)
-    try:
-        if workers > 1:
-            # shared with the forked workers, which write their blocks into it
-            fidelities = np.frombuffer(mmap.mmap(-1, 8 * trials), dtype=np.float64)
-        else:
-            fidelities = np.empty(trials)
-    except (OSError, OverflowError, ValueError, MemoryError):
-        raise ValueError(
-            f"--trials {trials} needs {8 * trials} bytes for the per-trial "
-            "fidelities, more than can be allocated") from None
+    count = -(-trials // CHUNK)
+    # no more processes than chunks, as a process runs whole chunks
+    workers = min(_workers(trials * povm.size), count)
+    # shared with the forked workers, which write their chunks into them
+    shared = workers > 1
+    samples = (_allocate(trials, trials, "the per-trial fidelities", shared)
+               if keep_samples else None)
+    stats = _allocate(2 * count, trials, "the per-chunk statistics", shared).reshape(count, 2)
     most = max(_BLOCK, _BLOCK_ELEMENTS // povm.size)
-    if workers > 1:
-        _run_forked(povm, rng, fidelities, most, workers)
-    else:
-        _run_share(povm, rng, fidelities, most, 0, 1)
+    run = functools.partial(_run_chunks, povm, rng, trials, samples, stats, most)
+    with one_blas_thread():  # a second BLAS thread per process would only contend
+        if shared:
+            _run_forked(run, workers)
+        else:
+            run(0, 1)
 
-    mean = float(np.mean(fidelities))
-    std_error = float(np.std(fidelities, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    mean, m2 = _merge(stats, trials)
+    std_error = math.sqrt(m2 / (trials - 1)) / math.sqrt(trials) if trials > 1 else 0.0
     return EstimationReport(
         povm_id=_povm_id(povm),
         trials=trials,
@@ -118,46 +130,75 @@ def simulate(povm: Povm, trials: int, rng: np.random.Generator,
         std_error=std_error,
         exact_fidelity=exact_average_fidelity(povm),
         optimal_bound=optimal_fidelity(povm.copies, povm.dim),
-        samples=fidelities if keep_samples else None,
+        samples=samples,
     )
 
 
-def _run_share(povm: Povm, rng: np.random.Generator, out: np.ndarray, most: int,
-               index: int, count: int) -> None:
-    """Draw every chunk's states and uniforms from `rng` in the serial order,
-    and write into `out` the fidelities of blocks index, index + count, ...
-    of each chunk, `count` processes sharing the work."""
-    for start, stop in chunks(len(out)):
+def _allocate(size: int, trials: int, what: str, shared: bool) -> np.ndarray:
+    """`size` doubles, in memory shared with forked processes if `shared`;
+    ValueError naming the bytes when they cannot be allocated."""
+    try:
+        if shared:
+            return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
+        return np.empty(size)
+    except (OSError, OverflowError, ValueError, MemoryError):
+        raise ValueError(
+            f"--trials {trials} needs {8 * size} bytes for {what}, "
+            "more than can be allocated") from None
+
+
+def _run_chunks(povm: Povm, rng: np.random.Generator, trials: int,
+                samples: np.ndarray | None, stats: np.ndarray, most: int,
+                index: int, count: int) -> None:
+    """Run chunks index, index + count, ... of the `trials` whole, `count`
+    processes sharing the work: write each one's fidelities into `samples`,
+    when kept, and its (mean, sum of squared deviations) into its row of
+    `stats`. Every process takes every chunk's generator from `rng`, so
+    `rng`'s seed sequence ends in the same state for any `count`."""
+    scratch = np.empty(min(trials, CHUNK)) if samples is None else None
+    # one set for every block: with fresh arrays per block glibc's malloc gave
+    # their pages back and faulted them in again, 14,377 page faults and 62 ms
+    # against 544 and 46 ms for 100k serial trials of penrose40-N2 (2 vCPUs,
+    # BLAS on one thread)
+    buffers = kernel_buffers(povm, min(trials, CHUNK, most))
+    for chunk, (start, stop) in enumerate(chunks(trials)):
+        chunk_rng = rng.spawn(1)[0]
+        if chunk % count != index:
+            continue
         rows = stop - start
-        psis = haar_random_states(povm.dim, rows, rng)
-        u = rng.random(rows)
-        spans = list(blocks(rows, most))[index::count]
-        _run_blocks(povm, psis, u, out[start:stop], spans)
+        psis = haar_random_states(povm.dim, rows, chunk_rng)
+        u = chunk_rng.random(rows)
+        out = scratch[:rows] if samples is None else samples[start:stop]
+        for lo, hi in blocks(rows, most):
+            overlaps_sq, probs = outcome_probabilities(povm, psis[lo:hi], buffers)
+            picks = _pick(probs, u[lo:hi])
+            out[lo:hi] = overlaps_sq[np.arange(hi - lo), picks]
+        mean = np.mean(out)
+        deviations = out - mean
+        stats[chunk] = mean, np.dot(deviations, deviations)
 
 
-def _run_blocks(povm: Povm, psis: np.ndarray, u: np.ndarray, out: np.ndarray,
-                spans: list[tuple[int, int]]) -> None:
-    """Write the fidelity of each trial of the (lo, hi) row ranges in `spans`
-    of one chunk's states and uniforms into `out`, the chunk's slice."""
-    for lo, hi in spans:
-        overlaps_sq, probs = outcome_probabilities(povm, psis[lo:hi])
-        picks = _pick(probs, u[lo:hi])
-        out[lo:hi] = overlaps_sq[np.arange(hi - lo), picks]
-        # freed before the next block allocates, which then reuses this
-        # cache-warm memory instead of a second set of buffers
-        del overlaps_sq, probs
+def _merge(stats: np.ndarray, trials: int) -> tuple[float, float]:
+    """Mean and sum of squared deviations of all `trials`, from each chunk's
+    row of `stats`, merged in chunk order by the update of Chan, Golub and
+    LeVeque, "Updating formulae and a pairwise algorithm for computing
+    sample variances" (1979)."""
+    mean = m2 = 0.0
+    done = 0
+    for (start, stop), (chunk_mean, chunk_m2) in zip(chunks(trials), stats.tolist()):
+        rows = stop - start
+        delta = chunk_mean - mean
+        done += rows
+        mean += delta * rows / done
+        m2 += chunk_m2 + delta * delta * (done - rows) * rows / done
+    return mean, m2
 
 
-def _run_forked(povm: Povm, rng: np.random.Generator, out: np.ndarray, most: int,
-                workers: int) -> None:
-    """`_run_share` in this process and in workers - 1 forked ones, process
-    i running blocks i, i + workers, ... of each chunk, `out` being shared
-    memory. Each worker draws from its own copy of `rng`, so this one's
-    ends where the serial path leaves it. No worker outlives the call: a
-    raise here kills them, and a worker's failure raises RuntimeError."""
-    get_threads, set_threads = _openblas()
-    blas_threads = get_threads()
-    set_threads(1)  # a second BLAS thread per process would only contend
+def _run_forked(run, workers: int) -> None:
+    """`run(index, workers)`, a `_run_chunks` whose `samples` and `stats`
+    are shared memory, in this process as index 0 and in workers - 1 forked
+    ones. No worker outlives the call: a raise here kills them, and a
+    worker's failure raises RuntimeError."""
     children = {}
     try:
         for index in range(1, workers):
@@ -169,10 +210,10 @@ def _run_forked(povm: Povm, rng: np.random.Generator, out: np.ndarray, most: int
                 os.close(write)
                 raise
             if pid == 0:
-                _worker(povm, rng, out, most, index, workers, write)
+                _worker(run, index, workers, write)
             os.close(write)
             children[pid] = read
-        _run_share(povm, rng, out, most, 0, workers)
+        run(0, workers)
     except BaseException:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
@@ -187,19 +228,17 @@ def _run_forked(povm: Povm, rng: np.random.Generator, out: np.ndarray, most: int
                 failures.append(f"killed by {signal.Signals(-code).name}")
             elif code:
                 failures.append(message)
-        set_threads(blas_threads)
     if failures:
         raise RuntimeError(f"simulate worker failed: {failures[0]}")
 
 
-def _worker(povm: Povm, rng: np.random.Generator, out: np.ndarray, most: int,
-            index: int, workers: int, write: int) -> None:
+def _worker(run, index: int, workers: int, write: int) -> None:
     """Body of a forked worker. It never returns into the caller's stack,
     whose frames would run a second time: it leaves by `os._exit`, which
     also flushes no buffered output the caller will flush."""
     status = 1
     try:
-        _run_share(povm, rng, out, most, index, workers)
+        run(index, workers)
         status = 0
     except BaseException as error:
         message = f"{type(error).__name__}: {error}".encode(errors="replace")
@@ -209,18 +248,18 @@ def _worker(povm: Povm, rng: np.random.Generator, out: np.ndarray, most: int,
 
 
 def _workers(elements: int) -> int:
-    """Processes to run `simulate`'s blocks in, the caller included, for
+    """Processes to run `simulate`'s chunks in, the caller included, for
     trials x k = `elements`.
 
     The CPUs this process may run on, at most _MOST_WORKERS, when elements
     is at least _WORKER_ELEMENTS, the platform can fork, this is the
     process's only Python thread (a fork copies no other thread, and one
     holding a lock leaves it held in the child) and numpy's OpenBLAS is
-    found, whose threads `_run_forked` sets to one and whose fork handler
+    found, whose threads `simulate` sets to one and whose fork handler
     stops its thread pool; otherwise 1. A spawned process would start an
     interpreter and import numpy on every call, about 80 ms, more than
     a whole call of 100k trials at k = 40 takes. A wrong answer costs
-    speed, never bytes: a block computes the same doubles in any process.
+    speed, never bytes: a chunk computes the same doubles in any process.
     """
     if elements < _WORKER_ELEMENTS or not hasattr(os, "fork"):
         return 1
@@ -231,37 +270,6 @@ def _workers(elements: int) -> int:
     if cpus < 2 or threading.active_count() != 1 or _openblas() is None:
         return 1
     return min(cpus, _MOST_WORKERS)
-
-
-@functools.cache
-def _openblas():
-    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None
-    when there is no such library, as with another BLAS."""
-    # a numpy wheel carries its OpenBLAS in numpy.libs beside the package;
-    # loading that file again returns the library numpy already loaded
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    try:
-        names = sorted(os.listdir(libs))
-    except OSError:
-        return None
-    for name in names:
-        if "openblas" not in name:
-            continue
-        try:
-            lib = ctypes.CDLL(os.path.join(libs, name))
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
-                               ("openblas", "")):
-            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if getter is not None and setter is not None:
-                getter.argtypes = []
-                getter.restype = ctypes.c_int
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                return getter, setter
-    return None
 
 
 # Outcomes per segment of the two-level pick. Lengths 8 to 32 measured

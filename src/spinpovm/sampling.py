@@ -5,8 +5,9 @@ from collections.abc import Iterator
 import numpy as np
 
 # States are drawn this many at a time. Simulate draws one chunk of states,
-# then one uniform per trial of that chunk, so this size fixes which stream
-# values each trial consumes: changing it changes seeded reports.
+# then one uniform per trial of that chunk, from the chunk's own generator,
+# so this size fixes which stream values each trial consumes: changing it
+# changes seeded reports.
 CHUNK = 4096
 
 

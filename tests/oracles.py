@@ -121,10 +121,11 @@ def reference_simulate_samples(povm, trials, rng):
     """Per-trial fidelities from the unblocked forward estimation kernel.
 
     Every stage runs over a whole chunk of 4096 trials at once: states for
-    the chunk, then one uniform per trial, then overlaps, probabilities,
-    their row-sum check, prefix sums and the inverse-CDF pick, clamped to
-    the last outcome. The chunk size is written out here so that a change
-    to the package's stream order shows up as a mismatch.
+    the chunk, then one uniform per trial, both from the chunk's own
+    generator `rng.spawn(1)[0]`, taken in chunk order, then overlaps,
+    probabilities, their row-sum check, prefix sums and the inverse-CDF
+    pick, clamped to the last outcome. The chunk size is written out here
+    so that a change to the package's stream order shows up as a mismatch.
     """
     from spinpovm.sampling import haar_random_states
 
@@ -133,13 +134,14 @@ def reference_simulate_samples(povm, trials, rng):
     done = 0
     while done < trials:
         batch = min(trials - done, 4096)
-        psis = haar_random_states(povm.dim, batch, rng)
+        chunk_rng = rng.spawn(1)[0]
+        psis = haar_random_states(povm.dim, batch, chunk_rng)
         overlaps_sq = np.abs(psis.conj() @ povm.states.T) ** 2
         probs = povm.weights * overlaps_sq ** povm.copies
         totals = probs.sum(axis=1)
         if float(np.max(np.abs(totals - 1.0))) > 1e-9:
             raise RuntimeError("outcome probabilities failed to normalize")
-        u = rng.random(batch)
+        u = chunk_rng.random(batch)
         cdf = np.cumsum(probs, axis=1)
         picks = np.minimum(np.sum(cdf < u[:, None], axis=1), k - 1)
         fidelities[done:done + batch] = overlaps_sq[np.arange(batch), picks]

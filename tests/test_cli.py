@@ -370,21 +370,35 @@ class TestSimulate:
                      "--seed", "1"]) == EXIT_INPUT
         assert "--trials" in capsys.readouterr().err
 
-    def test_trials_beyond_memory_is_an_input_error(self, capsys):
-        # 8e15 bytes of fidelities: more than any address space holds
+    def test_trials_beyond_memory_is_an_input_error(self, capsys, tmp_path):
+        # 8e15 bytes of fidelities for the CSV: more than any address space holds
         assert main(["simulate", "--target", "table1-N2", "--trials", str(10 ** 15),
-                     "--seed", "1"]) == EXIT_INPUT
+                     "--seed", "1", "--csv", str(tmp_path / "f.csv")]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "--trials" in err and f"{8 * 10 ** 15} bytes" in err
 
-    def test_trials_beyond_memory_on_the_worker_path(self, capsys, monkeypatch):
+    def test_trials_beyond_memory_on_the_worker_path(self, capsys, monkeypatch, tmp_path):
         # the shared buffer of the forked workers is refused with the same text
         monkeypatch.setattr(estimate, "_workers", lambda elements: 2)
         assert main(["simulate", "--target", "table1-N2", "--trials", str(10 ** 15),
-                     "--seed", "1"]) == EXIT_INPUT
+                     "--seed", "1", "--csv", str(tmp_path / "f.csv")]) == EXIT_INPUT
         assert capsys.readouterr() == ("", (
             f"error: --trials {10 ** 15} needs {8 * 10 ** 15} bytes for the per-trial "
             "fidelities, more than can be allocated\n"))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunks_beyond_memory_is_an_input_error(self, capsys, monkeypatch, workers):
+        # without --csv only the per-chunk (mean, M2) pairs grow with the
+        # trials: 16 bytes per 4096 trials, 3.9e15 bytes at 10^18 trials
+        monkeypatch.setattr(estimate, "_workers", lambda elements: workers)
+        trials = 10 ** 18
+        assert main(["simulate", "--target", "table1-N2", "--trials", str(trials),
+                     "--seed", "1"]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", (
+            f"error: --trials {trials} needs {16 * -(-trials // 4096)} bytes for the "
+            "per-chunk statistics, more than can be allocated\n"))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -5,6 +5,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from spinpovm import (
     spin32_povm,
     verify_completeness,
 )
-from spinpovm import estimate
-from spinpovm.verify import blocks, outcome_probabilities
+from spinpovm import blas, estimate, verify
+from spinpovm.documents import dumps
+from spinpovm.sampling import CHUNK
+from spinpovm.verify import blocks, kernel_buffers, outcome_probabilities
 from conftest import scaled
 from oracles import projective_moment_quadrature, reference_simulate_samples
 
@@ -96,7 +99,7 @@ def test_probabilities_normalize_before_sampling(shipped_povms):
     rng = np.random.default_rng(77)
     for povm in shipped_povms:
         psis = haar_random_states(povm.dim, 200, rng)
-        _, probs = outcome_probabilities(povm, psis)
+        _, probs = outcome_probabilities(povm, psis, kernel_buffers(povm, len(psis)))
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
 
 
@@ -106,6 +109,86 @@ def test_simulation_is_deterministic():
     r2 = simulate(povm, 5000, np.random.default_rng(31), keep_samples=True)
     assert r1.to_dict() == r2.to_dict()
     assert np.array_equal(r1.samples, r2.samples)
+
+
+def test_successive_calls_on_one_generator_draw_different_samples():
+    povm = build_table1_povm(2)
+    rng = np.random.default_rng(31)
+    first = simulate(povm, 5000, rng, keep_samples=True)
+    second = simulate(povm, 5000, rng, keep_samples=True)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 4   # 2 chunks per call
+    assert not np.any(first.samples == second.samples)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 4097, 20_000, 100_000])
+def test_streamed_statistics_match_the_kept_samples(trials):
+    report = simulate(spin32_povm(catalog(PENROSE40), 2), trials,
+                      np.random.default_rng(trials), keep_samples=True)
+    mean = np.mean(report.samples)
+    assert abs(report.mean_fidelity - mean) <= 1e-14 * mean
+    if trials > 1:
+        std_error = np.std(report.samples, ddof=1) / np.sqrt(trials)
+        assert abs(report.std_error - std_error) <= 1e-14 * std_error
+    else:
+        assert report.std_error == 0.0
+
+
+def test_report_does_not_depend_on_keeping_the_samples():
+    povm = build_table1_povm(3)
+    kept = simulate(povm, 9000, np.random.default_rng(6), keep_samples=True)
+    streamed = simulate(povm, 9000, np.random.default_rng(6))
+    assert streamed.samples is None
+    assert dumps(streamed.to_dict()) == dumps(kept.to_dict())
+
+
+def _peak_bytes(povm, trials):
+    simulate(povm, 1000, np.random.default_rng(0))   # caches out of the measurement
+    tracemalloc.start()
+    try:
+        simulate(povm, trials, np.random.default_rng(1))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_statistics_are_streamed_in_bounded_memory(monkeypatch):
+    # without keep_samples only the per-chunk (mean, M2) pairs grow with the
+    # trials, 16 bytes per chunk; the serial path, as tracemalloc sees no
+    # forked worker
+    monkeypatch.setattr(estimate, "_workers", lambda elements: 1)
+    trials = 200_000
+    # at k = 40 a block's buffers and two chunks' draws hold about 2.5 MB at
+    # any trial count, more than the 8 x trials bytes of a per-trial buffer;
+    # that buffer would add 1.5 MB to the peak of a 3-chunk run
+    penrose = spin32_povm(catalog(PENROSE40), 2)
+    assert _peak_bytes(penrose, trials) < _peak_bytes(penrose, 3 * CHUNK) + trials
+    # a qubit basis holds about 1 MB
+    qubit = Povm(np.ones(2), np.eye(2), 1, provenance="basis-D2-N1")
+    assert _peak_bytes(qubit, trials) < 8 * trials
+
+
+def test_generator_that_cannot_spawn_is_refused_before_any_work(monkeypatch):
+    bit_generator = np.random.MT19937()
+    bit_generator._legacy_seeding(5)
+    monkeypatch.setattr(estimate, "_workers", lambda elements: 2)
+    for name in ("verify_completeness", "_allocate", "_run_chunks", "_run_forked"):
+        monkeypatch.setattr(estimate, name, _must_not_run)
+    monkeypatch.setattr(estimate.os, "fork", _must_not_run)
+    with pytest.raises(TypeError, match="simulate needs a generator that can spawn"):
+        simulate(build_table1_povm(2), 100_000, np.random.Generator(bit_generator))
+
+
+def test_one_chunk_forks_no_worker(monkeypatch):
+    # a worker would have no chunk to run
+    monkeypatch.setattr(estimate, "_workers", lambda elements: 2)
+    monkeypatch.setattr(estimate.os, "fork", _must_not_run)
+    povm = build_table1_povm(5)
+    samples, reference = _kernel_samples(povm, CHUNK, lambda: np.random.default_rng(9))
+    assert np.array_equal(samples, reference)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called")
 
 
 def _kernel_samples(povm, trials, rng_factory):
@@ -139,7 +222,7 @@ def _bases_povm(count, seed):
     return Povm(np.full(3 * count, 1 / count), states, 1, provenance=f"bases{count}-D3-N1")
 
 
-needs_openblas = pytest.mark.skipif(estimate._openblas() is None,
+needs_openblas = pytest.mark.skipif(blas._openblas() is None,
                                     reason="numpy's BLAS is not a bundled OpenBLAS")
 
 
@@ -195,7 +278,7 @@ def test_blocks_run_on_the_available_cpus(open_gate, cpus):
 
 @needs_openblas
 def test_blas_threads_follow_the_live_openblas_setting():
-    get_threads, set_threads = estimate._openblas()
+    get_threads, set_threads = blas._openblas()
     before = get_threads()
     try:
         for threads in (1, before):
@@ -222,27 +305,30 @@ def _assert_no_child_left():
 @pytest.mark.parametrize("trials", [1, 127, 129, 4097, 20_000])
 def test_threaded_blocks_match_the_reference_and_the_serial_path(monkeypatch, shipped_povms,
                                                                  wide_povms, trials):
-    # the caller and one forked worker, each running every other block
+    # the caller alone, or with 1 or 4 forked workers but no more processes
+    # than chunks, each running whole chunks
     povms = (shipped_povms[4], *wide_povms)
     assert [povm.size for povm in povms] == [40, 480, 720, 129]
+    chunks = -(-trials // CHUNK)
     for povm in povms:
-        reports, states = {}, {}
-        for workers in (2, 1):
+        reports, spawned = {}, {}
+        for workers in (1, 2, 5):
             monkeypatch.setattr(estimate, "_workers", lambda elements, n=workers: n)
             rng = np.random.default_rng(trials)
             reports[workers] = simulate(povm, trials, rng, keep_samples=True)
-            states[workers] = rng.bit_generator.state
+            spawned[workers] = rng.bit_generator.seed_seq.n_children_spawned
+            _assert_no_child_left()
         reference = reference_simulate_samples(povm, trials, np.random.default_rng(trials))
-        assert np.array_equal(reports[2].samples, reference), povm.provenance
-        assert reports[2].to_dict() == reports[1].to_dict()
-        assert states[2] == states[1]
-        _assert_no_child_left()
+        for workers, report in reports.items():
+            assert np.array_equal(report.samples, reference), (povm.provenance, workers)
+            assert report.to_dict() == reports[1].to_dict()
+        assert set(spawned.values()) == {chunks}
 
 
 @needs_openblas
 def test_more_workers_than_cpus(monkeypatch, wide_povms):
-    # 5 processes on 32 blocks per full chunk, then a one-row chunk: a block
-    # skipped or given another block's rows shows
+    # 5 processes on 5 full chunks, then a one-row chunk: a chunk skipped or
+    # given another chunk's rows shows
     monkeypatch.setattr(estimate, "_workers", lambda elements: 5)
     pick = estimate._pick
     caller_picks = []
@@ -253,10 +339,10 @@ def test_more_workers_than_cpus(monkeypatch, wide_povms):
 
     monkeypatch.setattr(estimate, "_pick", recording_pick)
     samples, reference = _kernel_samples(
-        wide_povms[1], 8193, lambda: np.random.default_rng(12))
+        wide_povms[1], 5 * CHUNK + 1, lambda: np.random.default_rng(12))
     assert np.array_equal(samples, reference)
-    # the caller ran blocks 0, 5, 10, ... of each chunk and no others
-    assert caller_picks == [hi - lo for lo, hi in [*blocks(4096, 128)][::5] * 2] + [1]
+    # the caller ran chunks 0 and 5 whole, every block of each, and no others
+    assert caller_picks == [hi - lo for lo, hi in blocks(CHUNK, 128)] + [1]
     _assert_no_child_left()
 
 
@@ -284,7 +370,8 @@ def test_threaded_simulate_reraises_and_leaves_no_thread(monkeypatch, wide_povms
     monkeypatch.setattr(estimate, "_pick", failing_pick)
     start = time.monotonic()
     with pytest.raises(RuntimeError) as raised:
-        simulate(wide_povms[1], 1000, np.random.default_rng(8))
+        # chunk 0 in the caller, chunk 1 in the worker
+        simulate(wide_povms[1], CHUNK + 1000, np.random.default_rng(8))
     if failing == "caller":
         assert raised.value is error
         assert time.monotonic() - start < 5  # the worker was killed, not waited out
@@ -300,7 +387,7 @@ def test_threaded_simulate_reraises_and_leaves_no_thread(monkeypatch, wide_povms
 @pytest.mark.parametrize("failing", [False, True], ids=["returns", "raises"])
 def test_worker_path_runs_blas_on_one_thread_and_restores_it(monkeypatch, wide_povms,
                                                              failing):
-    get_threads, set_threads = estimate._openblas()
+    get_threads, set_threads = blas._openblas()
     before = get_threads()
     set_threads(2)
     try:
@@ -319,9 +406,9 @@ def test_worker_path_runs_blas_on_one_thread_and_restores_it(monkeypatch, wide_p
         monkeypatch.setattr(estimate, "_pick", recording_pick)
         if failing:
             with pytest.raises(RuntimeError, match="injected"):
-                simulate(wide_povms[0], 1000, np.random.default_rng(3))
+                simulate(wide_povms[0], CHUNK + 1000, np.random.default_rng(3))
         else:
-            simulate(wide_povms[0], 1000, np.random.default_rng(3))
+            simulate(wide_povms[0], CHUNK + 1000, np.random.default_rng(3))
         assert seen and set(seen) == {1}
         assert get_threads() == 2
         _assert_no_child_left()
@@ -329,9 +416,44 @@ def test_worker_path_runs_blas_on_one_thread_and_restores_it(monkeypatch, wide_p
         set_threads(before)
 
 
+@needs_openblas
+@pytest.mark.parametrize("failing", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("call", ["scalar-identity", "serial-simulate"])
+def test_kernel_calls_run_blas_on_one_thread_and_restore_it(monkeypatch, wide_povms, call,
+                                                            failing):
+    get_threads, set_threads = blas._openblas()
+    before = get_threads()
+    set_threads(2)
+    try:
+        if get_threads() != 2:
+            pytest.skip("this OpenBLAS runs on one thread at most")
+        module = verify if call == "scalar-identity" else estimate
+        kernel = module.outcome_probabilities
+        seen = []
+
+        def recording_kernel(*args):
+            seen.append(get_threads())
+            if failing:
+                raise RuntimeError("injected")
+            return kernel(*args)
+
+        monkeypatch.setattr(module, "outcome_probabilities", recording_kernel)
+        monkeypatch.setattr(estimate, "_workers", lambda elements: 1)
+        rng = np.random.default_rng(3)
+        with pytest.raises(RuntimeError, match="injected") if failing else contextlib.nullcontext():
+            if call == "scalar-identity":
+                verify.verify_scalar_identity(wide_povms[0], 1000, rng)
+            else:
+                simulate(wide_povms[0], 1000, rng)
+        assert seen and set(seen) == {1}
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
 class _UniformsAtTop:
     """Generator stand-in: Haar draws from a seeded stream, every uniform
-    the largest double below 1."""
+    the largest double below 1; every chunk draws from this one stream."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
@@ -341,6 +463,9 @@ class _UniformsAtTop:
 
     def random(self, size):
         return np.full(size, np.nextafter(1.0, 0.0))
+
+    def spawn(self, count):
+        return [self] * count
 
 
 # N5's weight-sum residual is 2.1e-9 at 1 - 1e-10, which fails completeness
@@ -378,7 +503,8 @@ def recomputed(monkeypatch):
 
 
 def _probs_and_prefix_sums(povm, rows, rng):
-    _, probs = outcome_probabilities(povm, haar_random_states(povm.dim, rows, rng))
+    _, probs = outcome_probabilities(povm, haar_random_states(povm.dim, rows, rng),
+                                     kernel_buffers(povm, rows))
     return probs, np.cumsum(probs, axis=1)
 
 

@@ -20,7 +20,7 @@ from spinpovm import (
 )
 from spinpovm import spin1
 from spinpovm.polytopes import CELL24, CELL600, vertices
-from spinpovm.verify import outcome_probabilities
+from spinpovm.verify import kernel_buffers, outcome_probabilities
 
 PI = math.pi
 TABLE1_ANGLES = sorted({theta for _, angles, _ in spin1.TABLE1.values()
@@ -84,7 +84,8 @@ class TestTable1:
         rng = np.random.default_rng(314)
         psis = haar_random_states(3, 1000, rng)
         for copies in (2, 3, 4, 5):
-            _, probs = outcome_probabilities(build_table1_povm(copies), psis)
+            povm = build_table1_povm(copies)
+            _, probs = outcome_probabilities(povm, psis, kernel_buffers(povm, len(psis)))
             assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
 
 

@@ -31,7 +31,7 @@ from spinpovm.spin32 import (
     _parse_row,
     hierarchy_targets,
 )
-from spinpovm.verify import outcome_probabilities
+from spinpovm.verify import kernel_buffers, outcome_probabilities
 
 THIRD = round(1 / 3, 9)
 
@@ -329,5 +329,6 @@ class TestIdentityResolution:
         psis = haar_random_states(4, 1000, rng)
         for cat in (penrose, set60):
             for copies in (2, 3):
-                _, probs = outcome_probabilities(spin32_povm(cat, copies), psis)
+                povm = spin32_povm(cat, copies)
+                _, probs = outcome_probabilities(povm, psis, kernel_buffers(povm, len(psis)))
                 assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
