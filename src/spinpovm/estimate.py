@@ -275,13 +275,31 @@ def _workers(elements: int) -> int:
 # Outcomes per segment of the two-level pick. Lengths 8 to 32 measured
 # within noise of each other at k = 480 and 720.
 _SEGMENT = 16
-# Fewest outcomes that take the two-level pick. Its ~20 numpy calls per
-# block cost more than the k - 1 vector adds of the sequential prefix sums
-# below k = 128 on simulate's element-sized blocks, where two-level over
-# sequential time per block measured 1.23-1.42 at k = 96, 1.22-1.27 at 112,
-# 0.90-0.95 at 128, 0.87-0.98 at 144 and 0.73-0.91 at 160; the bundled
-# POVMs have k = 40-96 or 480-720.
+# Fewest outcomes that take the two-level pick, the lowest gate above
+# which it never lost: on simulate's element-sized blocks, two-level over
+# sequential time per block measured 0.52 at k = 128, 0.91 at 129, 0.83
+# at 143, 0.45 at 160, 0.20 at 480, 0.16 at 720 and 0.12 at 20,000
+# (random rows, medians of 7, BLAS on one thread). Below 128 it wins at
+# multiples of _SEGMENT (0.89 at 64, 0.81 at 80, 0.65 at 96, 0.72 at 112)
+# but loses 1.10 at 104, 1.20 at 97 and 1.28-2.60 at 40-60, where its ~20
+# numpy calls per block cost more than the k - 1 vector adds of the
+# sequential prefix sums. The bundled POVMs have k = 40-60, 96 (table1-N3)
+# and 480-720; no benchmark workload runs k = 96.
 _TWO_LEVEL_MIN = 128
+# the summing vector of the segment totals
+_ONES = np.ones(_SEGMENT)
+_ONES.flags.writeable = False
+# Most segments whose starts are one product with ones. Its rows * n^2
+# adds beat `cumsum` along the rows up to about 96 segments: per block of
+# 128 rows, 3.6 against 11.7 us at 30 (k = 480), 6.5 against 15.9 at 45
+# (k = 720), 33 against 30 at 96 and 55 against 40 at 128; at 1250
+# segments (k = 20,000) the product alone took 4.1 ms, and the whole pick
+# with `cumsum` 1.2 ms.
+_PREFIX_MOST = 96
+# ones above the diagonal: column j of x @ _UPPER[:n, :n + 1] is
+# x_0 + ... + x_(j-1), and column 0 is 0
+_UPPER = np.triu(np.ones((_PREFIX_MOST, _PREFIX_MOST + 1)), 1)
+_UPPER.flags.writeable = False
 
 
 def _pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -293,37 +311,57 @@ def _pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     finds the outcome. A candidate j is kept only when the two-level sums
     S' lie at least delta away from u on both sides of the crossing,
     S'_(j-1) < u - delta <= u + delta <= S'_j; every other row is
-    recomputed sequentially. With L = _SEGMENT, no sum in either route is
-    more than k + 2L additions of non-negative terms deep, so
-    |S - S'| <= 2 gamma_(k+2L) (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 4) <= delta, and the sequential sums, being
-    monotone, cross u at j too.
+    recomputed sequentially.
+
+    The two-level sums are matrix products with ones (BLAS; past
+    _PREFIX_MOST segments, the segments' starts are a `cumsum`), which
+    may add in any order and fuse the exact products x * 1 into their adds:
+    each addition still rounds once. A sum of n non-negative terms in any
+    order is then within gamma_(n-1) of its exact value, relative to it
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4). A
+    segment total adds at most L terms, a segment's start at most k / L
+    totals, and a sum inside the segment at most L terms and the start, so
+    no term of S' passes through more than k / L + 2L roundings, nor one
+    of the sequential S through more than k - 1. With both sums at most
+    1 + AGGREGATE_TOL, |S - S'| <= 2 gamma_(k+2L) (1 + AGGREGATE_TOL) <=
+    delta, and the sequential sums, being monotone, cross u at j too.
     """
     rows, k = probs.shape
     if k < _TWO_LEVEL_MIN:
         return _sequential_pick(probs, u)
 
     full, tail = divmod(k, _SEGMENT)
-    ends = np.empty((rows, 1 + full + (tail > 0)))
-    ends[:, 0] = 0.0
-    segments = probs[:, :full * _SEGMENT].reshape(rows, full, _SEGMENT)
-    ends[:, 1:full + 1] = segments @ np.ones(_SEGMENT)
+    grouped = probs[:, :full * _SEGMENT].reshape(rows, full, _SEGMENT)
     if tail:
-        ends[:, -1] = probs[:, full * _SEGMENT:].sum(axis=1)
-    np.cumsum(ends, axis=1, out=ends)
+        # the rows' segments are not evenly spaced, so no 2-D view of them
+        # exists: one product per row sums them, and the short last segment
+        # is one more column
+        totals = np.empty((rows, full + 1))
+        totals[:, :full] = grouped @ _ONES
+        totals[:, full] = probs[:, full * _SEGMENT:] @ _ONES[:tail]
+    else:
+        totals = (grouped.reshape(rows * full, _SEGMENT) @ _ONES).reshape(rows, full)
+    segments = totals.shape[1]
+    if segments <= _PREFIX_MOST:
+        ends = totals @ _UPPER[:segments, :segments + 1]
+    else:
+        ends = np.zeros((rows, segments + 1))
+        np.cumsum(totals, axis=1, out=ends[:, 1:])
     _check_normalized(ends[:, -1])
     ends[:, -1] = np.inf
     segment = np.argmax(ends[:, 1:] >= u[:, None], axis=1)
 
     index = np.arange(rows)
+    chosen = grouped[index, np.minimum(segment, full - 1)]
+    if tail:
+        # the rows that chose the short last segment take it, padded with
+        # zeros, whose prefix sums repeat the last one
+        last = np.flatnonzero(segment == full)
+        chosen[last, :tail] = probs[last, full * _SEGMENT:]
+        chosen[last, tail:] = 0.0
+    local = chosen @ _UPPER[:_SEGMENT, :_SEGMENT + 1]
+    local += ends[index, segment][:, None]
     first = segment * _SEGMENT
-    local = np.empty((rows, 1 + _SEGMENT))
-    local[:, 0] = ends[index, segment]
-    flat = (index * k + first)[:, None] + np.arange(_SEGMENT)
-    # a short last segment repeats outcome k - 1; a pick past it is clipped
-    np.minimum(flat, (index * k + k - 1)[:, None], out=flat)
-    local[:, 1:] = probs.reshape(-1)[flat]
-    np.cumsum(local, axis=1, out=local)
     picks = np.minimum(first + np.argmax(local[:, 1:] >= u[:, None], axis=1), k - 1)
     offset = picks - first
 

@@ -23,6 +23,8 @@ from .symmetric import _frobenius_identity_residual, sym_dim, symmetric_power_ma
 # complex, 0.7 MB as floats) where a whole chunk of 4096 rows would stream
 # every stage from memory.
 _BLOCK = 128
+# Byte alignment of the kernel buffers: one cache line, and one AVX-512 vector.
+_ALIGN = 64
 
 
 def blocks(rows: int, most: int) -> Iterator[tuple[int, int]]:
@@ -37,8 +39,28 @@ def blocks(rows: int, most: int) -> Iterator[tuple[int, int]]:
 
 def kernel_buffers(povm: Povm, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Buffers for `outcome_probabilities` on up to `rows` probe states: the
-    complex overlaps and their squared moduli."""
-    return np.empty((rows, povm.size), dtype=complex), np.empty((rows, povm.size))
+    complex overlaps and their squared moduli, each starting on a 64-byte
+    boundary.
+
+    numpy takes a large array from glibc's mmap, whose chunk header puts the
+    data at 16 mod 64 bytes, so every AVX-512 load of an elementwise pass
+    split two cache lines: aligned, `outcome_probabilities` took 255-257
+    against 274-276 ms over 100k serial trials of table1-N5
+    (`tools/kernel_stages.py`, 2-vCPU Xeon, BLAS on one thread). The
+    probabilities view, and every `[:rows]` slice, start where their
+    buffer does, so they are aligned too.
+    """
+    return (_aligned_empty((rows, povm.size), complex),
+            _aligned_empty((rows, povm.size), np.float64))
+
+
+def _aligned_empty(shape: tuple, dtype) -> np.ndarray:
+    """Uninitialized C-contiguous array of `shape` whose data starts on a
+    64-byte boundary: a slice of a 64-byte larger byte array."""
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + _ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
 
 
 def outcome_probabilities(povm: Povm, psis: np.ndarray,

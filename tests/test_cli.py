@@ -16,6 +16,7 @@ from spinpovm import (
     cli,
     documents,
     estimate,
+    haar_random_states,
     simulate,
 )
 from spinpovm.cli import (
@@ -548,6 +549,22 @@ class TestBlochDotBound:
         assert main(["verify", "--in", str(path), "--trials", "10", "--seed", "1"]) == EXIT_INPUT
         assert capsys.readouterr() == ("", self.REFUSAL)
         assert calls == []
+
+
+def test_spectrum_of_many_distinct_values_is_an_input_error(tmp_path, capsys):
+    # 1024 random rays have 523,589 distinct rounded Bloch dots: refused
+    # before any count, where the report would have been 36 MB
+    rays = haar_random_states(4, 1024, np.random.default_rng(1024))
+    path = tmp_path / "rays.json"
+    path.write_text(documents.catalog_to_document(
+        RayCatalog("random", tuple(map(str, range(1024))), rays)))
+    out = tmp_path / "spectrum.json"
+    assert main(["spectrum", "--in", str(path), "--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: catalog 'random' has 523589 distinct Bloch dots, too many "
+                            "for a spectrum: the bound is MAX_SPECTRUM_VALUES = 4096\n")
+    assert not out.exists()
 
 
 class TestSolveWeights:

@@ -590,6 +590,36 @@ def test_two_level_pick_on_a_short_last_segment(parts, recomputed):
     assert sum(recomputed) < rows // 4
 
 
+@pytest.mark.parametrize("k", [128, 129, 143, 144, 480, 720, 1000, 1544, 4000])
+def test_two_level_pick_matches_the_sequential_pick(k):
+    # short last segments of 1, 15, 8 and 8 outcomes at k = 129, 143, 1000
+    # and 1544; k = 1544 and 4000 have more than _PREFIX_MOST segments
+    assert (1544 + estimate._SEGMENT - 1) // estimate._SEGMENT > estimate._PREFIX_MOST
+    assert k >= estimate._TWO_LEVEL_MIN
+    rows, segment = 256, estimate._SEGMENT
+    rng = np.random.default_rng(k)
+    probs = _rows_with_plateaus(k, rows, rng)   # k = 1000 zeroes whole segments
+    sums = np.cumsum(probs, axis=1)
+    on = sums[np.arange(rows), rng.integers(0, k, rows)]
+    segment_ends = sums[np.arange(rows), rng.integers(1, k // segment + 1, rows) * segment - 1]
+    last = sums[:, -2] + (sums[:, -1] - sums[:, -2]) * rng.random(rows)
+    first = sums[np.arange(rows), rng.integers(0, segment, rows)]
+    for u in (on, np.nextafter(on, 0), np.nextafter(on, 2), segment_ends,
+              np.nextafter(segment_ends, 2), sums[:, k // 2 - 1], last, first,
+              np.zeros(rows), rng.random(rows)):
+        kept = probs.copy()
+        picks = estimate._pick(probs, u)
+        assert np.array_equal(probs, kept)   # the pick leaves the block as it was
+        assert np.array_equal(picks, estimate._sequential_pick(probs.copy(), u))
+        assert np.array_equal(picks, _reference_picks(sums, u))
+    # prefix sums that end below u pick the last outcome
+    low = _rows_with_plateaus(k, rows, rng, scale=1 - 1e-12)
+    u = np.full(rows, np.nextafter(1.0, 0.0))
+    picks = estimate._pick(low, u)
+    assert np.array_equal(picks, estimate._sequential_pick(low.copy(), u))
+    assert np.all(picks == k - 1)
+
+
 @pytest.mark.parametrize("k", [48, 720])
 def test_pick_rejects_rows_that_do_not_sum_to_one(k):
     assert 48 < estimate._TWO_LEVEL_MIN <= 720   # one case on each side of the gate

@@ -10,6 +10,7 @@ from oracles import reference_value_counts
 from spinpovm import (
     PENROSE40,
     PHASE,
+    RayCatalog,
     SET60,
     bloch_dots,
     bloch_vector,
@@ -25,6 +26,7 @@ from spinpovm import (
     verify_hierarchy,
 )
 from spinpovm.povm import Povm
+from spinpovm import spin32
 from spinpovm.spin32 import (
     MAX_BLOCH_ROWS,
     BlochDotSpectrum,
@@ -224,6 +226,19 @@ class TestOverlapSpectrum:
             spectrum = overlap_spectrum(cat)
             for counts in spectrum.per_state:
                 assert sum(counts.values()) == cat.size - 1
+
+    def test_refuses_more_distinct_values_than_the_bound(self, monkeypatch):
+        rays = haar_random_states(4, 91, np.random.default_rng(91))
+        cat = RayCatalog("random", tuple(map(str, range(91))), rays)
+        distinct = len(np.unique(np.round(bloch_dots(rays), 9)[np.triu_indices(91, 1)]))
+        assert distinct == 91 * 90 // 2 <= spin32.MAX_SPECTRUM_VALUES
+        monkeypatch.setattr(spin32, "MAX_SPECTRUM_VALUES", distinct)
+        assert len(overlap_spectrum(cat).values) == distinct
+        monkeypatch.setattr(spin32, "MAX_SPECTRUM_VALUES", distinct - 1)
+        with pytest.raises(ValueError, match=f"catalog 'random' has {distinct} distinct "
+                                             f"Bloch dots, too many for a spectrum: the "
+                                             f"bound is MAX_SPECTRUM_VALUES = {distinct - 1}"):
+            overlap_spectrum(cat)
 
 
 class TestHierarchies:

@@ -14,7 +14,7 @@ from spinpovm import (
     verify_scalar_identity,
 )
 from spinpovm.sampling import chunks
-from spinpovm.verify import blocks
+from spinpovm.verify import blocks, kernel_buffers, outcome_probabilities
 from conftest import scaled
 from oracles import brute_force_identity_residual
 
@@ -136,3 +136,26 @@ def test_report_serialization_shape():
 def test_trials_validation():
     with pytest.raises(ValueError):
         verify_scalar_identity(build_table1_povm(2), 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("k", [40, 60, 129, 480, 720])
+def test_kernel_buffers_start_on_a_cache_line(k):
+    rng = np.random.default_rng(k)
+    povm = Povm(np.full(k, 3 / k), haar_random_states(3, k, rng), 1)
+    rows = 128
+    buffers = kernel_buffers(povm, rows)
+    assert not np.shares_memory(*buffers)
+    for buffer, dtype in zip(buffers, (complex, np.float64)):
+        assert buffer.shape == (rows, k) and buffer.dtype == dtype
+        assert buffer.flags.c_contiguous and buffer.flags.writeable
+        assert buffer.ctypes.data % 64 == 0
+    psis = haar_random_states(3, rows, rng)
+    for hi in range(1, rows + 1):
+        overlaps_sq, probs = outcome_probabilities(povm, psis[:hi], buffers)
+        assert probs.shape == overlaps_sq.shape == (hi, k)
+        assert probs.ctypes.data % 64 == 0 and overlaps_sq.ctypes.data % 64 == 0
+    # the probabilities of the last call take the start of the overlaps buffer
+    assert probs.ctypes.data == buffers[0].ctypes.data
+    expected = np.abs(psis.conj() @ povm.states.T) ** 2
+    assert np.allclose(overlaps_sq, expected, rtol=1e-13, atol=0)
+    assert np.allclose(probs, expected * povm.weights, rtol=1e-13, atol=0)
