@@ -19,15 +19,9 @@ from .blas import _openblas, one_blas_thread
 from .povm import AGGREGATE_TOL, Povm
 from .reports import EstimationReport
 from .sampling import CHUNK, chunks, haar_random_states
-from .verify import (_BLOCK, blocks, kernel_buffers, outcome_probabilities, verify_completeness,
-                     _povm_id)
+from .verify import (block_rows, blocks, kernel_buffers, outcome_probabilities,
+                     verify_completeness, _povm_id)
 
-# Fewest elements (rows x outcomes) per block of `simulate`, whose blocks
-# have at least _BLOCK rows. A few-outcome POVM then runs fewer, larger
-# blocks: at k = 40-60 a 128-row block is so small that fixed numpy call
-# costs dominate. Of 20480, 40960, 61440 and 92160, this budget was the
-# fastest at k = 40-60; from k = 320 on, blocks keep 128 rows.
-_BLOCK_ELEMENTS = 40960
 # Fewest trial-elements (trials x k) for which `simulate` forks a worker.
 # Below it the fork and the worker's copy-on-write faults cost more than
 # the worker's share saves: on 2 CPUs with BLAS on one thread, 20k trials
@@ -113,13 +107,9 @@ def simulate(povm: Povm, trials: int, rng: np.random.Generator,
     samples = (_allocate(trials, trials, "the per-trial fidelities", shared)
                if keep_samples else None)
     stats = _allocate(2 * count, trials, "the per-chunk statistics", shared).reshape(count, 2)
-    most = max(_BLOCK, _BLOCK_ELEMENTS // povm.size)
-    run = functools.partial(_run_chunks, povm, rng, trials, samples, stats, most)
+    run = functools.partial(_run_chunks, povm, rng, trials, samples, stats)
     with one_blas_thread():  # a second BLAS thread per process would only contend
-        if shared:
-            _run_forked(run, workers)
-        else:
-            run(0, 1)
+        _run_forked(run, workers)
 
     mean, m2 = _merge(stats, trials)
     std_error = math.sqrt(m2 / (trials - 1)) / math.sqrt(trials) if trials > 1 else 0.0
@@ -148,18 +138,17 @@ def _allocate(size: int, trials: int, what: str, shared: bool) -> np.ndarray:
 
 
 def _run_chunks(povm: Povm, rng: np.random.Generator, trials: int,
-                samples: np.ndarray | None, stats: np.ndarray, most: int,
-                index: int, count: int) -> None:
+                samples: np.ndarray | None, stats: np.ndarray, index: int, count: int) -> None:
     """Run chunks index, index + count, ... of the `trials` whole, `count`
     processes sharing the work: write each one's fidelities into `samples`,
     when kept, and its (mean, sum of squared deviations) into its row of
     `stats`. Every process takes every chunk's generator from `rng`, so
     `rng`'s seed sequence ends in the same state for any `count`."""
     scratch = np.empty(min(trials, CHUNK)) if samples is None else None
-    # one set for every block: with fresh arrays per block glibc's malloc gave
-    # their pages back and faulted them in again, 14,377 page faults and 62 ms
-    # against 544 and 46 ms for 100k serial trials of penrose40-N2 (2 vCPUs,
-    # BLAS on one thread)
+    # one set for every block: fresh arrays per block had glibc's malloc give
+    # their pages back and fault them in again, 14,377 page faults and 62 ms
+    # against 544 and 46 ms, 100k serial trials of penrose40-N2 (2 vCPUs, 1 BLAS thread)
+    most = block_rows(povm.size)
     buffers = kernel_buffers(povm, min(trials, CHUNK, most))
     for chunk, (start, stop) in enumerate(chunks(trials)):
         chunk_rng = rng.spawn(1)[0]
@@ -195,10 +184,10 @@ def _merge(stats: np.ndarray, trials: int) -> tuple[float, float]:
 
 
 def _run_forked(run, workers: int) -> None:
-    """`run(index, workers)`, a `_run_chunks` whose `samples` and `stats`
-    are shared memory, in this process as index 0 and in workers - 1 forked
-    ones. No worker outlives the call: a raise here kills them, and a
-    worker's failure raises RuntimeError."""
+    """`run(index, workers)`, a `_run_chunks`, in this process as index 0 and
+    in workers - 1 forked ones, whose `samples` and `stats` are then shared
+    memory; one process forks nothing and needs none. No worker outlives
+    the call: a raise kills them, and a worker's failure raises RuntimeError."""
     children = {}
     try:
         for index in range(1, workers):

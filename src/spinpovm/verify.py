@@ -15,16 +15,26 @@ import numpy as np
 from .blas import one_blas_thread
 from .povm import Povm
 from .reports import Check, VerificationReport
-from .sampling import chunks, haar_random_states
+from .sampling import CHUNK, chunks, haar_random_states
 from .symmetric import _frobenius_identity_residual, sym_dim, symmetric_power_matrix
 
-# Rows per block of the scalar check, and the fewest per block of
-# `simulate`: at k = 720 a 128-row block of overlaps stays in cache (1.5 MB
-# complex, 0.7 MB as floats) where a whole chunk of 4096 rows would stream
-# every stage from memory.
+# Fewest rows per kernel block, the rows of each from k = 320 on: at k = 720
+# 128 rows of overlaps (1.5 MB) stay in cache, 4096 would stream from memory.
 _BLOCK = 128
+# Fewest elements (rows x outcomes) per block above _BLOCK rows, so that a
+# few-outcome POVM runs fewer, larger blocks: at k = 40-60 a 128-row block
+# is so small that fixed numpy call costs dominate. Of 20480, 40960, 61440
+# and 92160, this budget was the fastest for `simulate` at k = 40-60.
+_BLOCK_ELEMENTS = 40960
 # Byte alignment of the kernel buffers: one cache line, and one AVX-512 vector.
 _ALIGN = 64
+
+
+def block_rows(k: int) -> int:
+    """Most rows per kernel block for k outcomes, in the scalar check and
+    `simulate` alike. Buffers need this many rows, or all the probes if
+    fewer: a short last chunk can split into larger blocks than a full one."""
+    return max(_BLOCK, _BLOCK_ELEMENTS // k)
 
 
 def blocks(rows: int, most: int) -> Iterator[tuple[int, int]]:
@@ -120,11 +130,12 @@ def verify_scalar_identity(povm: Povm, trials: int,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     worst = 0.0
-    buffers = kernel_buffers(povm, min(trials, _BLOCK))
+    most = block_rows(povm.size)
+    buffers = kernel_buffers(povm, min(trials, CHUNK, most))
     with one_blas_thread():
         for start, stop in chunks(trials):
             psis = haar_random_states(povm.dim, stop - start, rng)
-            for lo, hi in blocks(stop - start, _BLOCK):
+            for lo, hi in blocks(stop - start, most):
                 _, probs = outcome_probabilities(povm, psis[lo:hi], buffers)
                 worst = max(worst, float(np.max(np.abs(probs.sum(axis=1) - 1.0))))
     return VerificationReport(

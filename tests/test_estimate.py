@@ -27,7 +27,7 @@ from spinpovm import (
 from spinpovm import blas, estimate, verify
 from spinpovm.documents import dumps
 from spinpovm.sampling import CHUNK
-from spinpovm.verify import blocks, kernel_buffers, outcome_probabilities
+from spinpovm.verify import block_rows, blocks, kernel_buffers, outcome_probabilities
 from conftest import scaled
 from oracles import projective_moment_quadrature, reference_simulate_samples
 
@@ -196,8 +196,8 @@ def _kernel_samples(povm, trials, rng_factory):
     return report.samples, reference_simulate_samples(povm, trials, rng_factory())
 
 
-# rows per block of simulate at k = 40 (penrose40), 48 (table1-N2) and 60 (set60)
-_CAPS = sorted({estimate._BLOCK_ELEMENTS // k for k in (40, 48, 60)})
+# rows per kernel block at k = 40 (penrose40), 48 (table1-N2) and 60 (set60)
+_CAPS = sorted({block_rows(k) for k in (40, 48, 60)})
 
 
 @pytest.mark.parametrize("trials", [1, 127, 128, 129, 4097, 20_000]
@@ -303,8 +303,8 @@ def _assert_no_child_left():
 
 @needs_openblas
 @pytest.mark.parametrize("trials", [1, 127, 129, 4097, 20_000])
-def test_threaded_blocks_match_the_reference_and_the_serial_path(monkeypatch, shipped_povms,
-                                                                 wide_povms, trials):
+def test_forked_blocks_match_the_reference_and_the_serial_path(monkeypatch, shipped_povms,
+                                                               wide_povms, trials):
     # the caller alone, or with 1 or 4 forked workers but no more processes
     # than chunks, each running whole chunks
     povms = (shipped_povms[4], *wide_povms)
@@ -342,13 +342,14 @@ def test_more_workers_than_cpus(monkeypatch, wide_povms):
         wide_povms[1], 5 * CHUNK + 1, lambda: np.random.default_rng(12))
     assert np.array_equal(samples, reference)
     # the caller ran chunks 0 and 5 whole, every block of each, and no others
-    assert caller_picks == [hi - lo for lo, hi in blocks(CHUNK, 128)] + [1]
+    most = block_rows(wide_povms[1].size)
+    assert caller_picks == [hi - lo for lo, hi in blocks(CHUNK, most)] + [1]
     _assert_no_child_left()
 
 
 @needs_openblas
 @pytest.mark.parametrize("failing", ["worker", "caller", "killed-worker"])
-def test_threaded_simulate_reraises_and_leaves_no_thread(monkeypatch, wide_povms, failing):
+def test_forked_simulate_reraises_and_leaves_no_worker(monkeypatch, wide_povms, failing):
     monkeypatch.setattr(estimate, "_workers", lambda elements: 2)
     pick = estimate._pick
     error = RuntimeError("injected")

@@ -13,8 +13,9 @@ from spinpovm import (
     verify_completeness,
     verify_scalar_identity,
 )
+from spinpovm import verify
 from spinpovm.sampling import chunks
-from spinpovm.verify import blocks, kernel_buffers, outcome_probabilities
+from spinpovm.verify import block_rows, blocks, kernel_buffers, outcome_probabilities
 from conftest import scaled
 from oracles import brute_force_identity_residual
 
@@ -87,15 +88,61 @@ def test_blocks_are_an_even_split_within_the_cap(most):
 
 @pytest.mark.parametrize("trials", [1, 127, 128, 129, 4097])
 def test_blocked_scalar_check_matches_closed_form(trials):
-    # block edges at 128 rows, chunk edge at 4096; with weights (1, 1, 0.5)
-    # on the identity basis the overlap sum is 1 - 0.5 |psi_3|^2
-    povm = Povm(np.array([1.0, 1.0, 0.5]), np.eye(3), 1)
+    # at k = 3 a whole chunk is one block (block_rows(3) > 4096): chunk edge
+    # at 4096; with weights (1, 1, 0.5) on the identity basis the overlap
+    # sum is 1 - 0.5 |psi_3|^2
+    _assert_closed_form(3, trials)
+
+
+@pytest.mark.parametrize("trials", [2047, 2048, 2049, 4097, 6145])
+def test_blocked_scalar_check_matches_closed_form_across_block_edges(trials):
+    # at k = 20 the element-sized blocks hold 2048 rows, so block edges
+    # fall inside a chunk, in the last one too at 6145 probes
+    assert block_rows(20) == 2048
+    _assert_closed_form(20, trials)
+
+
+def _assert_closed_form(dim, trials):
+    """The scalar check of weights (1, ..., 1, 0.5) on the identity basis of
+    C^dim, whose overlap sum is 1 - 0.5 |psi_dim|^2, against that value."""
+    povm = Povm(np.r_[np.ones(dim - 1), 0.5], np.eye(dim), 1)
     rng = np.random.default_rng(trials)
     expected = max(float(np.max(0.5 * np.abs(
-        haar_random_states(3, stop - start, rng)[:, 2]) ** 2))
+        haar_random_states(dim, stop - start, rng)[:, -1]) ** 2))
         for start, stop in chunks(trials))
     report = verify_scalar_identity(povm, trials, np.random.default_rng(trials))
     assert abs(report.worst - expected) < 1e-15
+
+
+@pytest.mark.parametrize("index, trials, calls, largest",
+                         [(4, 1000, 1, 1000), (3, 1000, 8, 125), (7, 20_000, 34, 603)],
+                         ids=["k40", "k720", "k60-short-last-chunk"])
+def test_scalar_check_calls_the_kernel_once_per_block(monkeypatch, shipped_povms, index, trials,
+                                                     calls, largest):
+    # one kernel call per element-sized block: 1000 probes are one block at
+    # k = 40 (1024 rows) and 8 of 125 rows at k = 720 (128). At k = 60 (682
+    # rows) 20,000 probes are 4 chunks of 7 blocks of 585-586 rows, then a
+    # 3616-row chunk of 6 blocks of 602-603, which the buffers must hold
+    povm = shipped_povms[index]
+    most = block_rows(povm.size)
+    expected = [hi - lo for start, stop in chunks(trials) for lo, hi in blocks(stop - start, most)]
+    assert len(expected) == calls and max(expected) == largest
+    kernel, seen, worst = verify.outcome_probabilities, [], 0.0
+
+    def recording_kernel(povm, psis, buffers):
+        seen.append(len(psis))
+        return kernel(povm, psis, buffers)
+
+    monkeypatch.setattr(verify, "outcome_probabilities", recording_kernel)
+    report = verify_scalar_identity(povm, trials, np.random.default_rng(trials))
+    assert seen == expected
+    # the same worst residual as one kernel call per chunk
+    rng = np.random.default_rng(trials)
+    for start, stop in chunks(trials):
+        psis = haar_random_states(povm.dim, stop - start, rng)
+        _, probs = kernel(povm, psis, kernel_buffers(povm, len(psis)))
+        worst = max(worst, float(np.max(np.abs(probs.sum(axis=1) - 1.0))))
+    assert report.worst == worst
 
 
 def test_reports_are_deterministic_for_a_seed():

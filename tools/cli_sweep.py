@@ -5,7 +5,8 @@
 The sweep calls `spinpovm.cli.main` in-process, with OUTDIR as the working
 directory, so every output file lands in OUTDIR under a relative name. It
 covers `build` for every target, `verify` and `simulate` for every POVM
-(by target and from the built documents), one `simulate --csv` of 10_001
+(by target and from the built documents), `verify` at probe counts just
+past the scalar check's block edges, one `simulate --csv` of 10_001
 trials, `spectrum` and `solve-weights`, including error cases, some of
 them on documents written into OUTDIR first: a qubit POVM at 1100
 copies and the Penrose rays at 60 and 500 copies (`solve-weights` runs
@@ -143,6 +144,14 @@ def commands() -> list[list[str]]:
         runs.append(["solve-weights", "--polytope", polytope, "--angles", *angles,
                      "--copies", str(copies),
                      "--out", f"solve-{polytope}-N{copies}-{len(angles)}.json"])
+    # probe counts one past a block edge of the scalar check: block_rows(k)
+    # is 1024 at k = 40 and 853 at k = 48; at k = 60 (682) a chunk edge
+    # follows at 4097, and the 3616-probe last chunk of 20,000 splits into
+    # larger blocks (603 rows) than the full ones (586)
+    for target, trials in [("penrose40-povm-N2", 1025), ("table1-N2", 854),
+                           ("set60-povm-N3", 4097), ("set60-povm-N3", 20_000)]:
+        runs.append(["verify", "--target", target, "--trials", str(trials), "--seed", "5",
+                     "--out", f"verify-{target}-{trials}.json"])
     # 10_001 rows: the trial index gains a fifth digit inside the third slice
     runs.append(["simulate", "--target", "penrose40-povm-N2", "--trials", "10001",
                  "--seed", "5", "--out", "simulate-csv-10001.json",
