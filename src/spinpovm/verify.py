@@ -20,6 +20,11 @@ from .symmetric import _frobenius_identity_residual, sym_dim, symmetric_power_ma
 
 # Fewest rows per kernel block, the rows of each from k = 320 on: at k = 720
 # 128 rows of overlaps (1.5 MB) stay in cache, 4096 would stream from memory.
+# No other floor won at both k = 480 and 720: 100k trials of table1-N4 and
+# N5 took 70.3-70.9 and 102.6-102.8 ms with a floor of 64, 68.4-68.7 and
+# 99.0-99.1 with 96, 66.5-66.8 and 102.3-104.8 with 128 and 71.0 and
+# 128.2-129.5 with 192 (medians of 9 in two rounds, 2 vCPUs, BLAS on one
+# thread, forked worker).
 _BLOCK = 128
 # Fewest elements (rows x outcomes) per block above _BLOCK rows, so that a
 # few-outcome POVM runs fewer, larger blocks: at k = 40-60 a 128-row block
@@ -48,29 +53,41 @@ def blocks(rows: int, most: int) -> Iterator[tuple[int, int]]:
 
 
 def kernel_buffers(povm: Povm, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Buffers for `outcome_probabilities` on up to `rows` probe states: the
-    complex overlaps and their squared moduli, each starting on a 64-byte
-    boundary.
+    """The real factor matrix of the POVM's states, and the buffer of
+    `outcome_probabilities` on up to `rows` probe states.
 
-    numpy takes a large array from glibc's mmap, whose chunk header puts the
-    data at 16 mod 64 bytes, so every AVX-512 load of an elementwise pass
-    split two cache lines: aligned, `outcome_probabilities` took 255-257
-    against 274-276 ms over 100k serial trials of table1-N5
-    (`tools/kernel_stages.py`, 2-vCPU Xeon, BLAS on one thread). The
-    probabilities view, and every `[:rows]` slice, start where their
-    buffer does, so they are aligned too.
+    The factor is (2, 2D, k): a probe state, read as 2D interleaved doubles
+    (re, im), times half 0 gives Re <psi_r|psi> and times half 1 gives
+    Im <psi_r|psi>, for every element r. It is 69 KB at k = 720, D = 3.
+
+    The buffer is two halves, which take the real and the imaginary parts
+    of a block's overlaps, then the squared moduli and the probabilities.
+    Each half's stride is padded to whole cache lines, so that both halves
+    of every block's slice start on a 64-byte boundary, as the buffer and
+    the factor do. numpy takes a large array from glibc's mmap, whose chunk
+    header puts the data at 16 mod 64 bytes, so every AVX-512 load of an
+    elementwise pass split two cache lines: aligned, `outcome_probabilities`
+    took 255-257 against 274-276 ms over 100k serial trials of table1-N5
+    (`tools/kernel_stages.py`, 2-vCPU Xeon, BLAS on one thread).
     """
-    return (_aligned_empty((rows, povm.size), complex),
-            _aligned_empty((rows, povm.size), np.float64))
+    k = povm.size
+    factor = _aligned_empty((2, povm.dim, 2, k))
+    states = povm.states.T
+    factor[0, :, 0] = factor[1, :, 1] = states.real
+    factor[1, :, 1] *= -1.0
+    factor[0, :, 1] = factor[1, :, 0] = states.imag
+    line = _ALIGN // 8  # doubles per cache line
+    half = -(-rows * k // line) * line
+    return factor.reshape(2, 2 * povm.dim, k), _aligned_empty((2, half))
 
 
-def _aligned_empty(shape: tuple, dtype) -> np.ndarray:
-    """Uninitialized C-contiguous array of `shape` whose data starts on a
-    64-byte boundary: a slice of a 64-byte larger byte array."""
-    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+def _aligned_empty(shape: tuple) -> np.ndarray:
+    """Uninitialized C-contiguous array of doubles of `shape` whose data
+    starts on a 64-byte boundary: a slice of a 64-byte larger byte array."""
+    nbytes = int(np.prod(shape)) * 8
     raw = np.empty(nbytes + _ALIGN, dtype=np.uint8)
     start = -raw.ctypes.data % _ALIGN
-    return raw[start:start + nbytes].view(dtype).reshape(shape)
+    return raw[start:start + nbytes].view(np.float64).reshape(shape)
 
 
 def outcome_probabilities(povm: Povm, psis: np.ndarray,
@@ -83,24 +100,39 @@ def outcome_probabilities(povm: Povm, psis: np.ndarray,
     runs block after block reuses one set instead of leaving the memory
     allocator to return freed pages to the system and fault them in again.
     """
-    rows = len(psis)
-    overlaps, overlaps_sq = (buffer[:rows] for buffer in buffers)
-    np.matmul(psis.conj(), povm.states.T, out=overlaps)
-    np.abs(overlaps, out=overlaps_sq)
+    factor, halves = buffers
+    rows, k = len(psis), povm.size
+    parts = halves[:, :rows * k].reshape(2, rows, k)
+    # |z|^2 as re^2 + im^2 from one real product: np.abs of the complex
+    # overlaps, a hypot with a divide and a square root per element, took
+    # 0.91 of 2.47 us per trial at table1-N5
+    np.matmul(psis.view(np.float64), factor, out=parts)
+    overlaps_sq, probs = parts
     overlaps_sq *= overlaps_sq
-    # the overlaps are spent: the probabilities take the first half of their
-    # memory, which is still in cache. A third buffer measured 5% slower on
-    # the 20k-trial k = 40 CSV op of the cli-mix benchmark, and it raised
-    # the benchmark's peak RSS.
-    probs = overlaps.view(np.float64).reshape(-1)[:overlaps_sq.size].reshape(overlaps_sq.shape)
-    if povm.copies > 1:
-        np.multiply(overlaps_sq, overlaps_sq, out=probs)
-    else:
-        probs[...] = overlaps_sq
-    for _ in range(povm.copies - 2):
-        probs *= overlaps_sq
+    probs *= probs
+    overlaps_sq += probs
+    # the imaginary parts are spent: the probabilities take their memory,
+    # which is still in cache. A third buffer for the squared moduli took
+    # 121 against 102 ms over 100k trials of table1-N5 (medians of 9, 2
+    # vCPUs, BLAS on one thread).
+    _power(overlaps_sq, povm.copies, probs)
     probs *= povm.weights
     return overlaps_sq, probs
+
+
+def _power(x: np.ndarray, exponent: int, out: np.ndarray) -> None:
+    """x^exponent into `out`, exponent >= 1, by repeated squaring from the
+    top bit down: one pass per bit below the top one, and one more per set
+    bit among them (2 passes at exponent 4, 3 at 5). A product of n factors
+    in any order is within gamma_(n-1) of its exact value, relative to it."""
+    base = x
+    for bit in bin(exponent)[3:]:
+        np.multiply(base, base, out=out)
+        base = out
+        if bit == "1":
+            out *= x
+    if exponent == 1:
+        out[...] = x
 
 
 def verify_completeness(povm: Povm) -> VerificationReport:

@@ -126,17 +126,27 @@ def reference_simulate_samples(povm, trials, rng):
     probabilities, their row-sum check, prefix sums and the inverse-CDF
     pick, clamped to the last outcome. The chunk size is written out here
     so that a change to the package's stream order shows up as a mismatch.
+
+    An overlap <psi_r|psi> = sum_j conj(s_rj) psi_j is formed in real
+    arithmetic: with psi_j = x_j + i y_j and s_rj = u + i v, its real part
+    is sum_j x_j u + y_j v and its imaginary part sum_j x_j v - y_j u, each
+    a real product of the state's interleaved (x, y) with one factor
+    matrix, and |<psi_r|psi>|^2 is re^2 + im^2.
     """
     from spinpovm.sampling import haar_random_states
 
     k = povm.size
+    s = povm.states
+    real_factor = np.ascontiguousarray(np.stack([s.real, s.imag], axis=2).reshape(k, -1).T)
+    imag_factor = np.ascontiguousarray(np.stack([s.imag, -s.real], axis=2).reshape(k, -1).T)
     fidelities = np.empty(trials)
     done = 0
     while done < trials:
         batch = min(trials - done, 4096)
         chunk_rng = rng.spawn(1)[0]
         psis = haar_random_states(povm.dim, batch, chunk_rng)
-        overlaps_sq = np.abs(psis.conj() @ povm.states.T) ** 2
+        pairs = psis.view(float)
+        overlaps_sq = (pairs @ real_factor) ** 2 + (pairs @ imag_factor) ** 2
         probs = povm.weights * overlaps_sq ** povm.copies
         totals = probs.sum(axis=1)
         if float(np.max(np.abs(totals - 1.0))) > 1e-9:

@@ -204,8 +204,8 @@ _CAPS = sorted({block_rows(k) for k in (40, 48, 60)})
                          + [cap + d for cap in _CAPS for d in (-1, 0, 1)])
 def test_blocked_kernel_matches_unblocked_reference(shipped_povms, trials):
     # block edges at 128 rows (k >= 320) and at the element-sized caps, chunk
-    # edge at 4096, several large blocks per chunk at 20,000; copies = 1 has
-    # no power step
+    # edge at 4096, several large blocks per chunk at 20,000; at copies = 1
+    # the power step copies the squared moduli
     identity = Povm(np.ones(3), np.eye(3), 1, provenance="identity-D3-N1")
     for povm in (*shipped_povms, identity):
         samples, reference = _kernel_samples(

@@ -185,24 +185,69 @@ def test_trials_validation():
         verify_scalar_identity(build_table1_povm(2), 0, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("k", [40, 60, 129, 480, 720])
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53."""
+    return n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+
+
+@pytest.mark.parametrize("k", [21, 40, 60, 129, 480, 720])
 def test_kernel_buffers_start_on_a_cache_line(k):
+    # odd k and odd rows: the imaginary half starts a padded stride after
+    # the real one
     rng = np.random.default_rng(k)
     povm = Povm(np.full(k, 3 / k), haar_random_states(3, k, rng), 1)
-    rows = 128
-    buffers = kernel_buffers(povm, rows)
-    assert not np.shares_memory(*buffers)
-    for buffer, dtype in zip(buffers, (complex, np.float64)):
-        assert buffer.shape == (rows, k) and buffer.dtype == dtype
-        assert buffer.flags.c_contiguous and buffer.flags.writeable
-        assert buffer.ctypes.data % 64 == 0
-    psis = haar_random_states(3, rows, rng)
-    for hi in range(1, rows + 1):
-        overlaps_sq, probs = outcome_probabilities(povm, psis[:hi], buffers)
-        assert probs.shape == overlaps_sq.shape == (hi, k)
-        assert probs.ctypes.data % 64 == 0 and overlaps_sq.ctypes.data % 64 == 0
-    # the probabilities of the last call take the start of the overlaps buffer
-    assert probs.ctypes.data == buffers[0].ctypes.data
-    expected = np.abs(psis.conj() @ povm.states.T) ** 2
-    assert np.allclose(overlaps_sq, expected, rtol=1e-13, atol=0)
-    assert np.allclose(probs, expected * povm.weights, rtol=1e-13, atol=0)
+    for rows in (127, 128):
+        buffers = kernel_buffers(povm, rows)
+        factor, halves = buffers
+        assert not np.shares_memory(factor, halves)
+        for buffer in buffers:
+            assert buffer.dtype == np.float64
+            assert buffer.flags.c_contiguous and buffer.flags.writeable
+            assert buffer.ctypes.data % 64 == 0
+        assert factor.shape == (2, 6, k)
+        assert halves.shape[0] == 2 and halves.shape[1] >= rows * k
+        psis = haar_random_states(3, rows, rng)
+        for hi in range(1, rows + 1):
+            overlaps_sq, probs = outcome_probabilities(povm, psis[:hi], buffers)
+            assert probs.shape == overlaps_sq.shape == (hi, k)
+            assert probs.ctypes.data % 64 == 0 and overlaps_sq.ctypes.data % 64 == 0
+            # the squared moduli take the real half, the probabilities the
+            # imaginary one
+            assert overlaps_sq.ctypes.data == halves[0].ctypes.data
+            assert probs.ctypes.data == halves[1].ctypes.data
+        # re^2 + im^2 keeps an absolute bound, not a relative one: at
+        # |z|^2 = 7e-7 the two routes differ by 1.8e-13 of it (k = 21)
+        expected = np.abs(psis.conj() @ povm.states.T) ** 2
+        bound = 8 * _gamma(6)
+        assert np.allclose(overlaps_sq, expected, rtol=1e-13, atol=bound)
+        assert np.allclose(probs, expected * povm.weights, rtol=1e-13, atol=bound)
+
+
+def test_real_overlaps_match_the_complex_moduli(shipped_povms):
+    # Re and Im of <psi_r|psi> are each a real dot product of K = 2D terms,
+    # within gamma_K sum |a_i b_i| <= gamma_K |psi| |psi_r| = gamma_K of
+    # their exact values (Cauchy-Schwarz, unit rows); re^2 + im^2 then
+    # within 2 sqrt(2) gamma_K + 2u of |z|^2 <= 1. The complex route's
+    # products sum the same 2D real terms, then take a hypot (1 ulp) and
+    # square it, so the two differ by less than 8 gamma_K.
+    identity = Povm(np.ones(3), np.eye(3, dtype=complex), 1, provenance="identity-D3-N1")
+    rng = np.random.default_rng(24)
+    for povm in (*shipped_povms, identity):
+        psis = haar_random_states(povm.dim, 2000, rng)
+        overlaps_sq, _ = outcome_probabilities(povm, psis, kernel_buffers(povm, len(psis)))
+        expected = np.abs(psis.conj() @ povm.states.T) ** 2
+        gap = float(np.max(np.abs(overlaps_sq - expected)))
+        assert gap <= 8 * _gamma(2 * povm.dim), (povm.provenance, gap)
+
+
+@pytest.mark.parametrize("copies", range(1, 9))
+def test_power_step_matches_the_power_function(copies):
+    # a product of N factors in any order is within gamma_(N-1) of x^N,
+    # and x ** N (the C library's pow) within an ulp of it
+    rng = np.random.default_rng(copies)
+    x = np.concatenate([[0.0, 1.0, 0.5, 1e-30], rng.random(4000), rng.random(100) ** 8])
+    out = np.empty_like(x)
+    verify._power(x, copies, out)
+    expected = x ** copies
+    assert out[0] == 0.0 and out[1] == 1.0 and out[2] == expected[2]
+    assert np.all(np.abs(out - expected) <= (_gamma(copies - 1) + 2.0 ** -52) * expected)

@@ -17,7 +17,8 @@ weight or a NaN amplitude; the last two commands name their `--in`
 document as an output. Two spin-3/2 documents at copy counts no bundled
 POVM has run `verify` too, and `spectrum` and `verify` each run on a
 document of 2049 repeated spin-3/2 basis rays, one row above the
-Bloch-dot bound.
+Bloch-dot bound. The Penrose rays at one copy run `verify` and
+`simulate --csv`.
 `OUTDIR/manifest.json` records, per command, its argv, exit code, stdout,
 stderr and the sha256 of each output file it names. The package is
 imported from `src/` of the checkout this file sits in, so two checkouts
@@ -75,6 +76,9 @@ KET0, KET1 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
 # Penrose rays, weighted to sum to sym_dim(4, 4) = 35, fail its fourth moment
 BASIS_N1 = "spin32-basis-N1.json"
 PENROSE_N4 = "penrose40-uniform-N4.json"
+# the Penrose rays at one copy, weighted to sum to sym_dim(4, 1) = 4: the
+# estimation kernel's power step copies |<psi_r|psi>|^2 unsquared
+PENROSE_N1 = "penrose40-uniform-N1.json"
 # one row above spin32.MAX_BLOCH_ROWS = 2048: the spin-3/2 basis repeated,
 # as a catalog for spectrum and as a one-copy POVM for verify's hierarchy
 MANY_RAYS = "spin32-basis-rays-2049.json"
@@ -106,6 +110,8 @@ INPUT_DOCS = {
     BASIS_N1: json.loads(documents.povm_to_document(Povm(np.ones(4), np.eye(4), 1))),
     PENROSE_N4: json.loads(documents.povm_to_document(
         Povm(np.full(40, 35 / 40), catalog(PENROSE40).states, 4))),
+    PENROSE_N1: json.loads(documents.povm_to_document(
+        Povm(np.full(40, 4 / 40), catalog(PENROSE40).states, 1))),
     MANY_RAYS: json.loads(documents.catalog_to_document(
         RayCatalog("rays", tuple(map(str, range(2049))), BASIS_2049))),
     MANY_ELEMENTS: json.loads(documents.povm_to_document(
@@ -167,8 +173,10 @@ def commands() -> list[list[str]]:
     runs.append(["verify", "--in", BOOL_POVM, "--seed", "1"])
     runs.append(["simulate", "--in", BOOL_POVM, "--seed", "1"])
     runs.append(["spectrum", "--in", BOOL_RAYS])
-    for doc in (BASIS_N1, PENROSE_N4):
+    for doc in (BASIS_N1, PENROSE_N4, PENROSE_N1):
         runs.append(["verify", "--in", doc, "--seed", "1", "--out", f"verify-{doc}"])
+    runs.append(["simulate", "--in", PENROSE_N1, "--trials", "5000", "--seed", "5",
+                 "--out", f"simulate-{PENROSE_N1}", "--csv", "simulate-penrose40-N1.csv"])
     for doc in (OBJECT_PROVENANCE, ZERO_COPIES, NEGATIVE_WEIGHT, NAN_AMPLITUDE):
         runs.append(["verify", "--in", doc, "--seed", "1"])
         runs.append(["simulate", "--in", doc, "--seed", "1"])
