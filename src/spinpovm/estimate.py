@@ -149,8 +149,7 @@ def _run_chunks(povm: Povm, rng: np.random.Generator, trials: int,
     # their pages back and fault them in again, 14,377 page faults and 62 ms
     # against 544 and 46 ms, 100k serial trials of penrose40-N2 (2 vCPUs, 1 BLAS thread)
     k = povm.size
-    most = block_rows(k)
-    buffers = kernel_buffers(povm, min(trials, CHUNK, most))
+    buffers = kernel_buffers(povm, min(trials, CHUNK, block_rows(k)))
     # wide POVMs find each row's segment block by block and finish the
     # picks once per chunk: at k = 720 the whole pick per 128-row block took
     # 0.54 us per trial, the stage per block and the finish per chunk 0.38
@@ -164,23 +163,11 @@ def _run_chunks(povm: Povm, rng: np.random.Generator, trials: int,
         psis = haar_random_states(povm.dim, rows, chunk_rng)
         u = chunk_rng.random(rows)
         out = scratch[:rows] if samples is None else samples[start:stop]
-        for lo, hi in blocks(rows, most):
-            overlaps_sq, probs = outcome_probabilities(povm, psis[lo:hi], buffers)
-            if kept is None:
-                picks = _sequential_pick(probs, u[lo:hi], range(start + lo, start + hi))
-                out[lo:hi] = overlaps_sq[np.arange(hi - lo), picks]
-            else:
-                _pick_segments(probs, overlaps_sq, u[lo:hi], kept, lo)
-        if kept is not None:
-            redo = _finish_picks(kept, u, k, out, range(start, stop))[1]
-            for lo, hi in blocks(rows, most) if redo.size else ():
-                # the block's probabilities again, from a product of the
-                # same shape, so the same bits
-                mine = redo[(lo <= redo) & (redo < hi)]
-                if mine.size:
-                    overlaps_sq, probs = outcome_probabilities(povm, psis[lo:hi], buffers)
-                    picks = _sequential_pick(probs[mine - lo], u[mine], start + mine)
-                    out[mine] = overlaps_sq[mine - lo, picks]
+
+        def probabilities(lo, hi):
+            # a product of the same shape for the same rows, so the same bits
+            return outcome_probabilities(povm, psis[lo:hi], buffers)
+        _pick_chunk(probabilities, u, k, kept, out, start)
         mean = np.mean(out)
         deviations = out - mean
         stats[chunk] = mean, np.dot(deviations, deviations)
@@ -310,18 +297,24 @@ _UPPER = np.triu(np.ones((_PREFIX_MOST, _PREFIX_MOST + 1)), 1)
 _UPPER.flags.writeable = False
 
 
-def _pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF outcome of each row of `probs` for its uniform in `u`.
+def _pick_chunk(probabilities, u: np.ndarray, k: int, kept: tuple | None,
+                out: np.ndarray, start: int) -> None:
+    """Inverse-CDF outcome of each of the len(u) trials of one chunk, from
+    trial `start` on, for its uniform in `u`: write the outcome's squared
+    overlap into `out`. `probabilities(lo, hi)` returns the squared
+    overlaps and the probabilities of k outcomes of rows lo to hi, one
+    kernel block, and the same bits each time it is asked.
 
-    Returns what `_sequential_pick` returns, by a two-level search when
-    the rows are wide: prefix sums of segment totals find the segment
-    where the prefix sums cross u, and one prefix sum over that segment
-    finds the outcome. A candidate j is kept only when the two-level sums
-    S' lie at least delta away from u on both sides of the crossing,
+    Without `kept` each block takes `_sequential_pick`. With the arrays of
+    `_segment_arrays`, the pick has two levels and picks what
+    `_sequential_pick` would: `_pick_segments` per block finds the segment
+    where prefix sums of segment totals cross u, then `_finish_picks` once
+    per chunk finds the outcome by one prefix sum over that segment. A
+    candidate j is kept only when the two-level sums S' lie at least delta
+    away from u on both sides of the crossing,
     S'_(j-1) < u - delta <= u + delta <= S'_j; every other row is
-    recomputed sequentially. This is the one-block form of what
-    `simulate` runs: `_pick_segments` per block, then `_finish_picks`
-    once per chunk.
+    recomputed sequentially, and only the blocks that hold such a row are
+    asked for their probabilities again.
 
     The segment totals and their prefix sums are matrix products with
     ones (BLAS; past _PREFIX_MOST segments, the segments' starts are a
@@ -339,16 +332,23 @@ def _pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     being monotone, cross u at j too. The test holds for any candidate, so
     how the segment was found does not matter to the result.
     """
-    rows, k = probs.shape
-    if k < _TWO_LEVEL_MIN:
-        return _sequential_pick(probs, u)
-    kept = _segment_arrays(rows)
-    # no fidelities wanted: the probabilities stand in for the overlaps
-    _pick_segments(probs, probs, u, kept, 0)
-    picks, redo = _finish_picks(kept, u, k, np.empty(rows), range(rows))
-    if redo.size:
-        picks[redo] = _sequential_pick(probs[redo], u[redo], redo)
-    return picks
+    rows, most = len(u), block_rows(k)
+    for lo, hi in blocks(rows, most):
+        overlaps_sq, probs = probabilities(lo, hi)
+        if kept is None:
+            picks = _sequential_pick(probs, u[lo:hi], range(start + lo, start + hi))
+            out[lo:hi] = overlaps_sq[np.arange(hi - lo), picks]
+        else:
+            _pick_segments(probs, overlaps_sq, u[lo:hi], kept, lo)
+    if kept is None:
+        return
+    redo = _finish_picks(kept, u, k, out, range(start, start + rows))
+    for lo, hi in blocks(rows, most) if redo.size else ():
+        mine = redo[(lo <= redo) & (redo < hi)]
+        if mine.size:
+            overlaps_sq, probs = probabilities(lo, hi)
+            picks = _sequential_pick(probs[mine - lo], u[mine], start + mine)
+            out[mine] = overlaps_sq[mine - lo, picks]
 
 
 def _segment_arrays(rows: int) -> tuple[np.ndarray, ...]:
@@ -368,7 +368,7 @@ def _kept_rows(kept: tuple, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 
 def _pick_segments(probs: np.ndarray, overlaps_sq: np.ndarray, u: np.ndarray,
                    kept: tuple, lo: int) -> None:
-    """Per-block stage of the two-level pick (see `_pick`): find the segment
+    """Per-block stage of the two-level pick (see `_pick_chunk`): find the segment
     of each row of `probs` where the prefix sums of the segment totals
     cross its uniform in `u`, and keep row i as row lo + i of `kept`, from
     `_segment_arrays`."""
@@ -411,13 +411,12 @@ def _pick_segments(probs: np.ndarray, overlaps_sq: np.ndarray, u: np.ndarray,
 
 
 def _finish_picks(kept: tuple, u: np.ndarray, k: int, out: np.ndarray,
-                  trials: range | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-chunk finish of the two-level pick (see `_pick`) of the first
-    len(u) rows of `kept`, from `_pick_segments`, whose trial indices are
-    `trials`: check that the rows sum to one, find each row's outcome in
-    its segment and write its squared overlap into `out`. Returns the
-    picks and the rows to recompute sequentially, whose picks and `out`
-    values are not yet right."""
+                  trials: range) -> np.ndarray:
+    """Per-chunk finish of the two-level pick (see `_pick_chunk`) of the
+    first len(u) rows of `kept`, from `_pick_segments`, whose trial indices
+    are `trials`: check that the rows sum to one, find each row's outcome
+    in its segment and write its squared overlap into `out`. Returns the
+    rows to recompute sequentially, whose `out` values are not yet right."""
     rows = len(u)
     segment, total, local, chosen_sq = _kept_rows(kept, 0, rows)
     _check_normalized(total, trials)
@@ -439,14 +438,14 @@ def _finish_picks(kept: tuple, u: np.ndarray, k: int, out: np.ndarray,
     exact = (picks == 0) | (local[offset, index] < u - delta)
     exact &= (picks == k - 1) | (local[offset + 1, index] >= u + delta)
     out[:] = chosen_sq[index, offset]
-    return picks, np.flatnonzero(~exact)
+    return np.flatnonzero(~exact)
 
 
 def _sequential_pick(probs: np.ndarray, u: np.ndarray,
-                     trials: range | np.ndarray | None = None) -> np.ndarray:
+                     trials: range | np.ndarray) -> np.ndarray:
     """First j whose sequential prefix sum S_j = p_0 + ... + p_j reaches u,
     per row, or the last outcome when none does. `trials` are the rows'
-    trial indices for the normalization error, by default their positions.
+    trial indices for the normalization error.
 
     The sums run outcome by outcome across all rows, on the transposed
     block: S_j = fl(S_(j-1) + p_j), the additions `cumsum` makes along a
@@ -469,17 +468,16 @@ def _sequential_pick(probs: np.ndarray, u: np.ndarray,
     return np.add.reduce(cdf < u, axis=0, dtype=np.min_scalar_type(k))
 
 
-def _check_normalized(totals: np.ndarray, trials: range | np.ndarray | None = None) -> None:
+def _check_normalized(totals: np.ndarray, trials: range | np.ndarray) -> None:
     """RuntimeError naming the worst row of `totals`, by its index in
-    `trials` (a range or an array; by default its position), when that
-    row's sum of probabilities is more than AGGREGATE_TOL away from 1 or
-    is NaN, which `argmax` takes for the worst."""
+    `trials` (a range or an array), when that row's sum of probabilities
+    is more than AGGREGATE_TOL away from 1 or is NaN, which `argmax`
+    takes for the worst."""
     deviations = np.abs(totals - 1.0)
     row = int(np.argmax(deviations))
     worst = float(deviations[row])
     if not worst <= AGGREGATE_TOL:
-        trial = row if trials is None else int(trials[row])
         raise RuntimeError(
             f"outcome probabilities failed to normalize: worst |sum p - 1| = {worst:.3e}, "
-            f"above the tolerance {AGGREGATE_TOL:.1e}, at trial {trial} "
+            f"above the tolerance {AGGREGATE_TOL:.1e}, at trial {int(trials[row])} "
             f"(sum p = {float(totals[row])!r})")

@@ -506,16 +506,17 @@ def _split_last(povm, parts):
 
 @pytest.fixture
 def recomputed(monkeypatch):
-    """Row counts of the sequential recomputations the two-level pick makes."""
-    counts = []
+    """Trial indices of the rows that the two-level pick recomputes
+    sequentially, in the order it recomputes them."""
+    trials_seen = []
     sequential = estimate._sequential_pick
 
-    def counting(probs, u, *trials):
-        counts.append(len(u))
-        return sequential(probs, u, *trials)
+    def recording(probs, u, trials):
+        trials_seen.extend(int(trial) for trial in trials)
+        return sequential(probs, u, trials)
 
-    monkeypatch.setattr(estimate, "_sequential_pick", counting)
-    return counts
+    monkeypatch.setattr(estimate, "_sequential_pick", recording)
+    return trials_seen
 
 
 def _probs_and_prefix_sums(povm, rows, rng):
@@ -526,6 +527,27 @@ def _probs_and_prefix_sums(povm, rows, rng):
 
 def _reference_picks(sums, u):
     return np.minimum(np.sum(sums < u[:, None], axis=1), sums.shape[1] - 1)
+
+
+def _chunk_outcomes(probs, u, start=0):
+    """`estimate._pick_chunk` on the rows of `probs` as one chunk from trial
+    `start`, with the two-level pick from _TWO_LEVEL_MIN outcomes on, as
+    `simulate` runs it: each row's pick, and the (lo, hi) of each call for
+    a block's probabilities. The squared overlaps it is handed are the
+    elements' flat indices, so row i's value is i * k plus its pick, and a
+    pick gathered from the wrong row or column shows."""
+    rows, k = probs.shape
+    flat = np.arange(rows * k, dtype=float).reshape(rows, k)
+    calls = []
+
+    def probabilities(lo, hi):
+        calls.append((lo, hi))
+        return flat[lo:hi], probs[lo:hi]
+
+    kept = estimate._segment_arrays(CHUNK) if k >= estimate._TWO_LEVEL_MIN else None
+    out = np.full(rows, np.nan)
+    estimate._pick_chunk(probabilities, u, k, kept, out, start)
+    return out - np.arange(rows) * k, calls
 
 
 # around the two-level gate and the count dtype boundary at 256 outcomes
@@ -551,10 +573,10 @@ def test_sequential_pick_matches_the_reference(k):
     plateau = sums[:, max(k // 2 - 1, 0)]   # on the plateau in the even rows
     for u in (on, np.nextafter(on, 0), np.nextafter(on, 2), plateau, np.zeros(rows),
               rng.random(rows)):
-        picks = estimate._sequential_pick(probs.copy(), u)
+        picks = estimate._sequential_pick(probs.copy(), u, range(rows))
         assert np.array_equal(picks, _reference_picks(sums, u))
     if k >= 4:   # a u on a plateau picks its first outcome
-        picks = estimate._sequential_pick(probs.copy(), plateau)
+        picks = estimate._sequential_pick(probs.copy(), plateau, range(rows))
         assert np.all(picks[::2] == k // 4 - 1)
 
 
@@ -565,7 +587,7 @@ def test_sequential_pick_clamps_to_the_last_outcome(k):
     sums = np.cumsum(probs, axis=1)
     u = np.full(rows, np.nextafter(1.0, 0.0))
     assert np.all(sums[:, -1] < u)
-    picks = estimate._sequential_pick(probs, u)
+    picks = estimate._sequential_pick(probs, u, range(rows))
     assert np.array_equal(picks, _reference_picks(sums, u))
     assert np.all(picks == k - 1)
 
@@ -577,15 +599,18 @@ def test_sequential_pick_clamps_to_the_last_outcome(k):
                          ids=["table1-N4", "table1-N5", "k481", "k485", "k200"])
 def test_pick_recomputes_rows_whose_uniform_sits_on_a_prefix_sum(povm, recomputed):
     # u on, just below and just above a sequential prefix sum: the two-level
-    # sums may land on either side of u, so each such row must be recomputed
+    # sums may land on either side of u, so each such row must be recomputed,
+    # from its block's probabilities asked for again
     rows, k = 128, povm.size
     assert k >= estimate._TWO_LEVEL_MIN
     rng = np.random.default_rng(k)
     probs, sums = _probs_and_prefix_sums(povm, rows, rng)
     on = sums[np.arange(rows), rng.integers(0, k - 1, rows)]
     for u in (on, np.nextafter(on, 0), np.nextafter(on, 2)):
-        assert np.array_equal(estimate._pick(probs.copy(), u), _reference_picks(sums, u))
-    assert sum(recomputed) == 3 * rows
+        picks, calls = _chunk_outcomes(probs, u)
+        assert np.array_equal(picks, _reference_picks(sums, u))
+        assert calls == [(0, rows)] * 2
+    assert recomputed == list(range(rows)) * 3
 
 
 @pytest.mark.parametrize("parts", [2, 6])
@@ -599,17 +624,18 @@ def test_two_level_pick_on_a_short_last_segment(parts, recomputed):
     rng = np.random.default_rng(parts)
     probs, sums = _probs_and_prefix_sums(povm, rows, rng)
     u = sums[:, top] + (1 - sums[:, top]) * rng.random(rows)
-    picks = estimate._pick(probs, u)
+    picks = _chunk_outcomes(probs, u)[0]
     assert np.array_equal(picks, _reference_picks(sums, u))
     assert np.all(picks > top)
     # only rows whose last probabilities are within delta of u are recomputed
-    assert sum(recomputed) < rows // 4
+    assert len(recomputed) < rows // 4
 
 
 @pytest.mark.parametrize("k", [128, 129, 143, 144, 480, 720, 1000, 1544, 4000])
 def test_two_level_pick_matches_the_sequential_pick(k):
     # short last segments of 1, 15, 8 and 8 outcomes at k = 129, 143, 1000
-    # and 1544; k = 1544 and 4000 have more than _PREFIX_MOST segments
+    # and 1544; k = 1544 and 4000 have more than _PREFIX_MOST segments; from
+    # k = 320 on the 256 rows are two blocks
     assert (1544 + estimate._SEGMENT - 1) // estimate._SEGMENT > estimate._PREFIX_MOST
     assert k >= estimate._TWO_LEVEL_MIN
     rows, segment = 256, estimate._SEGMENT
@@ -624,15 +650,15 @@ def test_two_level_pick_matches_the_sequential_pick(k):
               np.nextafter(segment_ends, 2), sums[:, k // 2 - 1], last, first,
               np.zeros(rows), rng.random(rows)):
         kept = probs.copy()
-        picks = estimate._pick(probs, u)
+        picks = _chunk_outcomes(probs, u)[0]
         assert np.array_equal(probs, kept)   # the pick leaves the block as it was
-        assert np.array_equal(picks, estimate._sequential_pick(probs.copy(), u))
+        assert np.array_equal(picks, estimate._sequential_pick(probs.copy(), u, range(rows)))
         assert np.array_equal(picks, _reference_picks(sums, u))
     # prefix sums that end below u pick the last outcome
     low = _rows_with_plateaus(k, rows, rng, scale=1 - 1e-12)
     u = np.full(rows, np.nextafter(1.0, 0.0))
-    picks = estimate._pick(low, u)
-    assert np.array_equal(picks, estimate._sequential_pick(low.copy(), u))
+    picks = _chunk_outcomes(low, u)[0]
+    assert np.array_equal(picks, estimate._sequential_pick(low.copy(), u, range(rows)))
     assert np.all(picks == k - 1)
 
 
@@ -642,7 +668,7 @@ def test_pick_rejects_rows_that_do_not_sum_to_one(k):
     probs = np.full((4, k), (1 + 1e-8) / k)
     with pytest.raises(RuntimeError, match=r"normalize: worst \|sum p - 1\| = 1\.000e-08, "
                                            r"above the tolerance 1\.0e-09"):
-        estimate._pick(probs, np.full(4, 0.5))
+        _chunk_outcomes(probs, np.full(4, 0.5))
 
 
 @pytest.mark.parametrize("k", [48, 720])
@@ -651,51 +677,97 @@ def test_pick_rejects_a_row_with_a_nan_probability(k):
     probs[2, k // 2] = np.nan
     with pytest.raises(RuntimeError, match=r"worst \|sum p - 1\| = nan, .* at trial 2 "
                                            r"\(sum p = nan\)$"):
-        estimate._pick(probs, np.full(4, 0.5))
-
-
-def _chunk_picks(probs, overlaps_sq, u):
-    """Picks, fidelities and the count of recomputed rows of the chunk path
-    as `simulate` runs it: the stage on each block, into arrays sized for a
-    whole chunk, one finish, then the sequential pick of the rows it leaves."""
-    rows, k = probs.shape
-    kept = estimate._segment_arrays(CHUNK)
-    for lo, hi in blocks(rows, block_rows(k)):
-        estimate._pick_segments(probs[lo:hi], overlaps_sq[lo:hi], u[lo:hi], kept, lo)
-    fidelities = np.empty(rows)
-    picks, redo = estimate._finish_picks(kept, u, k, fidelities, range(rows))
-    if redo.size:
-        picks[redo] = estimate._sequential_pick(probs[redo], u[redo], redo)
-        fidelities[redo] = overlaps_sq[redo, picks[redo]]
-    return picks, fidelities, redo.size
+        _chunk_outcomes(probs, np.full(4, 0.5))
 
 
 # short last segments of 2 and 15 outcomes at k = 130 and 143, and 1 to 8
 # blocks in a chunk (of 315, 286 and 128 rows)
 @pytest.mark.parametrize("rows", [1, 300, 1000])
 @pytest.mark.parametrize("k", [130, 143, 480, 720])
-def test_chunk_path_picks_match_the_sequential_pick(k, rows):
+def test_chunk_path_picks_match_the_sequential_pick(k, rows, recomputed):
     assert k >= estimate._TWO_LEVEL_MIN
     rng = np.random.default_rng(k + rows)
     probs = _rows_with_plateaus(k, rows, rng)
-    overlaps_sq = rng.random((rows, k))   # any values: the gather must take the pick's
     sums = np.cumsum(probs, axis=1)
-    index = np.arange(rows)
-    on = sums[index, rng.integers(0, k, rows)]
+    on = sums[np.arange(rows), rng.integers(0, k, rows)]
     last = sums[:, -2] + (sums[:, -1] - sums[:, -2]) * rng.random(rows)
-    recomputed = []
+    redone = []
     for u in (on, np.nextafter(on, 0), np.nextafter(on, 2), last, np.zeros(rows),
               rng.random(rows)):
         unchanged = probs.copy()
-        picks, fidelities, redone = _chunk_picks(probs, overlaps_sq, u)
-        recomputed.append(redone)
+        recomputed.clear()
+        picks = _chunk_outcomes(probs, u)[0]
+        redone.append(len(recomputed))
         assert np.array_equal(probs, unchanged)
-        assert np.array_equal(picks, estimate._sequential_pick(probs.copy(), u))
+        assert np.array_equal(picks, estimate._sequential_pick(probs.copy(), u, range(rows)))
         assert np.array_equal(picks, _reference_picks(sums, u))
-        assert np.array_equal(fidelities, overlaps_sq[index, picks])
     # the rows whose u is on or next to a sum take the redo, bar a few on a
     # plateau or at the last outcome; the other rows do not
-    assert min(recomputed[:3]) > 0.98 * rows and recomputed[3:] == [0, 0, 0]
+    assert min(redone[:3]) > 0.98 * rows and redone[3:] == [0, 0, 0]
+
+
+# one block at k = 1 and 2 and at 300 rows; at 4096 rows, 4 blocks at k = 40,
+# 7 at k = 60 (of 585 and 586 rows) and 13 at k = 127
+@pytest.mark.parametrize("rows", [1, 300, CHUNK])
+@pytest.mark.parametrize("k", [1, 2, 40, 60, 127])
+def test_narrow_chunk_picks_match_the_reference(k, rows):
+    assert k < estimate._TWO_LEVEL_MIN
+    rng = np.random.default_rng(k + rows)
+    probs = _rows_with_plateaus(k, rows, rng)
+    sums = np.cumsum(probs, axis=1)
+    on = sums[np.arange(rows), rng.integers(0, k, rows)]
+    plateau = sums[:, max(k // 2 - 1, 0)]   # on the plateau in the even rows
+    start = 3 * CHUNK
+    for u in (on, np.nextafter(on, 0), np.nextafter(on, 2), plateau, np.zeros(rows),
+              rng.random(rows)):
+        # a copy: the transpose of a block of one row or one outcome is
+        # contiguous, so the sequential pick sums it in place
+        picks, calls = _chunk_outcomes(probs.copy(), u, start)
+        assert np.array_equal(picks, _reference_picks(sums, u))
+        assert calls == list(blocks(rows, block_rows(k)))
+    if k >= 4:   # a u on a plateau picks its first outcome
+        assert np.all(_chunk_outcomes(probs.copy(), plateau, start)[0][::2] == k // 4 - 1)
+    # prefix sums that top out at 1 - 1e-12, below u, pick the last outcome
+    low = _rows_with_plateaus(k, rows, rng, scale=1 - 1e-12)
+    u = np.full(rows, np.nextafter(1.0, 0.0))
+    picks = _chunk_outcomes(low.copy(), u, start)[0]
+    assert np.array_equal(picks, _reference_picks(np.cumsum(low, axis=1), u))
+    assert np.all(picks == k - 1)
+
+
+# a row of the last block of a 2000-row chunk from trial 8192: the second
+# of 2 blocks at k = 40, the 7th of 7 at k = 127, and at k = 720, where the
+# two-level pick checks the whole chunk at once, the 16th of 16
+@pytest.mark.parametrize("k", [40, 127, 720])
+def test_chunk_pick_names_the_trial_of_an_unnormalized_row(k):
+    rows, row, start = 2000, 1995, 2 * CHUNK
+    probs = np.full((rows, k), 1 / k)
+    probs[row] *= 1 + 1e-8
+    with pytest.raises(RuntimeError, match=r"normalize: worst \|sum p - 1\| = 1\.000e-08, "
+                                           rf".* at trial {start + row} "):
+        _chunk_outcomes(probs, np.full(rows, 0.5), start)
+
+
+# blocks of 125 rows and a last one of 126 at k = 480 (1001 rows), of 233,
+# 233 and 234 at k = 143 (700 rows) and of 100 at k = 720 (300 rows); u sits
+# on a prefix sum in the listed blocks only, so only they take the redo
+@pytest.mark.parametrize("k, rows, redone", [(480, 1001, (1, 7)), (143, 700, (0, 2)),
+                                             (720, 300, (1,))])
+def test_redo_recomputes_only_the_blocks_that_hold_a_redo_row(k, rows, redone, recomputed):
+    rng = np.random.default_rng(k)
+    probs = _rows_with_plateaus(k, rows, rng)
+    sums = np.cumsum(probs, axis=1)
+    spans = list(blocks(rows, block_rows(k)))
+    assert len({hi - lo for lo, hi in spans}) == 1 + (rows % len(spans) > 0)
+    u = rng.random(rows)
+    on = np.concatenate([np.arange(*spans[block]) for block in redone])
+    u[on] = sums[on, rng.integers(0, k - 1, on.size)]
+    picks, calls = _chunk_outcomes(probs, u, start=CHUNK)
+    # each row, recomputed or not, has its reference pick, gathered from its row
+    assert np.array_equal(picks, _reference_picks(sums, u))
+    # one call per block, then one per block that holds a redo row
+    assert calls == spans + [spans[block] for block in redone]
+    assert 0.9 * on.size < len(recomputed) and set(recomputed) <= set((CHUNK + on).tolist())
 
 
 class _UniformsOnPrefixSums:
@@ -747,7 +819,7 @@ def test_simulate_recomputes_rows_whose_uniform_sits_on_a_prefix_sum(monkeypatch
         rng = _UniformsOnPrefixSums(povm, trials, side, povm.size)
         report = simulate(povm, trials, rng, keep_samples=True)
         assert np.array_equal(report.samples, np.concatenate(rng.expected)), povm.provenance
-        assert sum(recomputed) == trials
+        assert recomputed == list(range(trials))
 
 
 def _unnormalized_row(monkeypatch, call, row):

@@ -18,7 +18,11 @@ document as an output. Two spin-3/2 documents at copy counts no bundled
 POVM has run `verify` too, and `spectrum` and `verify` each run on a
 document of 2049 repeated spin-3/2 basis rays, one row above the
 Bloch-dot bound. The Penrose rays at one copy run `verify` and
-`simulate --csv`.
+`simulate --csv`, and so do two documents of Table 1 POVMs with split
+elements, whose two-level outcome picks no bundled POVM takes: table1-N4
+with its last element split in two (k = 481, a one-outcome last segment)
+and table1-N5 with every element split in three (k = 2160, more segments
+than one matrix product sums).
 `OUTDIR/manifest.json` records, per command, its argv, exit code, stdout,
 stderr and the sha256 of each output file it names. The package is
 imported from `src/` of the checkout this file sits in, so two checkouts
@@ -38,7 +42,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from spinpovm import PENROSE40, Povm, RayCatalog, catalog, cli, documents  # noqa: E402
+from spinpovm import (PENROSE40, Povm, RayCatalog, build_table1_povm, catalog, cli,  # noqa: E402
+                      documents)
 
 SEEDS = (11, 2026)
 # Table 1 of the paper, then a trailing zero-weight shell, an infeasible
@@ -84,6 +89,21 @@ PENROSE_N1 = "penrose40-uniform-N1.json"
 MANY_RAYS = "spin32-basis-rays-2049.json"
 MANY_ELEMENTS = "spin32-basis-N1-2049.json"
 BASIS_2049 = np.eye(4)[np.arange(2049) % 4]
+# Table 1 POVMs with elements split into equal parts: N4's last in two (k =
+# 481: 30 segments of estimate._SEGMENT = 16 and one of 1) and each of N5's
+# in three (k = 2160: 135 segments, past estimate._PREFIX_MOST = 96, and
+# 10_001 trials of it are 3 chunks above estimate._WORKER_ELEMENTS)
+SPLIT_LAST = "table1-N4-last-split-2.json"
+SPLIT_ALL = "table1-N5-split-3.json"
+
+
+def _split(povm: Povm, parts: int, first: int) -> dict:
+    """The document of `povm` with elements `first` on split into `parts` equal ones."""
+    weights, states = povm.weights, povm.states
+    return json.loads(documents.povm_to_document(Povm(
+        np.r_[weights[:first], np.repeat(weights[first:] / parts, parts)],
+        np.r_[states[:first], np.repeat(states[first:], parts, axis=0)],
+        povm.copies, provenance=f"{povm.provenance}-split-{parts}")))
 
 
 def _qubit(copies=1, weight=1.0, ket0=KET0, **extra) -> dict:
@@ -116,6 +136,8 @@ INPUT_DOCS = {
         RayCatalog("rays", tuple(map(str, range(2049))), BASIS_2049))),
     MANY_ELEMENTS: json.loads(documents.povm_to_document(
         Povm(np.full(2049, 4 / 2049), BASIS_2049, 1))),
+    SPLIT_LAST: _split(build_table1_povm(4), 2, 479),
+    SPLIT_ALL: _split(build_table1_povm(5), 3, 0),
     **{name: json.loads(documents.povm_to_document(
         Povm(np.ones(40), catalog(PENROSE40).states, copies)))
        for copies, name in PENROSE_MANY.items()},
@@ -177,6 +199,10 @@ def commands() -> list[list[str]]:
         runs.append(["verify", "--in", doc, "--seed", "1", "--out", f"verify-{doc}"])
     runs.append(["simulate", "--in", PENROSE_N1, "--trials", "5000", "--seed", "5",
                  "--out", f"simulate-{PENROSE_N1}", "--csv", "simulate-penrose40-N1.csv"])
+    for doc in (SPLIT_LAST, SPLIT_ALL):
+        runs.append(["verify", "--in", doc, "--seed", "5", "--out", f"verify-{doc}"])
+        runs.append(["simulate", "--in", doc, "--trials", "10001", "--seed", "5",
+                     "--out", f"simulate-{doc}", "--csv", f"simulate-{doc}.csv"])
     for doc in (OBJECT_PROVENANCE, ZERO_COPIES, NEGATIVE_WEIGHT, NAN_AMPLITUDE):
         runs.append(["verify", "--in", doc, "--seed", "1"])
         runs.append(["simulate", "--in", doc, "--seed", "1"])
