@@ -395,6 +395,7 @@ def _pick_segments(probs: np.ndarray, overlaps_sq: np.ndarray, u: np.ndarray,
         ends = np.zeros((segments + 1, rows))
         np.cumsum(totals.T, axis=0, out=ends[1:])
     total[:] = ends[-1]
+    # the pick's one crossing rule: count the sums below u among all but the last
     segment[:] = np.add.reduce(ends[1:-1] < u, axis=0, dtype=np.min_scalar_type(segments))
     index = np.arange(rows)
     local[0] = ends[segment, index]
@@ -426,9 +427,9 @@ def _finish_picks(kept: tuple, u: np.ndarray, k: int, out: np.ndarray,
     sums = list(local)
     for prev, row in zip(sums, sums[1:]):
         np.add(prev, row, out=row)
-    # the first sum that reaches u, or the segment's last outcome when none
-    # does, and never past k - 1; the delta test below sorts out either
-    offset = np.minimum(np.add.reduce(local[1:] < u, axis=0, dtype=np.uint8), _SEGMENT - 1)
+    # the crossing rule of `_pick_segments` inside the segment, then never past
+    # k - 1 for a short last segment; the delta test below sorts out either
+    offset = np.add.reduce(local[1:-1] < u, axis=0, dtype=np.min_scalar_type(_SEGMENT))
     first = segment * _SEGMENT
     picks = np.minimum(first + offset, k - 1)
     offset = picks - first
@@ -444,28 +445,22 @@ def _finish_picks(kept: tuple, u: np.ndarray, k: int, out: np.ndarray,
 def _sequential_pick(probs: np.ndarray, u: np.ndarray,
                      trials: range | np.ndarray) -> np.ndarray:
     """First j whose sequential prefix sum S_j = p_0 + ... + p_j reaches u,
-    per row, or the last outcome when none does. `trials` are the rows'
-    trial indices for the normalization error.
-
-    The sums run outcome by outcome across all rows, on the transposed
-    block: S_j = fl(S_(j-1) + p_j), the additions `cumsum` makes along a
-    row, in the same order, as k - 1 vector adds instead of one k-long
-    chain of scalar adds per row. The pick counts the sums below u. A
-    `Povm` refuses negative weights, so p >= 0 and S is non-decreasing;
-    #{j : S_j < u} is then the first j with S_j >= u, also where runs of
-    zero probabilities make plateaus in S.
+    per row, or the last outcome when none does; `trials` are the rows'
+    trial indices for the normalization error. The block is only read: the
+    sums run on a transposed copy, outcome by outcome across all rows,
+    S_j = fl(S_(j-1) + p_j), the additions `cumsum` makes along a row in
+    the same order, as k - 1 vector adds. The pick counts the sums below u
+    among all but the last. A `Povm` refuses negative weights, so p >= 0
+    and S is non-decreasing, and the count is the first j with S_j >= u,
+    also on the plateaus that runs of zero probabilities make.
     """
-    k = probs.shape[1]
-    cdf = np.ascontiguousarray(probs.T)
+    cdf = probs.T.copy()
     # row views made once: indexing cdf[j] at every add costs as much as the add
     sums = list(cdf)
     for prev, row in zip(sums, sums[1:]):
         np.add(prev, row, out=row)
     _check_normalized(cdf[-1], trials)
-    # picks the last outcome when rounding leaves the top of the prefix
-    # sums below u
-    cdf[-1] = np.inf
-    return np.add.reduce(cdf < u, axis=0, dtype=np.min_scalar_type(k))
+    return np.add.reduce(cdf[:-1] < u, axis=0, dtype=np.min_scalar_type(len(cdf)))
 
 
 def _check_normalized(totals: np.ndarray, trials: range | np.ndarray) -> None:

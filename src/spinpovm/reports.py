@@ -36,7 +36,7 @@ class VerificationReport:
 
     @property
     def worst(self) -> float:
-        return max(check.residual for check in self.checks)
+        return float(np.max([check.residual for check in self.checks]))
 
     @property
     def passed(self) -> bool:

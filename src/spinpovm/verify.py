@@ -169,7 +169,8 @@ def verify_scalar_identity(povm: Povm, trials: int,
             psis = haar_random_states(povm.dim, stop - start, rng)
             for lo, hi in blocks(stop - start, most):
                 _, probs = outcome_probabilities(povm, psis[lo:hi], buffers)
-                worst = max(worst, float(np.max(np.abs(probs.sum(axis=1) - 1.0))))
+                # np.maximum carries a NaN through, where Python's max drops it
+                worst = float(np.maximum(worst, np.max(np.abs(probs.sum(axis=1) - 1.0))))
     return VerificationReport(
         _povm_id(povm), (Check("scalar-identity", worst),))
 

@@ -1,6 +1,7 @@
 """Estimation statistics: exact averages, Monte Carlo convergence, determinism."""
 
 import contextlib
+import math
 import os
 import signal
 import threading
@@ -87,6 +88,36 @@ def test_simulation_converges_across_seeds():
         if abs(report.mean_fidelity - report.exact_fidelity) > 5 * report.std_error:
             misses += 1
     assert misses <= 1
+
+
+def _beta_cdf(x, a, b):
+    """CDF of Beta(a, b) at x for integer a, b >= 1: the binomial tail
+    sum_(j=a)^(a+b-1) C(a+b-1, j) x^j (1-x)^(a+b-1-j)."""
+    n = a + b - 1
+    return sum(math.comb(n, j) * x ** j * (1 - x) ** (n - j) for j in range(a, n + 1))
+
+
+def _ks_distance(samples, cdf):
+    """Kolmogorov-Smirnov distance of the samples' empirical CDF from `cdf`."""
+    values = cdf(np.sort(samples))
+    n = len(values)
+    return max(np.max(np.arange(1, n + 1) / n - values), np.max(values - np.arange(n) / n))
+
+
+@pytest.mark.parametrize("povm, seed", [
+    (build_table1_povm(5), 1), (build_table1_povm(2), 2),
+    (spin32_povm(catalog(PENROSE40), 2), 3), (spin32_povm(catalog(SET60), 3), 4)],
+    ids=["table1-N5", "table1-N2", "penrose40-povm-N2", "set60-povm-N3"])
+def test_simulated_fidelities_follow_their_exact_law(povm, seed):
+    # for a complete POVM of rank-one elements, x = |<psi_r|psi>|^2 has
+    # density proportional to x^N (1-x)^(D-2) given outcome r, whatever r,
+    # so each trial's fidelity follows Beta(N+1, D-1)
+    trials, n, dim = 100_000, povm.copies, povm.dim
+    samples = simulate(povm, trials, np.random.default_rng(seed), keep_samples=True).samples
+    critical = 1.95 / math.sqrt(trials)   # the KS test at the 0.1% level
+    assert _ks_distance(samples, lambda x: _beta_cdf(x, n + 1, dim - 1)) < critical
+    # the power of the test: one copy fewer in the law is far outside it
+    assert _ks_distance(samples, lambda x: _beta_cdf(x, n, dim - 1)) > critical
 
 
 def test_unverified_povm_rejected():
@@ -573,10 +604,10 @@ def test_sequential_pick_matches_the_reference(k):
     plateau = sums[:, max(k // 2 - 1, 0)]   # on the plateau in the even rows
     for u in (on, np.nextafter(on, 0), np.nextafter(on, 2), plateau, np.zeros(rows),
               rng.random(rows)):
-        picks = estimate._sequential_pick(probs.copy(), u, range(rows))
+        picks = estimate._sequential_pick(probs, u, range(rows))
         assert np.array_equal(picks, _reference_picks(sums, u))
     if k >= 4:   # a u on a plateau picks its first outcome
-        picks = estimate._sequential_pick(probs.copy(), plateau, range(rows))
+        picks = estimate._sequential_pick(probs, plateau, range(rows))
         assert np.all(picks[::2] == k // 4 - 1)
 
 
@@ -652,13 +683,13 @@ def test_two_level_pick_matches_the_sequential_pick(k):
         kept = probs.copy()
         picks = _chunk_outcomes(probs, u)[0]
         assert np.array_equal(probs, kept)   # the pick leaves the block as it was
-        assert np.array_equal(picks, estimate._sequential_pick(probs.copy(), u, range(rows)))
+        assert np.array_equal(picks, estimate._sequential_pick(probs, u, range(rows)))
         assert np.array_equal(picks, _reference_picks(sums, u))
     # prefix sums that end below u pick the last outcome
     low = _rows_with_plateaus(k, rows, rng, scale=1 - 1e-12)
     u = np.full(rows, np.nextafter(1.0, 0.0))
     picks = _chunk_outcomes(low, u)[0]
-    assert np.array_equal(picks, estimate._sequential_pick(low.copy(), u, range(rows)))
+    assert np.array_equal(picks, estimate._sequential_pick(low, u, range(rows)))
     assert np.all(picks == k - 1)
 
 
@@ -699,7 +730,7 @@ def test_chunk_path_picks_match_the_sequential_pick(k, rows, recomputed):
         picks = _chunk_outcomes(probs, u)[0]
         redone.append(len(recomputed))
         assert np.array_equal(probs, unchanged)
-        assert np.array_equal(picks, estimate._sequential_pick(probs.copy(), u, range(rows)))
+        assert np.array_equal(picks, estimate._sequential_pick(probs, u, range(rows)))
         assert np.array_equal(picks, _reference_picks(sums, u))
     # the rows whose u is on or next to a sum take the redo, bar a few on a
     # plateau or at the last outcome; the other rows do not
@@ -720,19 +751,34 @@ def test_narrow_chunk_picks_match_the_reference(k, rows):
     start = 3 * CHUNK
     for u in (on, np.nextafter(on, 0), np.nextafter(on, 2), plateau, np.zeros(rows),
               rng.random(rows)):
-        # a copy: the transpose of a block of one row or one outcome is
-        # contiguous, so the sequential pick sums it in place
-        picks, calls = _chunk_outcomes(probs.copy(), u, start)
+        picks, calls = _chunk_outcomes(probs, u, start)
         assert np.array_equal(picks, _reference_picks(sums, u))
         assert calls == list(blocks(rows, block_rows(k)))
     if k >= 4:   # a u on a plateau picks its first outcome
-        assert np.all(_chunk_outcomes(probs.copy(), plateau, start)[0][::2] == k // 4 - 1)
+        assert np.all(_chunk_outcomes(probs, plateau, start)[0][::2] == k // 4 - 1)
     # prefix sums that top out at 1 - 1e-12, below u, pick the last outcome
     low = _rows_with_plateaus(k, rows, rng, scale=1 - 1e-12)
     u = np.full(rows, np.nextafter(1.0, 0.0))
-    picks = _chunk_outcomes(low.copy(), u, start)[0]
+    picks = _chunk_outcomes(low, u, start)[0]
     assert np.array_equal(picks, _reference_picks(np.cumsum(low, axis=1), u))
     assert np.all(picks == k - 1)
+
+
+# the transpose of a block of one row or one outcome is contiguous, so only
+# an explicit copy keeps the prefix sums out of the block
+@pytest.mark.parametrize("rows, k", [(1, 40), (64, 1), (64, 40)])
+def test_the_pick_only_reads_its_block(rows, k):
+    rng = np.random.default_rng(rows + k)
+    probs = _rows_with_plateaus(k, rows, rng)
+    u = rng.random(rows)
+    unchanged, same_u = probs.copy(), u.copy()
+    picks = estimate._sequential_pick(probs, u, range(rows))
+    assert np.array_equal(probs, unchanged) and np.array_equal(u, same_u)
+    assert np.array_equal(picks, _reference_picks(np.cumsum(probs, axis=1), u))
+    # the narrow path of the chunk pick, which `simulate` runs below the gate
+    picks = _chunk_outcomes(probs, u)[0]
+    assert np.array_equal(probs, unchanged) and np.array_equal(u, same_u)
+    assert np.array_equal(picks, _reference_picks(np.cumsum(probs, axis=1), u))
 
 
 # a row of the last block of a 2000-row chunk from trial 8192: the second

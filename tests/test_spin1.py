@@ -113,6 +113,21 @@ class TestShellPolynomial:
                 value = np.polynomial.polynomial.polyval(math.cos(theta) ** 2, coeffs)
                 assert abs(value - direct) < 1e-9
 
+    @pytest.mark.parametrize("theta_r", [PI / 8, PI / 6, PI / 4, PI / 3, 3 * PI / 8, PI / 2,
+                                         0.7, 1.1, 0.0])
+    @pytest.mark.parametrize("polytope, copies", [(CELL24, 2), (CELL24, 3), (CELL600, 2),
+                                                  (CELL600, 3), (CELL600, 4), (CELL600, 5)])
+    def test_coefficients_match_the_closed_form(self, polytope, copies, theta_r):
+        # S(t) = n sum_j C(N, j)^2 [(1-t)(1-t_r)]^j (t t_r)^(N-j) / (j+1) over
+        # the n states of the shell, t_r = cos^2(theta_r), expanded in t
+        n, t_r = len(shell_states(polytope, theta_r)), math.cos(theta_r) ** 2
+        exact = np.zeros(copies + 1)
+        for j in range(copies + 1):
+            scale = n * math.comb(copies, j) ** 2 * (1 - t_r) ** j * t_r ** (copies - j) / (j + 1)
+            exact[copies - j:] += scale * np.polynomial.polynomial.polypow([1.0, -1.0], j)
+        coeffs = shell_polynomial(polytope, theta_r, copies)
+        assert np.max(np.abs(coeffs - exact)) <= 1e-12 * np.max(np.abs(exact))
+
     def test_coefficients_are_read_only(self):
         coeffs = shell_polynomial(CELL24, PI / 4, 2)
         assert coeffs.dtype == float and coeffs.shape == (3,)

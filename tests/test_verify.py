@@ -5,7 +5,9 @@ import pytest
 
 from spinpovm import (
     PENROSE40,
+    Check,
     Povm,
+    VerificationReport,
     build_table1_povm,
     catalog,
     haar_random_states,
@@ -143,6 +145,33 @@ def test_scalar_check_calls_the_kernel_once_per_block(monkeypatch, shipped_povms
         _, probs = kernel(povm, psis, kernel_buffers(povm, len(psis)))
         worst = max(worst, float(np.max(np.abs(probs.sum(axis=1) - 1.0))))
     assert report.worst == worst
+
+
+# 3000 probes of table1-N2 (k = 48) are 4 blocks of 750 rows
+@pytest.mark.parametrize("block", [0, 2])
+def test_scalar_check_fails_a_nan_probability_in_any_block(monkeypatch, block):
+    povm = build_table1_povm(2)
+    kernel, seen = verify.outcome_probabilities, []
+
+    def nan_kernel(povm, psis, buffers):
+        overlaps_sq, probs = kernel(povm, psis, buffers)
+        if len(seen) == block:
+            probs[len(psis) // 2, 7] = np.nan
+        seen.append(len(psis))
+        return overlaps_sq, probs
+
+    monkeypatch.setattr(verify, "outcome_probabilities", nan_kernel)
+    report = verify_scalar_identity(povm, 3000, np.random.default_rng(0))
+    assert seen == [750] * 4
+    assert np.isnan(report.worst) and not report.passed
+
+
+@pytest.mark.parametrize("residuals", [(1e-15, np.nan), (np.nan, 1e-15)])
+def test_a_report_holding_a_nan_residual_has_a_nan_worst(residuals):
+    report = VerificationReport("povm", tuple(Check(f"check-{i}", residual)
+                                              for i, residual in enumerate(residuals)))
+    assert np.isnan(report.worst) and not report.passed
+    assert VerificationReport("povm", (Check("a", 1e-15), Check("b", 3e-16))).worst == 1e-15
 
 
 def test_reports_are_deterministic_for_a_seed():
