@@ -31,21 +31,19 @@ from .spin32 import (
     SET60,
     BlochDotSpectrum,
     RayCatalog,
-    bloch_dots,
     bloch_vector,
     catalog,
     overlap_spectrum,
     reduce_n3_to_n2,
     spin32_povm,
     traceless_hermitian_basis,
-    verify_hierarchy,
 )
 from .symmetric import (
     multi_indices,
     sym_dim,
     symmetric_power_matrix,
 )
-from .verify import verify_completeness, verify_scalar_identity
+from .verify import bloch_dots, verify_completeness, verify_hierarchy, verify_scalar_identity
 
 __version__ = "0.1.0"
 

@@ -29,13 +29,11 @@ from .spin32 import (
     PENROSE40,
     SET60,
     RayCatalog,
-    _check_bloch_rows,
     catalog,
     overlap_spectrum,
     spin32_povm,
-    verify_hierarchy,
 )
-from .verify import verify_completeness, verify_scalar_identity
+from .verify import verify_completeness, verify_hierarchy, verify_scalar_identity
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -161,15 +159,9 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     povm = _load(args, POVM_TARGETS, documents.povm_from_document)
-    if povm.dim == 4:
-        # refused before the checks below, whose work grows with the rows
-        _check_bloch_rows(povm.size)
     rng = np.random.default_rng(args.seed)
-    report = verify_completeness(povm)
-    report = report.merged(verify_scalar_identity(povm, args.trials, rng))
-    # the paper's spin-3/2 moment equations, at any number of copies
-    if povm.dim == 4:
-        report = report.merged(verify_hierarchy(povm))
+    report = verify_completeness(povm).merged(verify_scalar_identity(povm, args.trials, rng))
+    report = report.merged(verify_hierarchy(povm))
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status}  {check.name}: residual {check.residual:.6e} "

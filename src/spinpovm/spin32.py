@@ -1,27 +1,22 @@
-"""Spin-3/2 (D = 4) ray catalogs and the Bloch-moment identities they satisfy.
+"""Spin-3/2 (D = 4) ray catalogs, their Bloch-dot spectra and POVMs.
 
 Two catalogs are bundled: the 40 rays of the Penrose dodecahedron (20
 "explicit" rays along dodecahedron vertices plus 20 "implicit" partners)
 and a 60-ray set whose first 24 members form the Peres Kochen-Specker
 configuration. With one uniform weight each, both resolve the identity on
-the symmetric subspace of N = 2 and 3 copies. The moment hierarchy checks
-that, for any N, through moments of pairwise Bloch-vector dot products
-(printed by `verify` for every spin-3/2 POVM), recovered from overlaps via
-
-    |<a|b>|^2 = (1 + 2J n_a.n_b) / (2J + 1),   D = 2J + 1.
+the symmetric subspace of N = 2 and 3 copies; `verify.verify_hierarchy`
+checks their Bloch-moment identities, as it does for every POVM.
 """
 
 import functools
-import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .povm import Povm, normalized, unit_rows
-from .reports import Check, VerificationReport
 from .symmetric import sym_dim
-from .verify import _povm_id
+from .verify import bloch_dots, verify_hierarchy
 
 PHASE = np.exp(1j * np.pi / 3)  # the phase p; p^3 = -1
 
@@ -147,49 +142,16 @@ def catalog(label: str) -> RayCatalog:
     return RayCatalog(label=label, names=names, states=states)
 
 
-# The most rows `bloch_dots` takes: the k x k complex Gram matrix is then
-# at most 64 MiB, where a document of a few MB could otherwise ask for
-# gigabytes. The bound still admits catalogs of a thousand rays.
-MAX_BLOCH_ROWS = 2048
-
-
-def bloch_dots(states) -> np.ndarray:
-    """Pairwise scalar products of the generalized Bloch vectors of the rows.
-
-    Recovered from the overlaps: ((2J+1)|<a|b>|^2 - 1) / (2J), with
-    2J + 1 = D the row length. An entry is 1 iff the two rays coincide
-    and -1/(2J) iff they are orthogonal. More than MAX_BLOCH_ROWS rows
-    raise ValueError before the matrix is formed.
-    """
-    states = np.asarray(states, dtype=complex)
-    if states.ndim != 2 or states.shape[1] < 2:
-        raise ValueError(f"expected rows of one dimension >= 2, got shape {states.shape}")
-    _check_bloch_rows(states.shape[0])
-    dim = states.shape[1]
-    gram = states.conj() @ states.T
-    return (dim * np.abs(gram) ** 2 - 1.0) / (dim - 1)
-
-
-def _check_bloch_rows(count: int) -> None:
-    """Refuse more than MAX_BLOCH_ROWS rows for the Bloch-dot matrix."""
-    if count > MAX_BLOCH_ROWS:
-        raise ValueError(f"{count} rows are too many for the Bloch-dot matrix: "
-                         f"the bound is MAX_BLOCH_ROWS = {MAX_BLOCH_ROWS}")
-
-
 def traceless_hermitian_basis(dim: int) -> np.ndarray:
     """dim^2 - 1 traceless Hermitian matrices with Tr(L_a L_b) = 2 delta_ab."""
     mats = []
     for k in range(dim):
         for j in range(k):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = 1.0
-            m[k, j] = 1.0
-            mats.append(m)
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = -1j
-            m[k, j] = 1j
-            mats.append(m)
+            for entry in (1.0, -1j):  # the real and the imaginary off-diagonal pair
+                m = np.zeros((dim, dim), dtype=complex)
+                m[j, k] = entry
+                m[k, j] = np.conj(entry)
+                mats.append(m)
     for level in range(1, dim):
         m = np.zeros((dim, dim), dtype=complex)
         m[np.arange(level), np.arange(level)] = 1.0
@@ -245,8 +207,8 @@ MAX_SPECTRUM_VALUES = 4096
 def overlap_spectrum(cat: RayCatalog) -> BlochDotSpectrum:
     """Pairwise Bloch-dot spectrum of a catalog, rounded to 1e-9.
 
-    A catalog with more than MAX_SPECTRUM_VALUES distinct values raises
-    ValueError before any count is made."""
+    A catalog of more than verify.MAX_BLOCH_ROWS rays, or with more than
+    MAX_SPECTRUM_VALUES distinct values, raises ValueError before any count."""
     dots = np.round(bloch_dots(cat.states), 9)
     k = cat.size
     pairs = dots[np.triu_indices(k, 1)]
@@ -275,39 +237,6 @@ def spin32_povm(cat: RayCatalog, copies: int) -> Povm:
         raise ValueError(f"no bundled weight for catalog {cat.label!r} with {copies} copies")
     return Povm(np.full(cat.size, CATALOG_WEIGHTS[key]), cat.states, copies,
                 provenance=f"{cat.label}-povm-N{copies}")
-
-
-def hierarchy_targets(dim: int, copies: int) -> tuple:
-    """Targets T_0..T_N with sum_r c_r (n_r.n_s)^m = T_m for every s, m <= N.
-
-    An N-copy POVM is a weighted N-design: sum_r c_r |<psi_r|psi_s>|^(2j) =
-    d_sym h_j for j <= N, with d_sym = sym_dim(D, N) and h_j =
-    j!(D-1)!/(j+D-1)! the Haar moment. Expanding n_r.n_s = (D x - 1)/(D - 1)
-    binomially, each T_m is summed in integers and rounded once.
-    """
-    total = sym_dim(dim, copies)
-    targets = []
-    for m in range(copies + 1):
-        top = m + dim - 1  # h_j = j! perm(top, m - j) / perm(top, m)
-        numerator = sum(math.comb(m, j) * (-1) ** (m - j) * dim ** j * math.factorial(j)
-                        * math.perm(top, m - j) for j in range(m + 1))
-        targets.append(total * numerator / ((dim - 1) ** m * math.perm(top, m)))
-    return tuple(targets)
-
-
-def verify_hierarchy(povm: Povm) -> VerificationReport:
-    """Check the moment hierarchy of an N-copy POVM, for any N and D.
-
-    Check bloch-moment-m holds the residual of sum_r c_r (n_r.n_s)^m = T_m
-    (`hierarchy_targets`): one equation at m = 0, the weight sum, and one
-    per s at each m = 1..N, Nk+1 in all."""
-    total, *moment_targets = hierarchy_targets(povm.dim, povm.copies)
-    dots = bloch_dots(povm.states)
-    checks = [Check("bloch-moment-0", abs(povm.weight_sum - total))]
-    for power, target in enumerate(moment_targets, start=1):
-        sums = (dots ** power).T @ povm.weights  # one value per s
-        checks.append(Check(f"bloch-moment-{power}", float(np.max(np.abs(sums - target)))))
-    return VerificationReport(_povm_id(povm), tuple(checks))
 
 
 def reduce_n3_to_n2(povm: Povm) -> Povm:

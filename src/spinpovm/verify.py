@@ -1,13 +1,14 @@
 """Resolution-of-identity checks for rank-one POVMs on the symmetric subspace.
 
-Two independent routes are always available: the operator check builds
-sum_r c_r v_r v_r^dag from the embedded symmetric vectors and measures its
-Frobenius distance from the identity, while the scalar check probes
-sum_r c_r |<psi|psi_r>|^(2N) = 1 at Haar-random states without ever
-touching the embedding. Agreement of the two guards against bugs in
-either path.
+Three routes run on every POVM: the operator check builds sum_r c_r v_r
+v_r^dag from the embedded symmetric vectors and measures its Frobenius
+distance from the identity; the scalar check probes sum_r c_r
+|<psi|psi_r>|^(2N) = 1 at Haar-random states without the embedding; the
+moment hierarchy sums powers of pairwise Bloch dots, from the same overlap
+product, against exact Haar values. Their agreement guards against bugs.
 """
 
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -36,8 +37,8 @@ _ALIGN = 64
 
 
 def block_rows(k: int) -> int:
-    """Most rows per kernel block for k outcomes, in the scalar check and
-    `simulate` alike. Buffers need this many rows, or all the probes if
+    """Most rows per kernel block for k outcomes, in `simulate`, the scalar
+    check and the moment hierarchy alike. Buffers need this many rows, or all the probes if
     fewer: a short last chunk can split into larger blocks than a full one."""
     return max(_BLOCK, _BLOCK_ELEMENTS // k)
 
@@ -54,14 +55,14 @@ def blocks(rows: int, most: int) -> Iterator[tuple[int, int]]:
 
 def kernel_buffers(povm: Povm, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The real factor matrix of the POVM's states, and the buffer of
-    `outcome_probabilities` on up to `rows` probe states.
+    `_squared_overlaps` on up to `rows` probe states.
 
     The factor is (2, 2D, k): a probe state, read as 2D interleaved doubles
     (re, im), times half 0 gives Re <psi_r|psi> and times half 1 gives
     Im <psi_r|psi>, for every element r. It is 69 KB at k = 720, D = 3.
 
-    The buffer is two halves, which take the real and the imaginary parts
-    of a block's overlaps, then the squared moduli and the probabilities.
+    The buffer is two halves: the real and the imaginary parts of a block's
+    overlaps, then the squared moduli (or Bloch dots) and their powers.
     Each half's stride is padded to whole cache lines, so that both halves
     of every block's slice start on a 64-byte boundary, as the buffer and
     the factor do. numpy takes a large array from glibc's mmap, whose chunk
@@ -100,17 +101,7 @@ def outcome_probabilities(povm: Povm, psis: np.ndarray,
     runs block after block reuses one set instead of leaving the memory
     allocator to return freed pages to the system and fault them in again.
     """
-    factor, halves = buffers
-    rows, k = len(psis), povm.size
-    parts = halves[:, :rows * k].reshape(2, rows, k)
-    # |z|^2 as re^2 + im^2 from one real product: np.abs of the complex
-    # overlaps, a hypot with a divide and a square root per element, took
-    # 0.91 of 2.47 us per trial at table1-N5
-    np.matmul(psis.view(np.float64), factor, out=parts)
-    overlaps_sq, probs = parts
-    overlaps_sq *= overlaps_sq
-    probs *= probs
-    overlaps_sq += probs
+    overlaps_sq, probs = _squared_overlaps(psis, buffers)
     # the imaginary parts are spent: the probabilities take their memory,
     # which is still in cache. A third buffer for the squared moduli took
     # 121 against 102 ms over 100k trials of table1-N5 (medians of 9, 2
@@ -118,6 +109,23 @@ def outcome_probabilities(povm: Povm, psis: np.ndarray,
     _power(overlaps_sq, povm.copies, probs)
     probs *= povm.weights
     return overlaps_sq, probs
+
+
+def _squared_overlaps(psis: np.ndarray, buffers: tuple) -> np.ndarray:
+    """A (2, rows, k) view of `buffers`: |<psi_r|psi>|^2 for each probe state
+    (row of psis) and element r, then a half free for the caller to use."""
+    factor, halves = buffers
+    rows, k = len(psis), factor.shape[-1]
+    parts = halves[:, :rows * k].reshape(2, rows, k)
+    # |z|^2 as re^2 + im^2 from one real product: np.abs of the complex
+    # overlaps, a hypot with a divide and a square root per element, took
+    # 0.91 of 2.47 us per trial at table1-N5
+    np.matmul(psis.view(np.float64), factor, out=parts)
+    overlaps_sq, spare = parts
+    overlaps_sq *= overlaps_sq
+    spare *= spare
+    overlaps_sq += spare
+    return parts
 
 
 def _power(x: np.ndarray, exponent: int, out: np.ndarray) -> None:
@@ -173,6 +181,78 @@ def verify_scalar_identity(povm: Povm, trials: int,
                 worst = float(np.maximum(worst, np.max(np.abs(probs.sum(axis=1) - 1.0))))
     return VerificationReport(
         _povm_id(povm), (Check("scalar-identity", worst),))
+
+
+# The most rows `bloch_dots` takes: its k x k complex Gram is then at most
+# 64 MiB, where a document of a few MB could otherwise ask for gigabytes.
+MAX_BLOCH_ROWS = 2048
+
+
+def bloch_dots(states) -> np.ndarray:
+    """Pairwise dots n_a.n_b of the rows' Bloch vectors, from |<a|b>|^2 =
+    (1 + 2J n_a.n_b)/(2J + 1), D = 2J + 1 the row length: 1 iff two rays
+    coincide, -1/(2J) iff orthogonal. More than MAX_BLOCH_ROWS rows raise ValueError."""
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 2 or states.shape[1] < 2:
+        raise ValueError(f"expected rows of one dimension >= 2, got shape {states.shape}")
+    if states.shape[0] > MAX_BLOCH_ROWS:
+        raise ValueError(f"{states.shape[0]} rows are too many for the Bloch-dot matrix: "
+                         f"the bound is MAX_BLOCH_ROWS = {MAX_BLOCH_ROWS}")
+    return _bloch_map(np.abs(states.conj() @ states.T) ** 2, states.shape[1])
+
+
+def _bloch_map(overlaps_sq: np.ndarray, dim: int) -> np.ndarray:
+    """The Bloch dots (D x - 1) / (D - 1) of squared overlaps x, in place."""
+    overlaps_sq *= dim
+    overlaps_sq -= 1.0
+    overlaps_sq /= dim - 1
+    return overlaps_sq
+
+
+def hierarchy_targets(dim: int, copies: int) -> tuple:
+    """Targets T_0..T_N with sum_r c_r (n_r.n_s)^m = T_m for every s, m <= N:
+    T_m = sym_dim(D, N) E[y^m] for y = (D x - 1)/(D - 1), x the squared
+    overlap of a fixed state with a Haar one, of density (D-1)(1-x)^(D-2).
+    With c = D/(D-1), e = -1/(D-1), E[y^m] = (D-1)/c^(D-1) sum_{l=0}^{D-2}
+    C(D-2, l) (-1)^l (1 - e^(m+l+1))/(m+l+1), summed exactly and rounded once."""
+    a = dim - 1
+    targets = []
+    for m in range(copies + 1):
+        ends = range(m + 1, m + dim)  # m + l + 1
+        lcm = math.lcm(*ends)
+        # the sum times a^(m+a) lcm; (D-1)/c^(D-1) = a^(a+1)/D^a
+        numerator = sum(math.comb(a - 1, l) * (-1) ** l * (a ** n - (-1) ** n)
+                        * a ** (m + a - n) * (lcm // n) for l, n in enumerate(ends))
+        targets.append(sym_dim(dim, copies) * a * numerator / (dim ** a * a ** m * lcm))
+    return tuple(targets)
+
+
+def verify_hierarchy(povm: Povm) -> VerificationReport:
+    """Check the moment hierarchy of an N-copy POVM, for any N and D: check
+    bloch-moment-m holds the residual of sum_r c_r (n_r.n_s)^m = T_m
+    (`hierarchy_targets`), the weight sum at m = 0 and the worst s above."""
+    total, *targets = hierarchy_targets(povm.dim, povm.copies)
+    # per block, then over the blocks; np.max carries a NaN through
+    worst = np.max([np.max(np.abs(s - targets), axis=0) for s in _moment_sums(povm)], axis=0)
+    checks = [Check("bloch-moment-0", abs(povm.weight_sum - total)),
+              *(Check(f"bloch-moment-{m}", float(w)) for m, w in enumerate(worst, start=1))]
+    return VerificationReport(_povm_id(povm), tuple(checks))
+
+
+def _moment_sums(povm: Povm) -> Iterator[np.ndarray]:
+    """sum_r c_r (n_r.n_s)^m, one row per s and a column per m = 1..N, as one
+    array per kernel block of s, in order: no k x k matrix is formed."""
+    buffers = kernel_buffers(povm, min(povm.size, block_rows(povm.size)))
+    for lo, hi in blocks(povm.size, block_rows(povm.size)):
+        with one_blas_thread():
+            dots, power = _squared_overlaps(povm.states[lo:hi], buffers)
+            _bloch_map(dots, povm.dim)
+            power.fill(1.0)
+            sums = np.empty((povm.copies, hi - lo))
+            for row in sums:
+                power *= dots
+                np.matmul(power, povm.weights, out=row)
+        yield sums.T
 
 
 def _povm_id(povm: Povm) -> str:

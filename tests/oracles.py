@@ -292,3 +292,12 @@ def reference_csv_rows(samples, start=0):
 def reference_csv(samples):
     """Per-trial CSV text: the header, then the rows."""
     return "trial,fidelity\n" + reference_csv_rows(samples)
+
+
+def reference_moment_sums(states, weights, power):
+    """sum_r c_r (n_r.n_s)^m for every s, from the full k x k matrix of
+    Bloch dots (D |<a|b>|^2 - 1) / (D - 1), formed without the package."""
+    states = np.asarray(states, dtype=complex)
+    dim = states.shape[1]
+    dots = (dim * np.abs(states.conj() @ states.T) ** 2 - 1.0) / (dim - 1)
+    return (dots ** power).T @ weights

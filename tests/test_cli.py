@@ -222,12 +222,33 @@ class TestVerify:
         assert "FAIL  bloch-moment-4" in capsys.readouterr().out
 
     @pytest.mark.parametrize("target", [t for t in cli.POVM_TARGETS if t.startswith("table1-")])
-    def test_spin1_reports_have_no_hierarchy_rows(self, target, tmp_path, capsys):
+    def test_spin1_reports_have_hierarchy_rows(self, target, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert main(["verify", "--target", target, "--trials", "10", "--seed", "2",
                      "--out", str(out)]) == EXIT_OK
-        assert "bloch-moment" not in out.read_text()
-        assert "bloch-moment" not in capsys.readouterr().out
+        copies = int(target.removeprefix("table1-N"))
+        rows = [row for row in json.loads(out.read_text())["checks"]
+                if row["name"].startswith("bloch-moment")]
+        assert [row["name"] for row in rows] == [f"bloch-moment-{m}" for m in range(copies + 1)]
+        assert all(row["passed"] and row["residual"] < 1e-13 for row in rows)
+        printed = capsys.readouterr().out
+        assert all(f"PASS  bloch-moment-{m}:" in printed for m in range(copies + 1))
+
+    def test_four_copy_spin1_fails_the_fourth_moment(self, tmp_path, capsys):
+        # table1-N3's elements with weights summing to sym_dim(3, 4) = 15:
+        # a 3-design but not a 4-design
+        path, out = tmp_path / "p.json", tmp_path / "r.json"
+        povm = build_table1_povm(3)
+        path.write_text(documents.povm_to_document(
+            Povm(povm.weights * 1.5, povm.states, 4)))
+        assert main(["verify", "--in", str(path), "--trials", "100", "--seed", "2",
+                     "--out", str(out)]) == EXIT_VERIFY
+        moments = {row["name"]: row for row in json.loads(out.read_text())["checks"]
+                   if row["name"].startswith("bloch-moment")}
+        assert list(moments) == [f"bloch-moment-{m}" for m in range(5)]
+        assert [name for name, row in moments.items() if not row["passed"]] == ["bloch-moment-4"]
+        assert abs(moments["bloch-moment-4"]["residual"] - 27 / 128) < 1e-12
+        assert "FAIL  bloch-moment-4" in capsys.readouterr().out
 
     @pytest.mark.parametrize("target", cli.POVM_TARGETS)
     def test_check_names_are_unique(self, target, tmp_path):
@@ -507,8 +528,9 @@ class TestSymmetricSubspaceBound:
 
 
 class TestBlochDotBound:
-    """More rays or elements than spin32.MAX_BLOCH_ROWS = 2048 exit 2 before
-    the Bloch-dot matrix is formed (20,000 rows would need 6 GiB)."""
+    """More rays than verify.MAX_BLOCH_ROWS = 2048 exit 2 from `spectrum`
+    before the Bloch-dot matrix is formed (20,000 rows would need 6 GiB).
+    `verify` sums the moment hierarchy block by block and has no such bound."""
 
     REFUSAL = ("error: 2049 rows are too many for the Bloch-dot matrix: "
                "the bound is MAX_BLOCH_ROWS = 2048\n")
@@ -528,27 +550,18 @@ class TestBlochDotBound:
         assert capsys.readouterr() == ("", self.REFUSAL)
 
     def test_verify_spin32_povm(self, tmp_path, capsys):
-        path = tmp_path / "povm.json"
-        argv = ["verify", "--in", str(path), "--trials", "10", "--seed", "1"]
+        # e_0 appears 513 times and the others 512: each copy weighs 1/count
+        path, out = tmp_path / "povm.json", tmp_path / "r.json"
+        counts = np.bincount(np.arange(2049) % 4)
         path.write_text(documents.povm_to_document(
-            Povm(np.full(2048, 4 / 2048), self._basis_rows(2048), 1)))
-        assert main(argv) == EXIT_OK
+            Povm(1 / counts[np.arange(2049) % 4], self._basis_rows(2049), 1)))
+        assert main(["verify", "--in", str(path), "--trials", "10", "--seed", "1",
+                     "--out", str(out)]) == EXIT_OK
+        moments = [row for row in json.loads(out.read_text())["checks"]
+                   if row["name"].startswith("bloch-moment")]
+        assert [row["name"] for row in moments] == ["bloch-moment-0", "bloch-moment-1"]
+        assert all(row["passed"] for row in moments)
         assert "PASS  bloch-moment-1" in capsys.readouterr().out
-        path.write_text(documents.povm_to_document(
-            Povm(np.full(2049, 4 / 2049), self._basis_rows(2049), 1)))
-        assert main(argv) == EXIT_INPUT
-        assert capsys.readouterr() == ("", self.REFUSAL)
-
-    def test_verify_refuses_before_any_check(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        for check in ("verify_completeness", "verify_scalar_identity"):
-            monkeypatch.setattr(cli, check, lambda *args, name=check: calls.append(name))
-        path = tmp_path / "povm.json"
-        path.write_text(documents.povm_to_document(
-            Povm(np.full(2049, 4 / 2049), self._basis_rows(2049), 1)))
-        assert main(["verify", "--in", str(path), "--trials", "10", "--seed", "1"]) == EXIT_INPUT
-        assert capsys.readouterr() == ("", self.REFUSAL)
-        assert calls == []
 
 
 def test_spectrum_of_many_distinct_values_is_an_input_error(tmp_path, capsys):

@@ -27,13 +27,13 @@ from spinpovm import (
 )
 from spinpovm.povm import Povm
 from spinpovm import spin32
-from spinpovm.spin32 import (
+from spinpovm.spin32 import BlochDotSpectrum, _parse_row
+from spinpovm.verify import (
     MAX_BLOCH_ROWS,
-    BlochDotSpectrum,
-    _parse_row,
     hierarchy_targets,
+    kernel_buffers,
+    outcome_probabilities,
 )
-from spinpovm.verify import kernel_buffers, outcome_probabilities
 
 THIRD = round(1 / 3, 9)
 
@@ -275,6 +275,12 @@ class TestHierarchies:
     @pytest.mark.parametrize("dim, copies", [(4, 2), (4, 3), (3, 5), (2, 2), (4, 1), (4, 4)])
     def test_targets_are_the_rounded_haar_averages(self, dim, copies):
         assert hierarchy_targets(dim, copies) == _reference_targets(dim, copies)
+
+    @pytest.mark.parametrize("copies", [5, 1023])
+    def test_qubit_targets_in_closed_form(self, copies):
+        # y = n_r.n_s is uniform on [-1, 1] for D = 2: E[y^m] = 1/(m+1) for even m
+        assert hierarchy_targets(2, copies) == tuple(
+            (copies + 1) / (m + 1) if m % 2 == 0 else 0.0 for m in range(copies + 1))
 
     def test_copies_preconditions(self, penrose):
         with pytest.raises(ValueError, match="three-copy"):

@@ -1,5 +1,7 @@
 """Verifier behaviour on healthy, broken, and perturbed POVMs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from spinpovm import verify
 from spinpovm.sampling import chunks
 from spinpovm.verify import block_rows, blocks, kernel_buffers, outcome_probabilities
 from conftest import scaled
-from oracles import brute_force_identity_residual
+from oracles import brute_force_identity_residual, reference_moment_sums
 
 
 def test_table1_n3_passes(shipped_povms):
@@ -280,3 +282,48 @@ def test_power_step_matches_the_power_function(copies):
     expected = x ** copies
     assert out[0] == 0.0 and out[1] == 1.0 and out[2] == expected[2]
     assert np.all(np.abs(out - expected) <= (_gamma(copies - 1) + 2.0 ** -52) * expected)
+
+
+def _split(povm, parts, first):
+    """The same operator with elements `first` on split into `parts` equal ones."""
+    weights, states = povm.weights, povm.states
+    return Povm(np.r_[weights[:first], np.repeat(weights[first:] / parts, parts)],
+                np.r_[states[:first], np.repeat(states[first:], parts, axis=0)],
+                povm.copies, provenance=f"{povm.provenance}-split-{parts}")
+
+
+def _basis_2049():
+    # e_0 appears 513 times and the others 512: each copy weighs 1/count
+    index = np.arange(2049) % 4
+    return Povm(1 / np.bincount(index)[index], np.eye(4)[index], 1)
+
+
+@pytest.mark.parametrize("make, k", [(lambda: _split(build_table1_povm(4), 2, 479), 481),
+                                     (lambda: _split(build_table1_povm(5), 3, 0), 2160),
+                                     (_basis_2049, 2049)],
+                         ids=["k481", "k2160", "basis2049"])
+def test_blocked_moment_sums_match_the_full_matrix(make, k):
+    povm = make()
+    parts = list(verify._moment_sums(povm))
+    # k = 481 splits into uneven blocks of 120 and 121 rows
+    assert [part.shape for part in parts] == [(hi - lo, povm.copies) for lo, hi in
+                                              blocks(k, block_rows(k))]
+    assert len(parts) > 1
+    sums = np.concatenate(parts)
+    for m in range(1, povm.copies + 1):
+        expected = reference_moment_sums(povm.states, povm.weights, m)
+        assert np.max(np.abs(sums[:, m - 1] - expected)) < 1e-13, m
+    assert verify.verify_hierarchy(povm).passed
+
+
+def test_hierarchy_forms_no_k_by_k_matrix():
+    # at k = 2160 the k x k complex Gram alone takes 75 MB
+    povm = _split(build_table1_povm(5), 3, 0)
+    tracemalloc.start()
+    try:
+        report = verify.verify_hierarchy(povm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 16 * povm.size ** 2 / 4, peak

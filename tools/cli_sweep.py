@@ -10,15 +10,16 @@ past the scalar check's block edges, one `simulate --csv` of 10_001
 trials, `spectrum` and `solve-weights`, including error cases, some of
 them on documents written into OUTDIR first: a qubit POVM at 1100
 copies and the Penrose rays at 60 and 500 copies (`solve-weights` runs
-at 44 and 10^9 copies too), a POVM and a catalog with boolean
-amplitudes, catalogs with a null label or names that are not strings,
-and qubit POVMs with an object for provenance, zero copies, a negative
-weight or a NaN amplitude; the last two commands name their `--in`
-document as an output. Two spin-3/2 documents at copy counts no bundled
-POVM has run `verify` too, and `spectrum` and `verify` each run on a
-document of 2049 repeated spin-3/2 basis rays, one row above the
-Bloch-dot bound. The Penrose rays at one copy run `verify` and
-`simulate --csv`, and so do two documents of Table 1 POVMs with split
+at 44 and 10^9 copies too), a qubit POVM at 1023 copies for `verify`
+alone, a POVM and a catalog with boolean amplitudes, catalogs with a
+null label or names that are not strings, and qubit POVMs with an object
+for provenance, zero copies, a negative weight or a NaN amplitude; the
+last two commands name their `--in` document as an output. Two spin-3/2
+documents at copy counts no bundled POVM has run `verify` too, and
+`spectrum` and `verify` each run on a document of 2049 repeated
+spin-3/2 basis rays, one row above the bound of `spectrum`'s Bloch-dot
+matrix. The Penrose rays at one copy run `verify` and `simulate --csv`,
+and so do two documents of Table 1 POVMs with split
 elements, whose two-level outcome picks no bundled POVM takes: table1-N4
 with its last element split in two (k = 481, a one-outcome last segment)
 and table1-N5 with every element split in three (k = 2160, more segments
@@ -63,6 +64,9 @@ SOLVE_WEIGHTS = (
 # 39,711 and 21,084,251) and solve-weights above 43 copies (sym_dim(3, 44)
 # = 1035)
 HUGE_COPIES = "qubit-copies-1100.json"
+# a qubit at 1023 copies, sym_dim 1024 = MAX_SYM_DIM: verify's moment
+# hierarchy has 1024 exact targets to sum
+MOST_COPIES = "qubit-copies-1023.json"
 PENROSE_MANY = {copies: f"penrose40-uniform-N{copies}.json" for copies in (60, 500)}
 # |0> and |1> with boolean amplitudes, which np.array reads as 1.0 and 0.0:
 # among floats in the POVM, alone in the catalog
@@ -84,8 +88,10 @@ PENROSE_N4 = "penrose40-uniform-N4.json"
 # the Penrose rays at one copy, weighted to sum to sym_dim(4, 1) = 4: the
 # estimation kernel's power step copies |<psi_r|psi>|^2 unsquared
 PENROSE_N1 = "penrose40-uniform-N1.json"
-# one row above spin32.MAX_BLOCH_ROWS = 2048: the spin-3/2 basis repeated,
-# as a catalog for spectrum and as a one-copy POVM for verify's hierarchy
+# one row above verify.MAX_BLOCH_ROWS = 2048: the spin-3/2 basis repeated,
+# as a catalog, which spectrum refuses, and as a one-copy POVM of uniform
+# weights, whose moment hierarchy verify sums block by block (it fails:
+# e_0 appears 513 times and the others 512)
 MANY_RAYS = "spin32-basis-rays-2049.json"
 MANY_ELEMENTS = "spin32-basis-N1-2049.json"
 BASIS_2049 = np.eye(4)[np.arange(2049) % 4]
@@ -126,6 +132,7 @@ INPUT_DOCS = {
     NEGATIVE_WEIGHT: _qubit(weight=-1.0),
     NAN_AMPLITUDE: _qubit(ket0=[[float("nan"), 0.0], [0.0, 0.0]]),
     HUGE_COPIES: _qubit(copies=1100),
+    MOST_COPIES: _qubit(copies=1023),
     BOOL_POVM: _qubit(ket0=[[True, False], [0.0, 0.0]]),
     BASIS_N1: json.loads(documents.povm_to_document(Povm(np.ones(4), np.eye(4), 1))),
     PENROSE_N4: json.loads(documents.povm_to_document(
@@ -192,6 +199,7 @@ def commands() -> list[list[str]]:
     for copies in ("44", "1000000000"):
         runs.append(["solve-weights", "--polytope", "24-cell", "--angles", "pi/4", "pi/2",
                      "--copies", copies])
+    runs.append(["verify", "--in", MOST_COPIES, "--seed", "1"])
     runs.append(["verify", "--in", BOOL_POVM, "--seed", "1"])
     runs.append(["simulate", "--in", BOOL_POVM, "--seed", "1"])
     runs.append(["spectrum", "--in", BOOL_RAYS])
