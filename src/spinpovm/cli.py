@@ -115,8 +115,8 @@ def _load(args, names, from_document):
 
 
 def _check_writable(path: str | None) -> None:
-    """Raise an OSError, as writing `path` would, when its directory is
-    missing or read-only or the path is a directory, so that a long run
+    """Raise an OSError, as writing `path` would, when it is empty or a
+    directory or its directory is missing or read-only, so that a long run
     fails before its work. A write can still fail later; main maps that to
     exit 2 as well."""
     if path is None:
@@ -124,7 +124,7 @@ def _check_writable(path: str | None) -> None:
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR
-    elif not os.path.isdir(parent):
+    elif not path or not os.path.isdir(parent):
         code = errno.ENOENT
     elif not os.access(parent, os.W_OK):
         code = errno.EACCES

@@ -138,9 +138,9 @@ def _allocate(size: int, trials: int, what: str, shared: bool) -> np.ndarray:
 
 
 def _run_chunks(povm: Povm, rng: np.random.Generator, trials: int,
-                samples: np.ndarray | None, stats: np.ndarray, index: int, count: int) -> None:
-    """Run chunks index, index + count, ... of the `trials` whole, `count`
-    processes sharing the work: write each one's fidelities into `samples`,
+                samples: np.ndarray | None, stats: np.ndarray, mine: set, count: int) -> None:
+    """Run the chunks j of the `trials` whole with j % count in `mine`, of
+    `count` shares of the work: write each one's fidelities into `samples`,
     when kept, and its (mean, sum of squared deviations) into its row of
     `stats`. Every process takes every chunk's generator from `rng`, so
     `rng`'s seed sequence ends in the same state for any `count`."""
@@ -149,7 +149,7 @@ def _run_chunks(povm: Povm, rng: np.random.Generator, trials: int,
     # their pages back and fault them in again, 14,377 page faults and 62 ms
     # against 544 and 46 ms, 100k serial trials of penrose40-N2 (2 vCPUs, 1 BLAS thread)
     k = povm.size
-    buffers = kernel_buffers(povm, min(trials, CHUNK, block_rows(k)))
+    buffers = kernel_buffers(povm.states, min(trials, CHUNK, block_rows(k)))
     # wide POVMs find each row's segment block by block and finish the
     # picks once per chunk: at k = 720 the whole pick per 128-row block took
     # 0.54 us per trial, the stage per block and the finish per chunk 0.38
@@ -157,7 +157,7 @@ def _run_chunks(povm: Povm, rng: np.random.Generator, trials: int,
     kept = _segment_arrays(min(trials, CHUNK)) if k >= _TWO_LEVEL_MIN else None
     for chunk, (start, stop) in enumerate(chunks(trials)):
         chunk_rng = rng.spawn(1)[0]
-        if chunk % count != index:
+        if chunk % count not in mine:
             continue
         rows = stop - start
         psis = haar_random_states(povm.dim, rows, chunk_rng)
@@ -190,11 +190,12 @@ def _merge(stats: np.ndarray, trials: int) -> tuple[float, float]:
 
 
 def _run_forked(run, workers: int) -> None:
-    """`run(index, workers)`, a `_run_chunks`, in this process as index 0 and
-    in workers - 1 forked ones, whose `samples` and `stats` are then shared
-    memory; one process forks nothing and needs none. No worker outlives
-    the call: a raise kills them, and a worker's failure raises RuntimeError."""
+    """`run(mine, workers)`, a `_run_chunks`, here for the shares {0} and in
+    one forked process per other share, writing `samples` and `stats` in
+    shared memory; a failed fork's share and the rest run here too. No worker
+    outlives the call: a raise kills them, and a worker's failure raises RuntimeError."""
     children = {}
+    mine = {0}
     try:
         for index in range(1, workers):
             read, write = os.pipe()
@@ -203,12 +204,13 @@ def _run_forked(run, workers: int) -> None:
             except OSError:
                 os.close(read)
                 os.close(write)
-                raise
+                mine.update(range(index, workers))
+                break
             if pid == 0:
-                _worker(run, index, workers, write)
+                _worker(run, {index}, workers, write)
             os.close(write)
             children[pid] = read
-        run(0, workers)
+        run(mine, workers)
     except BaseException:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
@@ -227,13 +229,13 @@ def _run_forked(run, workers: int) -> None:
         raise RuntimeError(f"simulate worker failed: {failures[0]}")
 
 
-def _worker(run, index: int, workers: int, write: int) -> None:
+def _worker(run, mine: set, workers: int, write: int) -> None:
     """Body of a forked worker. It never returns into the caller's stack,
     whose frames would run a second time: it leaves by `os._exit`, which
     also flushes no buffered output the caller will flush."""
     status = 1
     try:
-        run(index, workers)
+        run(mine, workers)
         status = 0
     except BaseException as error:
         message = f"{type(error).__name__}: {error}".encode(errors="replace")

@@ -209,7 +209,7 @@ def overlap_spectrum(cat: RayCatalog) -> BlochDotSpectrum:
 
     A catalog of more than verify.MAX_BLOCH_ROWS rays, or with more than
     MAX_SPECTRUM_VALUES distinct values, raises ValueError before any count."""
-    dots = np.round(bloch_dots(cat.states), 9)
+    dots = np.round(bloch_dots(cat.states), 9) + 0.0  # -0.0 to 0.0: one zero key
     k = cat.size
     pairs = dots[np.triu_indices(k, 1)]
     # counted on the sorted values: `np.unique` would import numpy.ma, 1.4 MB
@@ -221,8 +221,6 @@ def overlap_spectrum(cat: RayCatalog) -> BlochDotSpectrum:
                          "too many for a spectrum: the bound is "
                          f"MAX_SPECTRUM_VALUES = {MAX_SPECTRUM_VALUES}")
     off_diagonal = dots[~np.eye(k, dtype=bool)].reshape(k, k - 1)
-    # a dict keeps the first key object it meets, so a row counts -0.0 and
-    # 0.0 under whichever of them comes first
     per_state = tuple(dict(Counter(row)) for row in off_diagonal.tolist())
     pair_counts = dict(Counter(pairs.tolist()))
     values = tuple(sorted(pair_counts))

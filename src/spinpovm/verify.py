@@ -53,9 +53,9 @@ def blocks(rows: int, most: int) -> Iterator[tuple[int, int]]:
         yield rows * block // count, rows * (block + 1) // count
 
 
-def kernel_buffers(povm: Povm, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The real factor matrix of the POVM's states, and the buffer of
-    `_squared_overlaps` on up to `rows` probe states.
+def kernel_buffers(states: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real factor matrix of the (k, D) array `states`, a POVM's or a
+    catalog's, and the buffer of `_squared_overlaps` on up to `rows` probe states.
 
     The factor is (2, 2D, k): a probe state, read as 2D interleaved doubles
     (re, im), times half 0 gives Re <psi_r|psi> and times half 1 gives
@@ -71,15 +71,14 @@ def kernel_buffers(povm: Povm, rows: int) -> tuple[np.ndarray, np.ndarray]:
     took 255-257 against 274-276 ms over 100k serial trials of table1-N5
     (`tools/kernel_stages.py`, 2-vCPU Xeon, BLAS on one thread).
     """
-    k = povm.size
-    factor = _aligned_empty((2, povm.dim, 2, k))
-    states = povm.states.T
-    factor[0, :, 0] = factor[1, :, 1] = states.real
+    k, dim = states.shape
+    factor = _aligned_empty((2, dim, 2, k))
+    factor[0, :, 0] = factor[1, :, 1] = states.T.real
     factor[1, :, 1] *= -1.0
-    factor[0, :, 1] = factor[1, :, 0] = states.imag
+    factor[0, :, 1] = factor[1, :, 0] = states.T.imag
     line = _ALIGN // 8  # doubles per cache line
     half = -(-rows * k // line) * line
-    return factor.reshape(2, 2 * povm.dim, k), _aligned_empty((2, half))
+    return factor.reshape(2, 2 * dim, k), _aligned_empty((2, half))
 
 
 def _aligned_empty(shape: tuple) -> np.ndarray:
@@ -171,7 +170,7 @@ def verify_scalar_identity(povm: Povm, trials: int,
         raise ValueError(f"trials must be >= 1, got {trials}")
     worst = 0.0
     most = block_rows(povm.size)
-    buffers = kernel_buffers(povm, min(trials, CHUNK, most))
+    buffers = kernel_buffers(povm.states, min(trials, CHUNK, most))
     with one_blas_thread():
         for start, stop in chunks(trials):
             psis = haar_random_states(povm.dim, stop - start, rng)
@@ -183,8 +182,8 @@ def verify_scalar_identity(povm: Povm, trials: int,
         _povm_id(povm), (Check("scalar-identity", worst),))
 
 
-# The most rows `bloch_dots` takes: its k x k complex Gram is then at most
-# 64 MiB, where a document of a few MB could otherwise ask for gigabytes.
+# The most rows `bloch_dots` takes: the two k x k halves of its kernel buffer
+# are then at most 64 MiB, where a document of a few MB could ask for gigabytes.
 MAX_BLOCH_ROWS = 2048
 
 
@@ -192,13 +191,16 @@ def bloch_dots(states) -> np.ndarray:
     """Pairwise dots n_a.n_b of the rows' Bloch vectors, from |<a|b>|^2 =
     (1 + 2J n_a.n_b)/(2J + 1), D = 2J + 1 the row length: 1 iff two rays
     coincide, -1/(2J) iff orthogonal. More than MAX_BLOCH_ROWS rows raise ValueError."""
-    states = np.asarray(states, dtype=complex)
+    # C-contiguous, as `_squared_overlaps` reads each row as interleaved doubles
+    states = np.ascontiguousarray(states, dtype=complex)
     if states.ndim != 2 or states.shape[1] < 2:
         raise ValueError(f"expected rows of one dimension >= 2, got shape {states.shape}")
     if states.shape[0] > MAX_BLOCH_ROWS:
         raise ValueError(f"{states.shape[0]} rows are too many for the Bloch-dot matrix: "
                          f"the bound is MAX_BLOCH_ROWS = {MAX_BLOCH_ROWS}")
-    return _bloch_map(np.abs(states.conj() @ states.T) ** 2, states.shape[1])
+    with one_blas_thread():
+        dots, _ = _squared_overlaps(states, kernel_buffers(states, len(states)))
+    return _bloch_map(dots, states.shape[1])
 
 
 def _bloch_map(overlaps_sq: np.ndarray, dim: int) -> np.ndarray:
@@ -242,7 +244,7 @@ def verify_hierarchy(povm: Povm) -> VerificationReport:
 def _moment_sums(povm: Povm) -> Iterator[np.ndarray]:
     """sum_r c_r (n_r.n_s)^m, one row per s and a column per m = 1..N, as one
     array per kernel block of s, in order: no k x k matrix is formed."""
-    buffers = kernel_buffers(povm, min(povm.size, block_rows(povm.size)))
+    buffers = kernel_buffers(povm.states, min(povm.size, block_rows(povm.size)))
     for lo, hi in blocks(povm.size, block_rows(povm.size)):
         with one_blas_thread():
             dots, power = _squared_overlaps(povm.states[lo:hi], buffers)

@@ -440,6 +440,15 @@ class TestSimulate:
         assert code == EXIT_INPUT
         assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_empty_output_path_is_an_input_error(self, flag, capsys, monkeypatch):
+        # open('') fails after the work; the check refuses it before
+        monkeypatch.setattr(cli, "simulate", _must_not_run)
+        code = main(["simulate", "--target", "table1-N5", "--trials", "200000", "--seed", "1",
+                     flag, ""])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
+
     @pytest.mark.parametrize("csv", ["same.json", "./same.json", "symlink.json",
                                      "hardlink.json"])
     def test_report_and_csv_on_one_file_is_an_input_error(self, csv, tmp_path, capsys,
@@ -642,6 +651,17 @@ class TestSpectrum:
         doc = json.loads(out.read_text())
         assert doc["pair_counts"] == {"-0.333333333": 240, "0.111111111": 540}
         assert len(doc["per_state"]) == 40
+
+    def test_set60_zero_dots_have_one_key(self, tmp_path):
+        # a dot rounded to -0.0 is counted and printed as 0.0
+        out = tmp_path / "spectrum.json"
+        assert main(["spectrum", "--target", "set60", "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["pair_counts"] == {"-0.333333333": 450, "0.000000000": 960,
+                                      "0.333333333": 360}
+        keys = {key for state in doc["per_state"] for key in state["counts"]}
+        assert keys == {"-0.333333333", "0.000000000", "0.333333333"}
+        assert all(state["counts"]["0.000000000"] == 32 for state in doc["per_state"])
 
     def test_spectrum_from_exported_catalog(self, tmp_path):
         rays = tmp_path / "rays.json"

@@ -1,6 +1,7 @@
 """Estimation statistics: exact averages, Monte Carlo convergence, determinism."""
 
 import contextlib
+import errno
 import math
 import os
 import signal
@@ -130,7 +131,7 @@ def test_probabilities_normalize_before_sampling(shipped_povms):
     rng = np.random.default_rng(77)
     for povm in shipped_povms:
         psis = haar_random_states(povm.dim, 200, rng)
-        _, probs = outcome_probabilities(povm, psis, kernel_buffers(povm, len(psis)))
+        _, probs = outcome_probabilities(povm, psis, kernel_buffers(povm.states, len(psis)))
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
 
 
@@ -371,6 +372,30 @@ def test_forked_blocks_match_the_reference_and_the_serial_path(monkeypatch, ship
         assert set(spawned.values()) == {chunks}
 
 
+@pytest.mark.parametrize("workers", [2, 3, 5])
+def test_failed_fork_runs_the_chunks_in_the_caller(monkeypatch, wide_povms, workers):
+    # no process can be forked: the caller runs every share in one pass,
+    # and each chunk's generator is still spawned once
+    forks = []
+
+    def failing_fork():
+        forks.append(1)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(estimate.os, "fork", failing_fork)
+    trials = 4 * CHUNK + 1
+    rng = np.random.default_rng(21)
+    monkeypatch.setattr(estimate, "_workers", lambda elements: workers)
+    report = simulate(wide_povms[0], trials, rng, keep_samples=True)
+    monkeypatch.setattr(estimate, "_workers", lambda elements: 1)
+    serial = simulate(wide_povms[0], trials, np.random.default_rng(21), keep_samples=True)
+    assert forks == [1]
+    assert np.array_equal(report.samples, serial.samples)
+    assert report.to_dict() == serial.to_dict()
+    assert rng.bit_generator.seed_seq.n_children_spawned == 5
+    _assert_no_child_left()
+
+
 @needs_openblas
 def test_more_workers_than_cpus(monkeypatch, wide_povms):
     # 5 processes on 5 full chunks, then a one-row chunk: a chunk skipped or
@@ -552,7 +577,7 @@ def recomputed(monkeypatch):
 
 def _probs_and_prefix_sums(povm, rows, rng):
     _, probs = outcome_probabilities(povm, haar_random_states(povm.dim, rows, rng),
-                                     kernel_buffers(povm, rows))
+                                     kernel_buffers(povm.states, rows))
     return probs, np.cumsum(probs, axis=1)
 
 
@@ -841,7 +866,7 @@ class _UniformsOnPrefixSums:
         povm, k = self._povm, self._povm.size
         psis = haar_random_states(povm.dim, rows, np.random.default_rng(self._chunk))
         most = block_rows(k)
-        buffers = kernel_buffers(povm, min(self._trials, CHUNK, most))
+        buffers = kernel_buffers(povm.states, min(self._trials, CHUNK, most))
         overlaps_sq, probs = np.empty((rows, k)), np.empty((rows, k))
         for lo, hi in blocks(rows, most):
             overlaps_sq[lo:hi], probs[lo:hi] = outcome_probabilities(povm, psis[lo:hi], buffers)

@@ -85,7 +85,7 @@ class TestTable1:
         psis = haar_random_states(3, 1000, rng)
         for copies in (2, 3, 4, 5):
             povm = build_table1_povm(copies)
-            _, probs = outcome_probabilities(povm, psis, kernel_buffers(povm, len(psis)))
+            _, probs = outcome_probabilities(povm, psis, kernel_buffers(povm.states, len(psis)))
             assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
 
 

@@ -1,6 +1,7 @@
 """Spin-3/2 catalogs: spectra, moment hierarchies, and identity resolution."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -174,6 +175,22 @@ class TestBlochDots:
         states = haar_random_states(4, 100, rng)
         vectors = np.array([bloch_vector(state) for state in states])
         assert np.max(np.abs(vectors @ vectors.T - bloch_dots(states))) < 1e-10
+        # the kernel's product reads rows as interleaved doubles: a
+        # column-major input is copied, not misread
+        assert np.array_equal(bloch_dots(np.asfortranarray(states)), bloch_dots(states))
+
+    def test_memory_at_the_bound(self):
+        # the kernel buffer's two 2048 x 2048 halves, 64 MiB, and no k x k
+        # complex array
+        states = haar_random_states(4, MAX_BLOCH_ROWS, np.random.default_rng(2048))
+        bloch_dots(states[:8])   # caches out of the measurement
+        tracemalloc.start()
+        try:
+            bloch_dots(states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 65 * 2 ** 20
 
     def test_explicit_bloch_vectors_are_unit(self):
         rng = np.random.default_rng(124)
@@ -211,12 +228,12 @@ class TestOverlapSpectrum:
     def test_counts_match_per_pair_reference(self, name, request):
         cat = request.getfixturevalue(name)
         spectrum = overlap_spectrum(cat)
-        dots = np.round(bloch_dots(cat.states), 9)
+        dots = np.round(bloch_dots(cat.states), 9) + 0.0
         pair_counts, per_state = reference_value_counts(dots)
         assert list(spectrum.pair_counts.items()) == list(pair_counts.items())
         assert [list(c.items()) for c in spectrum.per_state] == \
             [list(c.items()) for c in per_state]
-        # the text keys tell a -0.0 key from a 0.0 one; set60 has both
+        # the text keys tell a -0.0 key from a 0.0 one; set60 has no -0.0
         assert spectrum.to_dict() == BlochDotSpectrum(
             cat.label, spectrum.values, pair_counts, tuple(per_state),
             cat.names).to_dict()
@@ -351,5 +368,5 @@ class TestIdentityResolution:
         for cat in (penrose, set60):
             for copies in (2, 3):
                 povm = spin32_povm(cat, copies)
-                _, probs = outcome_probabilities(povm, psis, kernel_buffers(povm, len(psis)))
+                _, probs = outcome_probabilities(povm, psis, kernel_buffers(povm.states, len(psis)))
                 assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9

@@ -144,7 +144,7 @@ def test_scalar_check_calls_the_kernel_once_per_block(monkeypatch, shipped_povms
     rng = np.random.default_rng(trials)
     for start, stop in chunks(trials):
         psis = haar_random_states(povm.dim, stop - start, rng)
-        _, probs = kernel(povm, psis, kernel_buffers(povm, len(psis)))
+        _, probs = kernel(povm, psis, kernel_buffers(povm.states, len(psis)))
         worst = max(worst, float(np.max(np.abs(probs.sum(axis=1) - 1.0))))
     assert report.worst == worst
 
@@ -228,7 +228,7 @@ def test_kernel_buffers_start_on_a_cache_line(k):
     rng = np.random.default_rng(k)
     povm = Povm(np.full(k, 3 / k), haar_random_states(3, k, rng), 1)
     for rows in (127, 128):
-        buffers = kernel_buffers(povm, rows)
+        buffers = kernel_buffers(povm.states, rows)
         factor, halves = buffers
         assert not np.shares_memory(factor, halves)
         for buffer in buffers:
@@ -265,7 +265,7 @@ def test_real_overlaps_match_the_complex_moduli(shipped_povms):
     rng = np.random.default_rng(24)
     for povm in (*shipped_povms, identity):
         psis = haar_random_states(povm.dim, 2000, rng)
-        overlaps_sq, _ = outcome_probabilities(povm, psis, kernel_buffers(povm, len(psis)))
+        overlaps_sq, _ = outcome_probabilities(povm, psis, kernel_buffers(povm.states, len(psis)))
         expected = np.abs(psis.conj() @ povm.states.T) ** 2
         gap = float(np.max(np.abs(overlaps_sq - expected)))
         assert gap <= 8 * _gamma(2 * povm.dim), (povm.provenance, gap)

@@ -18,7 +18,8 @@ last two commands name their `--in` document as an output. Two spin-3/2
 documents at copy counts no bundled POVM has run `verify` too, and
 `spectrum` and `verify` each run on a document of 2049 repeated
 spin-3/2 basis rays, one row above the bound of `spectrum`'s Bloch-dot
-matrix. The Penrose rays at one copy run `verify` and `simulate --csv`,
+matrix, and `spectrum` on set60's rays repeated to 2048, at the bound.
+The Penrose rays at one copy run `verify` and `simulate --csv`,
 and so do two documents of Table 1 POVMs with split
 elements, whose two-level outcome picks no bundled POVM takes: table1-N4
 with its last element split in two (k = 481, a one-outcome last segment)
@@ -43,8 +44,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from spinpovm import (PENROSE40, Povm, RayCatalog, build_table1_povm, catalog, cli,  # noqa: E402
-                      documents)
+from spinpovm import (PENROSE40, SET60, Povm, RayCatalog, build_table1_povm, catalog,  # noqa: E402
+                      cli, documents)
 
 SEEDS = (11, 2026)
 # Table 1 of the paper, then a trailing zero-weight shell, an infeasible
@@ -95,6 +96,9 @@ PENROSE_N1 = "penrose40-uniform-N1.json"
 MANY_RAYS = "spin32-basis-rays-2049.json"
 MANY_ELEMENTS = "spin32-basis-N1-2049.json"
 BASIS_2049 = np.eye(4)[np.arange(2049) % 4]
+# set60's rays repeated to verify.MAX_BLOCH_ROWS = 2048 rows, the most
+# `spectrum` takes: many zero dots, and a dot of 1 between repeats
+MOST_RAYS = "set60-rays-2048.json"
 # Table 1 POVMs with elements split into equal parts: N4's last in two (k =
 # 481: 30 segments of estimate._SEGMENT = 16 and one of 1) and each of N5's
 # in three (k = 2160: 135 segments, past estimate._PREFIX_MOST = 96, and
@@ -143,6 +147,9 @@ INPUT_DOCS = {
         RayCatalog("rays", tuple(map(str, range(2049))), BASIS_2049))),
     MANY_ELEMENTS: json.loads(documents.povm_to_document(
         Povm(np.full(2049, 4 / 2049), BASIS_2049, 1))),
+    MOST_RAYS: json.loads(documents.catalog_to_document(RayCatalog(
+        "set60-repeated", tuple(map(str, range(2048))),
+        catalog(SET60).states[np.arange(2048) % 60]))),
     SPLIT_LAST: _split(build_table1_povm(4), 2, 479),
     SPLIT_ALL: _split(build_table1_povm(5), 3, 0),
     **{name: json.loads(documents.povm_to_document(
@@ -217,6 +224,7 @@ def commands() -> list[list[str]]:
     runs.append(["spectrum", "--in", NULL_LABEL_RAYS])
     runs.append(["spectrum", "--in", ODD_NAMES_RAYS])
     runs.append(["spectrum", "--in", MANY_RAYS])
+    runs.append(["spectrum", "--in", MOST_RAYS, "--out", f"spectrum-{MOST_RAYS}"])
     runs.append(["verify", "--in", MANY_ELEMENTS, "--seed", "1"])
     # verify has no --tolerance: its gate is fixed at 1e-9
     runs.append(["verify", "--target", "table1-N2", "--seed", "1", "--tolerance", "1e-3"])
