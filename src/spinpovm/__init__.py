@@ -22,7 +22,6 @@ from .spin1 import (
     shell_polynomial,
     shell_states,
     solve_weights,
-    state_from_angles,
 )
 from .spin32 import (
     CATALOG_WEIGHTS,
@@ -84,7 +83,6 @@ __all__ = [
     "simulate",
     "solve_weights",
     "spin32_povm",
-    "state_from_angles",
     "sym_dim",
     "symmetric_power_matrix",
     "traceless_hermitian_basis",

@@ -13,7 +13,6 @@ turns the shells into a POVM that is optimal for estimating an unknown
 state from N copies.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -21,20 +20,17 @@ import numpy as np
 from .polytopes import CELL24, CELL600, vertices
 from .povm import AGGREGATE_TOL, CONSTRUCTIVE_TOL, Povm
 from .symmetric import _check_copies
+from .verify import verify_completeness
 
 _POLE = np.array([0.0, 0.0, 1.0], dtype=complex)
 
-# Reference angular variables for polynomial extraction; any triple works
-# once the angular dependence cancels, and the cancellation is verified
-# separately against random triples.
-_REF_ANGLES = (0.37, 1.13, 2.41)
-_INDEPENDENCE_SEED = 691803
-_INDEPENDENCE_TRIPLES = 20
-_ANGLE_SPANS = (math.pi / 2, 2 * math.pi, 2 * math.pi)  # (phi, chi1, chi2)
-
 
 class AngularCancellationError(ValueError):
-    """The shell sum retains angular dependence: unsupported (polytope, copies)."""
+    """The shell sum retains angular dependence: unsupported (polytope, copies).
+
+    `deviation` is the Frobenius residual of the solved shells against the
+    identity on the symmetric subspace.
+    """
 
     def __init__(self, polytope: str, copies: int, deviation: float):
         self.polytope = polytope
@@ -55,26 +51,17 @@ class WeightSolveError(ValueError):
         super().__init__(message)
 
 
-def state_from_angles(theta: float, phi: float, chi1: float, chi2: float) -> np.ndarray:
-    """Spin-1 state (e^(i chi1) sin t cos p, e^(i chi2) sin t sin p, cos t)."""
-    st = math.sin(theta)
-    return np.array([
-        np.exp(1j * chi1) * st * math.cos(phi),
-        np.exp(1j * chi2) * st * math.sin(phi),
-        math.cos(theta),
-    ])
-
-
 def shell_states(polytope: str, theta: float) -> np.ndarray:
     """All states of one shell, as rows (sin(theta)(x1 + i x2),
     sin(theta)(x3 + i x4), cos(theta)) over the vertices (x1..x4).
 
     At theta = 0 every vertex yields the same state (0, 0, 1), so the
-    shell degenerates to that single state; it is counted once.
+    shell degenerates to that single state; it is counted once. The
+    polytope's name is checked all the same.
     """
+    points = vertices(polytope)
     if theta == 0.0:
         return _POLE[None, :].copy()
-    points = vertices(polytope)
     if not 0.0 <= theta <= math.pi / 2 + CONSTRUCTIVE_TOL:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
     st = math.sin(theta)
@@ -85,58 +72,23 @@ def shell_states(polytope: str, theta: float) -> np.ndarray:
     return states
 
 
-def _cheb_nodes(count: int) -> np.ndarray:
-    j = np.arange(count)
-    return 0.5 * (1.0 + np.cos(np.pi * (2 * j + 1) / (2 * count)))
-
-
-@functools.lru_cache(maxsize=1)
-def _probes(copies: int) -> np.ndarray:
-    """Probe rows of `shell_polynomial`, read-only: the reference triple at
-    every node, then 20 random triples per node, drawn in node order.
-
-    They depend on `copies` alone, so the shells of one solve share one
-    set, and the cache holds one set whatever `copies` is.
-    """
-    thetas = np.arccos(np.sqrt(_cheb_nodes(copies + 1)))
-    rng = np.random.default_rng(_INDEPENDENCE_SEED)
-    draws = rng.uniform(0.0, _ANGLE_SPANS, size=(copies + 1, _INDEPENDENCE_TRIPLES, 3))
-    probes = np.array(
-        [state_from_angles(th, *_REF_ANGLES) for th in thetas]
-        + [state_from_angles(th, *angles)
-           for th, triples in zip(thetas, draws.tolist()) for angles in triples])
-    probes.setflags(write=False)
-    return probes
-
-
 def shell_polynomial(polytope: str, theta_r: float, copies: int) -> np.ndarray:
     """Coefficients of the shell sum sum_i |<psi|psi_i>|^(2N) as a polynomial
     in t = cos^2(theta), constant term first, as a read-only array.
 
-    Evaluates the sum at copies+1 Chebyshev-spaced t values and solves the
-    Vandermonde system. Before solving, the independence from the angular
-    variables is checked at each node against 20 random angle triples;
-    failure raises AngularCancellationError (the 24-cell supports at most
-    3 copies, the 600-cell up to 5). Above 43 copies the symmetric
-    subspace exceeds `symmetric.MAX_SYM_DIM` and ValueError is raised.
+    The closed form over the n states of the shell, with t_r = cos^2(theta_r),
+    is S(t) = n sum_j C(N, j)^2 [(1-t)(1-t_r)]^j (t t_r)^(N-j) / (j+1): the
+    shell sum wherever it is a function of t alone, which `solve_weights`
+    checks. Above 43 copies the symmetric subspace exceeds
+    `symmetric.MAX_SYM_DIM` and ValueError is raised.
     """
     _check_copies(3, copies)
-    nodes = _cheb_nodes(copies + 1)
-    states = shell_states(polytope, theta_r)
-    probes = _probes(copies)
-    # One matrix-vector product per probe, the routine `states @ probe.conj()`
-    # runs. A single matrix product would round differently and move the
-    # solved weights in the last digits.
-    overlaps = np.matmul(states, probes.conj()[:, :, None])[..., 0]
-    sums = np.sum(np.abs(overlaps) ** (2 * copies), axis=-1)
-    values = sums[:copies + 1]
-    spread = sums[copies + 1:].reshape(copies + 1, _INDEPENDENCE_TRIPLES) - values[:, None]
-    worst = float(np.max(np.abs(spread)))
-    if worst > AGGREGATE_TOL:
-        raise AngularCancellationError(polytope, copies, worst)
-
-    vander = np.polynomial.polynomial.polyvander(nodes, copies)
-    coeffs = np.linalg.solve(vander, values)
+    n = len(shell_states(polytope, theta_r))
+    t_r = math.cos(theta_r) ** 2
+    coeffs = np.zeros(copies + 1)
+    for j in range(copies + 1):
+        scale = n * math.comb(copies, j) ** 2 * (1 - t_r) ** j * t_r ** (copies - j) / (j + 1)
+        coeffs[copies - j:] += scale * np.polynomial.polynomial.polypow([1.0, -1.0], j)
     coeffs.setflags(write=False)
     return coeffs
 
@@ -147,7 +99,11 @@ def solve_weights(polytope: str, angles, copies: int) -> np.ndarray:
     Solves sum_r c_r * poly_r(t) = 1 as a linear system on the monomial
     coefficients (constant term 1, all higher terms 0) by least squares.
     Succeeds only if the residual stays below 1e-9 and no weight is
-    genuinely negative; tiny negative values (>= -1e-12) are clamped to 0.
+    genuinely negative; a weight within 1e-12 of 0, of either sign, is 0.
+    The shells must then resolve the identity on the symmetric subspace
+    (`verify_completeness`); where the shell sum keeps an angular
+    dependence they do not, and AngularCancellationError is raised (the
+    24-cell supports at most 3 copies, the 600-cell up to 5).
     """
     angles = [float(a) for a in angles]
     if not angles:
@@ -172,7 +128,11 @@ def solve_weights(polytope: str, angles, copies: int) -> np.ndarray:
             f"angle set {angles} requires a negative weight "
             f"c_{offender + 1} = {low:.6e} (residual {residual:.3e})",
             residual, weights)
-    return np.clip(weights, 0.0, None)
+    weights[np.abs(weights) <= CONSTRUCTIVE_TOL] = 0.0
+    report = verify_completeness(povm_from_shells(polytope, zip(angles, weights), copies))
+    if not report.passed:
+        raise AngularCancellationError(polytope, copies, report.worst)
+    return weights
 
 
 def povm_from_shells(polytope: str, shells, copies: int, provenance: str = "") -> Povm:

@@ -180,47 +180,6 @@ def reference_shell_states(polytope, theta):
     ])
 
 
-def reference_shell_polynomial(polytope, theta_r, copies):
-    """`spin1.shell_polynomial` with one shell sum per probe state.
-
-    Probes and random draws follow the package's documented order: the
-    reference angle triple at each Chebyshev node, then 20 triples per
-    node, three scalar draws each from the seeded generator.
-    """
-    import math
-
-    from spinpovm.povm import AGGREGATE_TOL
-    from spinpovm.spin1 import (
-        _INDEPENDENCE_SEED,
-        _INDEPENDENCE_TRIPLES,
-        _REF_ANGLES,
-        AngularCancellationError,
-        _cheb_nodes,
-        state_from_angles,
-    )
-
-    nodes = _cheb_nodes(copies + 1)
-    thetas = np.arccos(np.sqrt(nodes))
-    states = reference_shell_states(polytope, theta_r)
-
-    def value(theta, angles):
-        psi = state_from_angles(theta, *angles)
-        return float(np.sum(np.abs(states @ psi.conj()) ** (2 * copies)))
-
-    values = np.array([value(th, _REF_ANGLES) for th in thetas])
-    rng = np.random.default_rng(_INDEPENDENCE_SEED)
-    worst = 0.0
-    for j, th in enumerate(thetas):
-        for _ in range(_INDEPENDENCE_TRIPLES):
-            angles = (rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi),
-                      rng.uniform(0, 2 * math.pi))
-            worst = max(worst, abs(value(th, angles) - values[j]))
-    if worst > AGGREGATE_TOL:
-        raise AngularCancellationError(polytope, copies, worst)
-    vander = np.polynomial.polynomial.polyvander(nodes, copies)
-    return np.linalg.solve(vander, values)
-
-
 def reference_value_counts(dots):
     """Per-row and upper-triangle {value: count} dicts of a square matrix,
     filled one entry at a time in row order, diagonal skipped."""

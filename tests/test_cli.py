@@ -524,11 +524,12 @@ class TestSymmetricSubspaceBound:
         assert "copies = 1024 is too many for dim = 2" in capsys.readouterr().err
 
     def test_solve_weights_copies(self, capsys):
-        # sym_dim(3, 43) = 990 reaches the angular check, sym_dim(3, 44) = 1035 does not
+        # sym_dim(3, 43) = 990 reaches the solve, where two shells cannot cancel
+        # 43 powers of t; sym_dim(3, 44) = 1035 is refused before it
         argv = ["solve-weights", "--polytope", "24-cell", "--angles", "pi/4", "pi/2",
                 "--copies"]
         assert main(argv + ["43"]) == EXIT_UNSUPPORTED
-        assert "unsupported" in capsys.readouterr().err
+        assert "unsolvable" in capsys.readouterr().err
         for copies in ("44", "1000000000"):
             assert main(argv + [copies]) == EXIT_INPUT
             captured = capsys.readouterr()
@@ -632,9 +633,12 @@ class TestSolveWeights:
         assert "--copies" in capsys.readouterr().err
 
     def test_unknown_polytope(self, capsys):
-        code = main(["solve-weights", "--polytope", "tesseract",
-                     "--angles", "pi/4", "--copies", "2"])
-        assert code == EXIT_INPUT
+        # a pole-only shell needs no vertices, and is refused all the same
+        for angle in ("pi/4", "0"):
+            code = main(["solve-weights", "--polytope", "tesseract",
+                         "--angles", angle, "--copies", "2"])
+            assert code == EXIT_INPUT
+            assert "unknown polytope 'tesseract'" in capsys.readouterr().err
 
     def test_unwritable_out_is_an_input_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "solve_weights", _must_not_run)

@@ -1,10 +1,12 @@
 """Spin-1 shells: state construction, polynomial cancellation, weight solving."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import reference_shell_polynomial, reference_shell_states
+from oracles import reference_shell_states, spin1_state
 
 from spinpovm import (
     AngularCancellationError,
@@ -15,7 +17,6 @@ from spinpovm import (
     shell_polynomial,
     shell_states,
     solve_weights,
-    state_from_angles,
     verify_completeness,
 )
 from spinpovm import spin1
@@ -107,8 +108,8 @@ class TestShellPolynomial:
             states = shell_states(polytope, theta_r)
             for _ in range(20):
                 theta = rng.uniform(0, PI / 2)
-                psi = state_from_angles(theta, rng.uniform(0, PI / 2),
-                                        rng.uniform(0, 2 * PI), rng.uniform(0, 2 * PI))
+                psi = spin1_state(theta, rng.uniform(0, PI / 2),
+                                  rng.uniform(0, 2 * PI), rng.uniform(0, 2 * PI))
                 direct = float(np.sum(np.abs(states @ psi.conj()) ** (2 * copies)))
                 value = np.polynomial.polynomial.polyval(math.cos(theta) ** 2, coeffs)
                 assert abs(value - direct) < 1e-9
@@ -135,27 +136,34 @@ class TestShellPolynomial:
             coeffs[0] = 0.0
 
     def test_cancellation_holds_for_supported_pairs(self):
+        # at fixed theta, the shell sum does not move with (phi, chi1, chi2)
+        rng = np.random.default_rng(1729)
         for polytope, copies in [(CELL24, 2), (CELL24, 3),
                                  (CELL600, 2), (CELL600, 3), (CELL600, 4), (CELL600, 5)]:
-            shell_polynomial(polytope, PI / 5, copies)  # must not raise
+            states = shell_states(polytope, PI / 5)
+            sums = [float(np.sum(np.abs(states @ spin1_state(0.9, *angles).conj())
+                                 ** (2 * copies)))
+                    for angles in rng.uniform(0, [PI / 2, 2 * PI, 2 * PI], size=(20, 3))]
+            assert max(sums) - min(sums) < 1e-9
 
     def test_rejects_zero_copies(self):
         with pytest.raises(ValueError, match="copies must be >= 1, got 0"):
             shell_polynomial(CELL24, PI / 4, 0)
 
     def test_rejects_copies_beyond_the_symmetric_bound(self, monkeypatch):
-        # sym_dim(3, 43) = 990 reaches the angular check; 44 copies (1035) and
-        # more are refused before any probe is drawn
-        with pytest.raises(AngularCancellationError):
-            shell_polynomial(CELL24, PI / 4, 43)
-        monkeypatch.setattr(spin1, "_probes", None)
+        # sym_dim(3, 43) = 990 has a polynomial; 44 copies (1035) and more
+        # are refused before any shell is built
+        assert shell_polynomial(CELL24, PI / 4, 43).shape == (44,)
+        monkeypatch.setattr(spin1, "shell_states", None)
         for copies in (44, 10 ** 9):
             with pytest.raises(ValueError, match=f"copies = {copies} is too many for dim = 3"):
                 shell_polynomial(CELL24, PI / 4, copies)
 
     def test_cell24_four_copies_fails_cancellation(self):
+        # the closed form solves (5/45, 5/60, 5/15, 35/360); the shells then
+        # miss the identity, which `solve_weights` checks
         with pytest.raises(AngularCancellationError) as info:
-            shell_polynomial(CELL24, PI / 4, 4)
+            solve_weights(CELL24, [PI / 6, PI / 4, PI / 3, PI / 2], 4)
         assert info.value.deviation > 1e-9
 
     def test_shell_at_zero_angle_is_a_single_state(self):
@@ -172,13 +180,6 @@ class TestShellPolynomial:
     def test_shell_states_rejects_out_of_range_theta(self, theta):
         with pytest.raises(ValueError, match="theta"):
             shell_states(CELL600, theta)
-
-    def test_cancellation_failure_matches_per_probe_reference(self):
-        with pytest.raises(AngularCancellationError) as expected:
-            reference_shell_polynomial(CELL24, PI / 4, 4)
-        with pytest.raises(AngularCancellationError) as info:
-            shell_polynomial(CELL24, PI / 4, 4)
-        assert info.value.deviation == expected.value.deviation
 
 
 class TestSolveWeights:
@@ -227,12 +228,25 @@ class TestSolveWeights:
         with pytest.raises(ValueError, match="distinct"):
             solve_weights(CELL24, [PI / 4, PI / 4], 2)
 
+    def test_rejects_unknown_polytope(self):
+        # a pole-only shell needs no vertices, and is refused all the same
+        with pytest.raises(ValueError, match="unknown polytope 'tesseract'"):
+            solve_weights("tesseract", [0.0], 2)
+
     @pytest.mark.parametrize("copies", sorted(spin1.TABLE1))
-    def test_table1_weights_match_per_probe_reference(self, copies, monkeypatch):
+    def test_table1_weights_match_exact_fractions(self, copies):
+        root2 = Decimal(2).sqrt()  # 28 digits
+        exact = {2: [Fraction(1, 6), Fraction(1, 12)],
+                 3: [Fraction(2, 27), Fraction(1, 18), Fraction(2, 9), Fraction(7, 108)],
+                 4: [Fraction(1, 45), Fraction(1, 60), Fraction(1, 15), Fraction(7, 360)],
+                 5: [Fraction(2, 225), Fraction(17, 300), Fraction(2, 75), Fraction(29, 1800),
+                     (2 - root2) / 60, (2 + root2) / 60]}[copies]
         polytope, angles, _ = spin1.TABLE1[copies]
-        weights = solve_weights(polytope, angles, copies)
-        monkeypatch.setattr(spin1, "shell_polynomial", reference_shell_polynomial)
-        assert np.array_equal(weights, solve_weights(polytope, angles, copies))
+        for weight, value in zip(solve_weights(polytope, angles, copies), exact):
+            if isinstance(value, Fraction):
+                value = Decimal(value.numerator) / value.denominator
+            error = abs(Decimal(float(weight)) - value)
+            assert error <= 32 * Decimal(math.ulp(float(value))), (weight, value)
 
     def test_solved_weights_build_a_complete_povm(self):
         weights = solve_weights(CELL24, [PI / 4, PI / 2, 0.0], 2)
@@ -256,6 +270,7 @@ class TestPovmFromShells:
         # contributes a single pole state, counted once
         weights = solve_weights(CELL24, [PI / 3, PI / 2, 0.0], 2)
         assert np.allclose(weights, [2 / 9, 0.0, 2 / 3], atol=1e-10)
+        assert weights[1] == 0.0  # solved as 2.8e-17, within CONSTRUCTIVE_TOL of 0
         povm = povm_from_shells(CELL24, zip([PI / 3, PI / 2, 0.0], weights), 2)
         assert povm.size == 25  # 24 shell states + 1 pole
         assert verify_completeness(povm).passed
@@ -272,7 +287,7 @@ class TestPovmFromShells:
             povm_from_shells(CELL24, [(PI / 4, 1 / 6), (PI / 2, -1 / 12)], 2)
 
 
-def test_state_from_angles_matches_shell_states():
+def test_angle_parametrization_matches_shell_states():
     # the two parametrizations agree once the angles are read off each vertex
     verts = vertices(CELL600)
     phi = np.arctan2(np.hypot(verts[:, 2], verts[:, 3]), np.hypot(verts[:, 0], verts[:, 1]))
@@ -280,6 +295,6 @@ def test_state_from_angles_matches_shell_states():
     chi2 = np.arctan2(verts[:, 3], verts[:, 2])
     rng = np.random.default_rng(33)
     for theta in rng.uniform(0, PI / 2, size=5):
-        via_angles = np.array([state_from_angles(theta, *angles)
+        via_angles = np.array([spin1_state(theta, *angles)
                                for angles in zip(phi, chi1, chi2)])
         assert np.allclose(via_angles, shell_states(CELL600, theta), atol=1e-14)

@@ -10,7 +10,8 @@ past the scalar check's block edges, one `simulate --csv` of 10_001
 trials, `spectrum` and `solve-weights`, including error cases, some of
 them on documents written into OUTDIR first: a qubit POVM at 1100
 copies and the Penrose rays at 60 and 500 copies (`solve-weights` runs
-at 44 and 10^9 copies too), a qubit POVM at 1023 copies for `verify`
+at 43, 44 and 10^9 copies too, and on an unknown polytope with a
+pole-only shell), a qubit POVM at 1023 copies for `verify`
 alone, a POVM and a catalog with boolean amplitudes, catalogs with a
 null label or names that are not strings, and qubit POVMs with an object
 for provenance, zero copies, a negative weight or a NaN amplitude; the
@@ -186,6 +187,9 @@ def commands() -> list[list[str]]:
         runs.append(["solve-weights", "--polytope", polytope, "--angles", *angles,
                      "--copies", str(copies),
                      "--out", f"solve-{polytope}-N{copies}-{len(angles)}.json"])
+    # weights (2/9, 0, 2/3): the pi/2 weight solves to about 3e-17, and is 0
+    runs.append(["solve-weights", "--polytope", "24-cell", "--angles", "pi/3", "pi/2", "0",
+                 "--copies", "2", "--out", "solve-24-cell-N2-zero-weight.json"])
     # probe counts one past a block edge of the scalar check: block_rows(k)
     # is 1024 at k = 40 and 853 at k = 48; at k = 60 (682) a chunk edge
     # follows at 4097, and the 3616-probe last chunk of 20,000 splits into
@@ -203,9 +207,11 @@ def commands() -> list[list[str]]:
     for doc in (HUGE_COPIES, *PENROSE_MANY.values()):
         runs.append(["verify", "--in", doc, "--seed", "1"])
         runs.append(["simulate", "--in", doc, "--seed", "1"])
-    for copies in ("44", "1000000000"):
+    # 43 copies reach the solve, which fails; 44 and more are refused before it
+    for copies in ("43", "44", "1000000000"):
         runs.append(["solve-weights", "--polytope", "24-cell", "--angles", "pi/4", "pi/2",
                      "--copies", copies])
+    runs.append(["solve-weights", "--polytope", "foo", "--angles", "0", "--copies", "2"])
     runs.append(["verify", "--in", MOST_COPIES, "--seed", "1"])
     runs.append(["verify", "--in", BOOL_POVM, "--seed", "1"])
     runs.append(["simulate", "--in", BOOL_POVM, "--seed", "1"])
