@@ -116,9 +116,10 @@ def _load(args, names, from_document):
 
 def _check_writable(path: str | None) -> None:
     """Raise an OSError, as writing `path` would, when it is empty or a
-    directory or its directory is missing or read-only, so that a long run
-    fails before its work. A write can still fail later; main maps that to
-    exit 2 as well."""
+    directory, its directory is missing, or it is a read-only file or, when
+    it does not exist, its directory is read-only, so that a long run fails
+    before its work. A write can still fail later; main maps that to exit 2
+    as well."""
     if path is None:
         return
     parent = os.path.dirname(path) or "."
@@ -126,7 +127,8 @@ def _check_writable(path: str | None) -> None:
         code = errno.EISDIR
     elif not path or not os.path.isdir(parent):
         code = errno.ENOENT
-    elif not os.access(parent, os.W_OK):
+    # open(path, "w") truncates an existing file, so only the file's own mode counts
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
         code = errno.EACCES
     else:
         return

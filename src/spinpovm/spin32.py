@@ -209,23 +209,30 @@ def overlap_spectrum(cat: RayCatalog) -> BlochDotSpectrum:
 
     A catalog of more than verify.MAX_BLOCH_ROWS rays, or with more than
     MAX_SPECTRUM_VALUES distinct values, raises ValueError before any count."""
-    dots = np.round(bloch_dots(cat.states), 9) + 0.0  # -0.0 to 0.0: one zero key
+    dots = bloch_dots(cat.states)
+    np.round(dots, 9, out=dots)
+    dots += 0.0  # -0.0 to 0.0: one zero key
     k = cat.size
-    pairs = dots[np.triu_indices(k, 1)]
     # counted on the sorted values: `np.unique` would import numpy.ma, 1.4 MB
     # of peak RSS in a process that makes no other use of it
-    ordered = np.sort(pairs)
+    ordered = dots[np.triu_indices(k, 1)]
+    ordered.sort()
     distinct = int(np.count_nonzero(ordered[1:] != ordered[:-1])) + (k > 1)
     if distinct > MAX_SPECTRUM_VALUES:
         raise ValueError(f"catalog {cat.label!r} has {distinct} distinct Bloch dots, "
                          "too many for a spectrum: the bound is "
                          f"MAX_SPECTRUM_VALUES = {MAX_SPECTRUM_VALUES}")
-    off_diagonal = dots[~np.eye(k, dtype=bool)].reshape(k, k - 1)
-    per_state = tuple(dict(Counter(row)) for row in off_diagonal.tolist())
-    pair_counts = dict(Counter(pairs.tolist()))
+    # row by row, so that only one row of dots is Python floats at a time;
+    # the pairs are each row's dots above the diagonal, in row order
+    pair_counts, per_state = Counter(), []
+    for s, row in enumerate(dots):
+        others = row.tolist()
+        del others[s]
+        pair_counts.update(others[s:])
+        per_state.append(dict(Counter(others)))
     values = tuple(sorted(pair_counts))
-    return BlochDotSpectrum(label=cat.label, values=values, pair_counts=pair_counts,
-                            per_state=per_state, names=cat.names)
+    return BlochDotSpectrum(label=cat.label, values=values, pair_counts=dict(pair_counts),
+                            per_state=tuple(per_state), names=cat.names)
 
 
 def spin32_povm(cat: RayCatalog, copies: int) -> Povm:

@@ -73,9 +73,9 @@ def symmetric_power_matrix(states: np.ndarray, copies: int) -> np.ndarray:
     return coeff[None, :] * np.prod(powers, axis=2)
 
 
-def _frobenius_identity_residual(weights: np.ndarray, vectors: np.ndarray) -> float:
-    """Frobenius norm of sum_r w_r v_r v_r^dag - I for unit rows v_r."""
-    acc = vectors.T @ (weights[:, None] * vectors.conj())
-    acc -= np.eye(vectors.shape[1])
-    return float(np.linalg.norm(acc))
+def _frobenius_identity_residual(operator: np.ndarray) -> float:
+    """Frobenius norm of `operator` - I, for the square `operator` (sum_r w_r
+    v_r v_r^dag in the Frobenius check), which it overwrites."""
+    operator -= np.eye(len(operator))
+    return float(np.linalg.norm(operator))
 

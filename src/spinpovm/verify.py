@@ -17,7 +17,8 @@ from .blas import one_blas_thread
 from .povm import Povm
 from .reports import Check, VerificationReport
 from .sampling import CHUNK, chunks, haar_random_states
-from .symmetric import _frobenius_identity_residual, sym_dim, symmetric_power_matrix
+from .symmetric import (_check_copies, _frobenius_identity_residual, sym_dim,
+                        symmetric_power_matrix)
 
 # Fewest rows per kernel block, the rows of each from k = 320 on: at k = 720
 # 128 rows of overlaps (1.5 MB) stay in cache, 4096 would stream from memory.
@@ -37,9 +38,12 @@ _ALIGN = 64
 
 
 def block_rows(k: int) -> int:
-    """Most rows per kernel block for k outcomes, in `simulate`, the scalar
-    check and the moment hierarchy alike. Buffers need this many rows, or all the probes if
-    fewer: a short last chunk can split into larger blocks than a full one."""
+    """Most rows per block of every pass over a POVM's or a catalog's rows,
+    k the values each row produces: its outcomes in `simulate` and the
+    scalar check, its Bloch dots in `bloch_dots` and the moment hierarchy,
+    its symmetric coordinates in the Frobenius check. Buffers need this many
+    rows, or all the rows if fewer: a short last chunk can split into
+    larger blocks than a full one."""
     return max(_BLOCK, _BLOCK_ELEMENTS // k)
 
 
@@ -145,15 +149,21 @@ def _power(x: np.ndarray, exponent: int, out: np.ndarray) -> None:
 def verify_completeness(povm: Povm) -> VerificationReport:
     """Operator check: Frobenius residual against the identity, plus the weight sum.
 
+    The operator sum_r c_r v_r v_r^dag is summed over blocks of
+    `block_rows(sym_dim)` rows, so only one block's embedding is held at a time.
+
     The trace of the identity fixes sum_r c_r = C(N+D-1, D-1), so the
     weight sum is reported as its own residual.
     """
-    vectors = symmetric_power_matrix(povm.states, povm.copies)
-    frobenius = _frobenius_identity_residual(povm.weights, vectors)
-    expected_sum = sym_dim(povm.dim, povm.copies)
+    _check_copies(povm.dim, povm.copies)  # before the operator takes its memory
+    size = sym_dim(povm.dim, povm.copies)
+    operator = np.zeros((size, size), dtype=complex)
+    for lo, hi in blocks(povm.size, block_rows(size)):
+        vectors = symmetric_power_matrix(povm.states[lo:hi], povm.copies)
+        operator += vectors.T @ (povm.weights[lo:hi, None] * vectors.conj())
     checks = (
-        Check("completeness-frobenius", frobenius),
-        Check("weight-sum", abs(povm.weight_sum - expected_sum)),
+        Check("completeness-frobenius", _frobenius_identity_residual(operator)),
+        Check("weight-sum", abs(povm.weight_sum - size)),
     )
     return VerificationReport(_povm_id(povm), checks)
 
@@ -182,8 +192,8 @@ def verify_scalar_identity(povm: Povm, trials: int,
         _povm_id(povm), (Check("scalar-identity", worst),))
 
 
-# The most rows `bloch_dots` takes: the two k x k halves of its kernel buffer
-# are then at most 64 MiB, where a document of a few MB could ask for gigabytes.
+# The most rows `bloch_dots` takes: its k x k result is then at most 32 MiB,
+# where a document of a few MB could ask for gigabytes.
 MAX_BLOCH_ROWS = 2048
 
 
@@ -198,9 +208,24 @@ def bloch_dots(states) -> np.ndarray:
     if states.shape[0] > MAX_BLOCH_ROWS:
         raise ValueError(f"{states.shape[0]} rows are too many for the Bloch-dot matrix: "
                          f"the bound is MAX_BLOCH_ROWS = {MAX_BLOCH_ROWS}")
+    dots = np.empty((len(states), len(states)))
     with one_blas_thread():
-        dots, _ = _squared_overlaps(states, kernel_buffers(states, len(states)))
-    return _bloch_map(dots, states.shape[1])
+        for lo, hi, block, _ in _bloch_blocks(states):
+            dots[lo:hi] = block
+    return dots
+
+
+def _bloch_blocks(states: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """(lo, hi, dots, spare) for each kernel block of the C-contiguous (k, D)
+    rows, in order: the (hi - lo, k) Bloch dots of rows lo:hi against every
+    row, and a (hi - lo, k) half of the same buffer free for the caller.
+    Both are overwritten by the next block."""
+    k, dim = states.shape
+    most = block_rows(k)
+    buffers = kernel_buffers(states, min(k, most))
+    for lo, hi in blocks(k, most):
+        dots, spare = _squared_overlaps(states[lo:hi], buffers)
+        yield lo, hi, _bloch_map(dots, dim), spare
 
 
 def _bloch_map(overlaps_sq: np.ndarray, dim: int) -> np.ndarray:
@@ -235,7 +260,9 @@ def verify_hierarchy(povm: Povm) -> VerificationReport:
     (`hierarchy_targets`), the weight sum at m = 0 and the worst s above."""
     total, *targets = hierarchy_targets(povm.dim, povm.copies)
     # per block, then over the blocks; np.max carries a NaN through
-    worst = np.max([np.max(np.abs(s - targets), axis=0) for s in _moment_sums(povm)], axis=0)
+    with one_blas_thread():
+        worst = np.max([np.max(np.abs(s - targets), axis=0) for s in _moment_sums(povm)],
+                       axis=0)
     checks = [Check("bloch-moment-0", abs(povm.weight_sum - total)),
               *(Check(f"bloch-moment-{m}", float(w)) for m, w in enumerate(worst, start=1))]
     return VerificationReport(_povm_id(povm), tuple(checks))
@@ -244,16 +271,12 @@ def verify_hierarchy(povm: Povm) -> VerificationReport:
 def _moment_sums(povm: Povm) -> Iterator[np.ndarray]:
     """sum_r c_r (n_r.n_s)^m, one row per s and a column per m = 1..N, as one
     array per kernel block of s, in order: no k x k matrix is formed."""
-    buffers = kernel_buffers(povm.states, min(povm.size, block_rows(povm.size)))
-    for lo, hi in blocks(povm.size, block_rows(povm.size)):
-        with one_blas_thread():
-            dots, power = _squared_overlaps(povm.states[lo:hi], buffers)
-            _bloch_map(dots, povm.dim)
-            power.fill(1.0)
-            sums = np.empty((povm.copies, hi - lo))
-            for row in sums:
-                power *= dots
-                np.matmul(power, povm.weights, out=row)
+    for lo, hi, dots, power in _bloch_blocks(povm.states):
+        power.fill(1.0)
+        sums = np.empty((povm.copies, hi - lo))
+        for row in sums:
+            power *= dots
+            np.matmul(power, povm.weights, out=row)
         yield sums.T
 
 

@@ -351,6 +351,27 @@ class TestVerify:
         assert "error: [Errno 13] Permission denied" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    # os.access grants root every write, so it is made to answer per path
+    def test_writable_out_file_in_a_read_only_directory_is_written(self, tmp_path,
+                                                                   monkeypatch):
+        out = tmp_path / "r.json"
+        out.write_text("before\n")
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: path != str(tmp_path))
+        assert main(["verify", "--target", "table1-N2", "--trials", "10", "--seed", "1",
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["povm"] == "table1-N2"
+
+    def test_read_only_out_file_in_a_writable_directory_is_an_input_error(
+            self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "r.json"
+        out.write_text("before\n")
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: path != str(out))
+        monkeypatch.setattr(cli, "verify_completeness", _must_not_run)
+        assert main(["verify", "--target", "table1-N2", "--trials", "10", "--seed", "1",
+                     "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: [Errno 13] Permission denied: '{out}'\n")
+        assert out.read_text() == "before\n"
+
     def test_negative_seed_is_an_input_error(self, capsys):
         assert main(["verify", "--target", "table1-N2", "--trials", "10",
                      "--seed", "-1"]) == EXIT_INPUT

@@ -29,8 +29,11 @@ from spinpovm import (
 from spinpovm.povm import Povm
 from spinpovm import spin32
 from spinpovm.spin32 import BlochDotSpectrum, _parse_row
+from spinpovm.blas import one_blas_thread
 from spinpovm.verify import (
     MAX_BLOCH_ROWS,
+    _bloch_map,
+    _squared_overlaps,
     hierarchy_targets,
     kernel_buffers,
     outcome_probabilities,
@@ -180,8 +183,9 @@ class TestBlochDots:
         assert np.array_equal(bloch_dots(np.asfortranarray(states)), bloch_dots(states))
 
     def test_memory_at_the_bound(self):
-        # the kernel buffer's two 2048 x 2048 halves, 64 MiB, and no k x k
-        # complex array
+        # the 2048 x 2048 result, 32 MiB, and one 128-row block of the kernel
+        # buffer's two halves, 4 MiB (36.25 MiB measured); no second k x k
+        # half and no k x k complex array
         states = haar_random_states(4, MAX_BLOCH_ROWS, np.random.default_rng(2048))
         bloch_dots(states[:8])   # caches out of the measurement
         tracemalloc.start()
@@ -190,7 +194,18 @@ class TestBlochDots:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 65 * 2 ** 20
+        assert peak < 37 * 2 ** 20
+
+    # one block at k = 40, two uneven ones at 203, three at 333, sixteen at 2048
+    @pytest.mark.parametrize("k", [40, 203, 333, 2048])
+    def test_blocks_match_one_product_bit_for_bit(self, k):
+        states = haar_random_states(4, k, np.random.default_rng(k))
+        with one_blas_thread():
+            expected, _ = _squared_overlaps(states, kernel_buffers(states, k))
+        _bloch_map(expected, 4)
+        dots = bloch_dots(states)
+        assert dots.base is None   # the result owns its data, not a view of a buffer
+        assert np.array_equal(dots.view(np.int64), expected.view(np.int64))
 
     def test_explicit_bloch_vectors_are_unit(self):
         rng = np.random.default_rng(124)

@@ -14,6 +14,8 @@ from spinpovm import (
     catalog,
     haar_random_states,
     spin32_povm,
+    sym_dim,
+    symmetric_power_matrix,
     verify_completeness,
     verify_scalar_identity,
 )
@@ -57,6 +59,40 @@ def test_completeness_matches_full_space_brute_force():
         "completeness-frobenius"].residual
     full = brute_force_identity_residual(deficient.weights, deficient.states, 2)
     assert abs(sub - full) < 1e-10
+
+
+def _one_block_frobenius(povm):
+    """The Frobenius residual from one product over every row."""
+    vectors = symmetric_power_matrix(povm.states, povm.copies)
+    operator = vectors.T @ (povm.weights[:, None] * vectors.conj())
+    return float(np.linalg.norm(operator - np.eye(len(operator))))
+
+
+def test_bundled_completeness_is_one_block(shipped_povms):
+    # sym_dim is at most 21 and k at most 720: every bundled POVM is one
+    # block of block_rows(sym_dim) rows, with the one-product bits
+    for povm in shipped_povms:
+        assert verify_completeness(povm).checks == (
+            Check("completeness-frobenius", _one_block_frobenius(povm)),
+            Check("weight-sum", abs(povm.weight_sum - sym_dim(povm.dim, povm.copies))))
+
+
+def test_completeness_holds_one_block_of_embeddings():
+    # 2000 rows at sym_dim(4, 15) = 816 are 16 blocks of 125: the operator
+    # and one block's product take 10.6 MB each, and an embedding of every
+    # row at once would take 150 MiB
+    povm = Povm(np.full(2000, 816 / 2000), haar_random_states(4, 2000,
+                                                              np.random.default_rng(15)), 15)
+    verify_completeness(Povm(povm.weights[:2], povm.states[:2], 15))  # caches
+    tracemalloc.start()
+    try:
+        report = verify_completeness(povm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
+    residual = report.checks[0].residual
+    assert abs(residual - _one_block_frobenius(povm)) <= 1e-12 * residual
 
 
 def test_completeness_pass_implies_scalar_pass(shipped_povms):

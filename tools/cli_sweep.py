@@ -2,10 +2,11 @@
 
     python3 tools/cli_sweep.py OUTDIR
 
-The sweep calls `spinpovm.cli.main` in-process, with OUTDIR as the working
-directory, so every output file lands in OUTDIR under a relative name. It
-covers `build` for every target, `verify` and `simulate` for every POVM
-(by target and from the built documents), `verify` at probe counts just
+The sweep runs 131 commands. It calls `spinpovm.cli.main` in-process,
+with OUTDIR as the working directory, so every output file lands in
+OUTDIR under a relative name. It covers `build` for every target,
+`verify` and `simulate` for every POVM (by target and from the built
+documents), `verify` at probe counts just
 past the scalar check's block edges, one `simulate --csv` of 10_001
 trials, `spectrum` and `solve-weights`, including error cases, some of
 them on documents written into OUTDIR first: a qubit POVM at 1100
@@ -25,7 +26,9 @@ and so do two documents of Table 1 POVMs with split
 elements, whose two-level outcome picks no bundled POVM takes: table1-N4
 with its last element split in two (k = 481, a one-outcome last segment)
 and table1-N5 with every element split in three (k = 2160, more segments
-than one matrix product sums).
+than one matrix product sums). `verify` also runs on 300 Haar rays of
+C^4 at 15 copies, whose Frobenius check sums 3 blocks of rows.
+Each `solve-weights` output is named by its polytope, copies and angles.
 `OUTDIR/manifest.json` records, per command, its argv, exit code, stdout,
 stderr and the sha256 of each output file it names. The package is
 imported from `src/` of the checkout this file sits in, so two checkouts
@@ -46,7 +49,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from spinpovm import (PENROSE40, SET60, Povm, RayCatalog, build_table1_povm, catalog,  # noqa: E402
-                      cli, documents)
+                      cli, documents, haar_random_states)
 
 SEEDS = (11, 2026)
 # Table 1 of the paper, then a trailing zero-weight shell, an infeasible
@@ -106,6 +109,10 @@ MOST_RAYS = "set60-rays-2048.json"
 # 10_001 trials of it are 3 chunks above estimate._WORKER_ELEMENTS)
 SPLIT_LAST = "table1-N4-last-split-2.json"
 SPLIT_ALL = "table1-N5-split-3.json"
+# 300 Haar rays of C^4 at 15 copies, weighted to sum to sym_dim(4, 15) =
+# 816: more rows than verify.block_rows(816) = 128, so the Frobenius check
+# sums its operator over 3 blocks (it fails: the rays are random)
+HAAR_N15 = "haar-C4-300-N15.json"
 
 
 def _split(povm: Povm, parts: int, first: int) -> dict:
@@ -153,6 +160,8 @@ INPUT_DOCS = {
         catalog(SET60).states[np.arange(2048) % 60]))),
     SPLIT_LAST: _split(build_table1_povm(4), 2, 479),
     SPLIT_ALL: _split(build_table1_povm(5), 3, 0),
+    HAAR_N15: json.loads(documents.povm_to_document(Povm(
+        np.full(300, 816 / 300), haar_random_states(4, 300, np.random.default_rng(15)), 15))),
     **{name: json.loads(documents.povm_to_document(
         Povm(np.ones(40), catalog(PENROSE40).states, copies)))
        for copies, name in PENROSE_MANY.items()},
@@ -184,9 +193,10 @@ def commands() -> list[list[str]]:
         runs.append(["spectrum", "--in", f"build-{label}.json",
                      "--out", f"spectrum-in-{label}.json"])
     for polytope, angles, copies in SOLVE_WEIGHTS:
+        # named by the angles, "pi/4" as "pi4", so that no two commands share a file
         runs.append(["solve-weights", "--polytope", polytope, "--angles", *angles,
-                     "--copies", str(copies),
-                     "--out", f"solve-{polytope}-N{copies}-{len(angles)}.json"])
+                     "--copies", str(copies), "--out",
+                     f"solve-{polytope}-N{copies}-{'-'.join(angles).replace('/', '')}.json"])
     # weights (2/9, 0, 2/3): the pi/2 weight solves to about 3e-17, and is 0
     runs.append(["solve-weights", "--polytope", "24-cell", "--angles", "pi/3", "pi/2", "0",
                  "--copies", "2", "--out", "solve-24-cell-N2-zero-weight.json"])
@@ -220,6 +230,7 @@ def commands() -> list[list[str]]:
         runs.append(["verify", "--in", doc, "--seed", "1", "--out", f"verify-{doc}"])
     runs.append(["simulate", "--in", PENROSE_N1, "--trials", "5000", "--seed", "5",
                  "--out", f"simulate-{PENROSE_N1}", "--csv", "simulate-penrose40-N1.csv"])
+    runs.append(["verify", "--in", HAAR_N15, "--seed", "5", "--out", f"verify-{HAAR_N15}"])
     for doc in (SPLIT_LAST, SPLIT_ALL):
         runs.append(["verify", "--in", doc, "--seed", "5", "--out", f"verify-{doc}"])
         runs.append(["simulate", "--in", doc, "--trials", "10001", "--seed", "5",
