@@ -20,7 +20,7 @@ from .povm import AGGREGATE_TOL, Povm
 from .reports import EstimationReport
 from .sampling import CHUNK, chunks, haar_random_states
 from .verify import (block_rows, blocks, kernel_buffers, outcome_probabilities,
-                     verify_completeness, _povm_id)
+                     probe_features, verify_completeness, _povm_id)
 
 # Fewest trial-elements (trials x k) for which `simulate` forks a worker.
 # Below it the fork and the worker's copy-on-write faults cost more than
@@ -160,13 +160,16 @@ def _run_chunks(povm: Povm, rng: np.random.Generator, trials: int,
         if chunk % count not in mine:
             continue
         rows = stop - start
-        psis = haar_random_states(povm.dim, rows, chunk_rng)
+        # the chunk's features at once: built per block, they took 0.14-0.26
+        # us more per trial at table1-N5 and 0.019-0.043 at k = 40-60, D = 4
+        # (4096-row chunks, BLAS on one thread, medians of 41)
+        features = probe_features(haar_random_states(povm.dim, rows, chunk_rng))
         u = chunk_rng.random(rows)
         out = scratch[:rows] if samples is None else samples[start:stop]
 
         def probabilities(lo, hi):
             # a product of the same shape for the same rows, so the same bits
-            return outcome_probabilities(povm, psis[lo:hi], buffers)
+            return outcome_probabilities(povm, features[lo:hi], buffers)
         _pick_chunk(probabilities, u, k, kept, out, start)
         mean = np.mean(out)
         deviations = out - mean
@@ -323,15 +326,25 @@ def _pick_chunk(probabilities, u: np.ndarray, k: int, kept: tuple | None,
     `cumsum`), which may add in any order and fuse the exact products
     x * 1 into their adds: each addition still rounds once. The sums
     inside a segment add its terms to its start one by one. A sum of n
-    non-negative terms in any order is then within gamma_(n-1) of its
-    exact value, relative to it (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 4). A segment total adds at most L terms, a
-    segment's start at most k / L totals, and a sum inside the segment at
-    most L terms and the start, so no term of S' passes through more than
-    k / L + 2L roundings, nor one of the sequential S through more than
-    k - 1. With both sums at most 1 + AGGREGATE_TOL, |S - S'| <=
-    2 gamma_(k+2L) (1 + AGGREGATE_TOL) <= delta, and the sequential sums,
-    being monotone, cross u at j too. The test holds for any candidate, so
+    terms in any order is then within gamma_(n-1) of its exact value,
+    relative to the sum of the terms' absolute values (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 4). A segment total adds at
+    most L terms, a segment's start at most k / L totals, and a sum inside
+    the segment at most L terms and the start, so no term of S' passes
+    through more than k / L + 2L roundings, nor one of the sequential S
+    through more than k - 1.
+
+    The terms are p = c x^N with c >= 0, but for D <= 4 a squared overlap
+    x near 0 can round below it, to no less than -g, g = gamma_(D^2+4)
+    (`verify._squared_overlaps`), so at odd N a few p are negative: in a
+    row they add to no less than -eta, eta = g^N sum_r c_r, which is at
+    most D g < 90u at N = 1 and below 2^-90 from N = 2 on. The absolute
+    values then add to at most 1 + AGGREGATE_TOL + 2 eta, so |S - S'| <=
+    2 gamma_(k+2L) (1 + AGGREGATE_TOL + 2 eta) <= delta - eta: delta leaves
+    2 (k + 2L) u >= 320u for eta, k being at least _TWO_LEVEL_MIN. The
+    exact prefix sums fall by at most eta between any two indices, so every
+    sequential sum before j is below u and every one from j on reaches it,
+    and the sequential pick is j too. The test holds for any candidate, so
     how the segment was found does not matter to the result.
     """
     rows, most = len(u), block_rows(k)
@@ -452,9 +465,13 @@ def _sequential_pick(probs: np.ndarray, u: np.ndarray,
     sums run on a transposed copy, outcome by outcome across all rows,
     S_j = fl(S_(j-1) + p_j), the additions `cumsum` makes along a row in
     the same order, as k - 1 vector adds. The pick counts the sums below u
-    among all but the last. A `Povm` refuses negative weights, so p >= 0
-    and S is non-decreasing, and the count is the first j with S_j >= u,
-    also on the plateaus that runs of zero probabilities make.
+    among all but the last. A `Povm` refuses negative weights, so S is
+    non-decreasing but for p < 0 from a squared overlap rounded below 0,
+    whose values in a row add to no less than -eta (see `_pick_chunk`).
+    The count is then the first j with S_j >= u, also on the plateaus that
+    runs of zero probabilities make, for every u farther than eta from
+    every sum: from N = 2 on eta is below 2^-90, and at N = 1 a pick can
+    move only for u within 90u of a sum.
     """
     cdf = probs.T.copy()
     # row views made once: indexing cdf[j] at every add costs as much as the add

@@ -35,6 +35,20 @@ _BLOCK = 128
 _BLOCK_ELEMENTS = 40960
 # Byte alignment of the kernel buffers: one cache line, and one AVX-512 vector.
 _ALIGN = 64
+# Widest rows whose squared overlaps come from the D^2 features of psi
+# psi^dag (`_features`): one product of D^2 terms per overlap, where the
+# interleaved route makes two of 2D terms and three squaring passes over
+# the k outcomes. The features cost about 3 D^2 passes over a chunk's rows,
+# so the route wins at small D and wide k. Per 4096-row chunk, features
+# included, feature over interleaved time measured 0.37-0.44 at D = 2 and
+# 0.56-0.57 at D = 3 (k = 60), 0.32-0.38 at D = 3 and 0.45 at D = 4
+# (k = 480), 0.94 at D = 4 and k = 60 and 1.26-1.27 at k = 40, 0.87-0.88
+# at D = 5 (k = 480), and 1.66-1.68 at D = 5, 1.95-2.08 at D = 6 and
+# 3.32-3.36 at D = 8 (k = 60), 1.60 at D = 8 (k = 480) (2-vCPU Xeon, BLAS on
+# one thread, medians of 31, two rounds). The (D^2, k) factor would also
+# take gigabytes at D = 1024, the widest rows a one-copy POVM may have
+# (`MAX_SYM_DIM`).
+_FEATURE_MOST_DIM = 4
 
 
 def block_rows(k: int) -> int:
@@ -61,28 +75,94 @@ def kernel_buffers(states: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarra
     """The real factor matrix of the (k, D) array `states`, a POVM's or a
     catalog's, and the buffer of `_squared_overlaps` on up to `rows` probe states.
 
-    The factor is (2, 2D, k): a probe state, read as 2D interleaved doubles
-    (re, im), times half 0 gives Re <psi_r|psi> and times half 1 gives
-    Im <psi_r|psi>, for every element r. It is 69 KB at k = 720, D = 3.
+    For D <= _FEATURE_MOST_DIM the factor is (D^2, width): in its first k
+    columns the features of each element's psi_r psi_r^dag (`_features`),
+    those off the diagonal doubled, so that a probe's `probe_features` times
+    it give |<psi_r|psi>|^2 for every element r; when k does not fill whole
+    cache lines, zero columns follow, up to an odd number of lines. For
+    larger D it is (2, 2D, k), width k: a probe state, read as 2D
+    interleaved doubles (re, im), times half 0 gives Re <psi_r|psi> and
+    times half 1 gives Im <psi_r|psi>. At k = 720, D = 3 the feature factor
+    is 52 KB and the interleaved one 69 KB.
 
-    The buffer is two halves: the real and the imaginary parts of a block's
-    overlaps, then the squared moduli (or Bloch dots) and their powers.
-    Each half's stride is padded to whole cache lines, so that both halves
-    of every block's slice start on a 64-byte boundary, as the buffer and
-    the factor do. numpy takes a large array from glibc's mmap, whose chunk
-    header puts the data at 16 mod 64 bytes, so every AVX-512 load of an
-    elementwise pass split two cache lines: aligned, `outcome_probabilities`
-    took 255-257 against 274-276 ms over 100k serial trials of table1-N5
-    (`tools/kernel_stages.py`, 2-vCPU Xeon, BLAS on one thread).
+    The buffer is two halves of `rows` rows of width: the squared moduli (or
+    Bloch dots), and a half that the caller takes for the probabilities or
+    the powers; on the interleaved route the two first hold the real and
+    the imaginary parts. Each half's stride is padded to whole cache lines,
+    so that both halves of every block's slice start on a 64-byte boundary,
+    as the buffer and the factor do. numpy takes a large array from glibc's
+    mmap, whose chunk header puts the data at 16 mod 64 bytes, so every
+    AVX-512 load of an elementwise pass split two cache lines: aligned,
+    `outcome_probabilities` took 255-257 against 274-276 ms over 100k serial
+    trials of table1-N5 (`tools/kernel_stages.py`, 2-vCPU Xeon, BLAS on one
+    thread).
     """
     k, dim = states.shape
-    factor = _aligned_empty((2, dim, 2, k))
-    factor[0, :, 0] = factor[1, :, 1] = states.T.real
-    factor[1, :, 1] *= -1.0
-    factor[0, :, 1] = factor[1, :, 0] = states.T.imag
     line = _ALIGN // 8  # doubles per cache line
-    half = -(-rows * k // line) * line
-    return factor.reshape(2, 2 * dim, k), _aligned_empty((2, half))
+    if dim <= _FEATURE_MOST_DIM:
+        # zero columns up to whole cache lines: OpenBLAS's small-matrix
+        # kernel (rows x k x D^2 up to about 100^3) and its general one round
+        # the last k % 8 columns differently, so that at k = 333 the rows of
+        # a 111-row block and of the one 333-row product differed. An odd
+        # count of lines, so that the rows of a block spread over every L1
+        # set when `_sequential_pick` copies it transposed: with 8 lines at
+        # k = 60 its copy took 49.5 against 15.9 us per 682-row block with 9
+        lines = -(-k // line)
+        width = k if k % line == 0 else (lines | 1) * line
+        factor = _aligned_empty((dim * dim, width))
+        factor[:, k:] = 0.0
+        _features(states, factor[:, :k])
+        factor[dim:] *= 2.0
+    else:
+        factor = _aligned_empty((2, dim, 2, k))
+        factor[0, :, 0] = factor[1, :, 1] = states.T.real
+        factor[1, :, 1] *= -1.0
+        factor[0, :, 1] = factor[1, :, 0] = states.T.imag
+        factor = factor.reshape(2, 2 * dim, k)
+    half = -(-rows * factor.shape[-1] // line) * line
+    return factor, _aligned_empty((2, half))
+
+
+def probe_features(psis: np.ndarray) -> np.ndarray:
+    """The real rows that `_squared_overlaps` multiplies by the factor of
+    `kernel_buffers`, one per probe state (C-contiguous row of psis): for
+    D <= _FEATURE_MOST_DIM the D^2 features of psi psi^dag (`_features`),
+    as the transpose of a contiguous (D^2, rows) array, and otherwise the
+    state's interleaved (re, im) doubles. Made once for all the rows of a
+    chunk: a block's rows are a slice, which BLAS reads in place."""
+    rows, dim = psis.shape
+    if dim > _FEATURE_MOST_DIM:
+        return psis.view(np.float64)
+    return _features(psis, np.empty((dim * dim, rows))).T
+
+
+def _features(states: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The D^2 real entries of each row's psi psi^dag into the rows of the
+    (D^2, k) `out`: |psi_a|^2 for every a, then Re psi_a conj(psi_b) and
+    then Im psi_a conj(psi_b) for every a < b, in `np.triu_indices` order.
+    |<s|psi>|^2 is sum_a |s_a|^2 |psi_a|^2 + 2 sum_(a<b) (Re s_a conj(s_b)
+    Re psi_a conj(psi_b) + Im s_a conj(s_b) Im psi_a conj(psi_b)), a real
+    linear form in them, so one product gives it with no squaring pass."""
+    rows, dim = states.shape
+    # (re, im) of each amplitude as one contiguous row across the states; a
+    # Povm keeps the order of the rows it was given, which may be Fortran's
+    parts = np.ascontiguousarray(
+        np.ascontiguousarray(states).view(np.float64).T).reshape(dim, 2, rows)
+    products = np.empty((dim, 2, rows))
+    np.multiply(parts, parts, out=products)
+    np.add(products[:, 0], products[:, 1], out=out[:dim])
+    count = dim * (dim - 1) // 2
+    real, imag = out[dim:dim + count], out[dim + count:]
+    at = 0
+    for a in range(dim - 1):
+        pairs = slice(at, at + dim - 1 - a)
+        head = products[:dim - 1 - a]
+        np.multiply(parts[a], parts[a + 1:], out=head)   # re_a re_b, im_a im_b
+        np.add(head[:, 0], head[:, 1], out=real[pairs])
+        np.multiply(parts[a, ::-1], parts[a + 1:], out=head)   # im_a re_b, re_a im_b
+        np.subtract(head[:, 0], head[:, 1], out=imag[pairs])
+        at = pairs.stop
+    return out
 
 
 def _aligned_empty(shape: tuple) -> np.ndarray:
@@ -94,9 +174,10 @@ def _aligned_empty(shape: tuple) -> np.ndarray:
     return raw[start:start + nbytes].view(np.float64).reshape(shape)
 
 
-def outcome_probabilities(povm: Povm, psis: np.ndarray,
+def outcome_probabilities(povm: Povm, features: np.ndarray,
                           buffers: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(|<psi_r|psi>|^2, c_r |<psi_r|psi>|^(2N)) for each probe state (row of psis).
+    """(|<psi_r|psi>|^2, c_r |<psi_r|psi>|^(2N)) for each probe state, given
+    as its row of `probe_features`.
 
     Each row of the probabilities sums to 1 when the POVM resolves the
     identity. Both arrays live in `buffers` (from `kernel_buffers`), which
@@ -104,26 +185,45 @@ def outcome_probabilities(povm: Povm, psis: np.ndarray,
     runs block after block reuses one set instead of leaving the memory
     allocator to return freed pages to the system and fault them in again.
     """
-    overlaps_sq, probs = _squared_overlaps(psis, buffers)
-    # the imaginary parts are spent: the probabilities take their memory,
-    # which is still in cache. A third buffer for the squared moduli took
-    # 121 against 102 ms over 100k trials of table1-N5 (medians of 9, 2
-    # vCPUs, BLAS on one thread).
+    overlaps_sq, probs = _squared_overlaps(features, buffers)
+    # the probabilities take the spare half, which on the interleaved route
+    # held the spent imaginary parts, still in cache. A third buffer for the
+    # squared moduli took 121 against 102 ms over 100k trials of table1-N5
+    # (medians of 9, 2 vCPUs, BLAS on one thread).
     _power(overlaps_sq, povm.copies, probs)
-    probs *= povm.weights
-    return overlaps_sq, probs
+    k, width = povm.size, probs.shape[1]
+    weights = povm.weights
+    if width > k:
+        # passes over whole rows: on the first k columns of each, numpy steps
+        # row by row, 851 against 592 us per 4096-row chunk of set60-N3
+        weights = np.zeros(width)
+        weights[:k] = povm.weights
+    probs *= weights
+    return overlaps_sq[:, :k], probs[:, :k]
 
 
-def _squared_overlaps(psis: np.ndarray, buffers: tuple) -> np.ndarray:
-    """A (2, rows, k) view of `buffers`: |<psi_r|psi>|^2 for each probe state
-    (row of psis) and element r, then a half free for the caller to use."""
+def _squared_overlaps(features: np.ndarray, buffers: tuple) -> tuple:
+    """A (2, rows, width) view of `buffers`: |<psi_r|psi>|^2 for each probe
+    state, given as its row of `probe_features`, and element r, then a half
+    free for the caller to use. The first k of the factor's width columns
+    are the elements; the rest, on the feature route, give 0.
+
+    From the D^2 features x is one sum of D^2 signed terms, whose absolute
+    values add to at most (sum_a |psi_a| |s_a|)^2 <= 1 (Cauchy-Schwarz,
+    unit rows), so x is within gamma_(D^2 + 4) of its exact value, the
+    features' own roundings included, and can come out below zero for a
+    pair near orthogonal, down to -gamma_(D^2 + 4). `_pick_chunk` counts
+    this in; the interleaved route's re^2 + im^2 is never negative."""
     factor, halves = buffers
-    rows, k = len(psis), factor.shape[-1]
-    parts = halves[:, :rows * k].reshape(2, rows, k)
+    rows, width = len(features), factor.shape[-1]
+    parts = halves[:, :rows * width].reshape(2, rows, width)
+    if factor.ndim == 2:
+        np.matmul(features, factor, out=parts[0])
+        return parts
     # |z|^2 as re^2 + im^2 from one real product: np.abs of the complex
     # overlaps, a hypot with a divide and a square root per element, took
     # 0.91 of 2.47 us per trial at table1-N5
-    np.matmul(psis.view(np.float64), factor, out=parts)
+    np.matmul(features, factor, out=parts)
     overlaps_sq, spare = parts
     overlaps_sq *= overlaps_sq
     spare *= spare
@@ -150,7 +250,8 @@ def verify_completeness(povm: Povm) -> VerificationReport:
     """Operator check: Frobenius residual against the identity, plus the weight sum.
 
     The operator sum_r c_r v_r v_r^dag is summed over blocks of
-    `block_rows(sym_dim)` rows, so only one block's embedding is held at a time.
+    `block_rows(sym_dim)` rows, so only one block's embedding is held at a
+    time, with numpy's OpenBLAS on one thread.
 
     The trace of the identity fixes sum_r c_r = C(N+D-1, D-1), so the
     weight sum is reported as its own residual.
@@ -158,11 +259,15 @@ def verify_completeness(povm: Povm) -> VerificationReport:
     _check_copies(povm.dim, povm.copies)  # before the operator takes its memory
     size = sym_dim(povm.dim, povm.copies)
     operator = np.zeros((size, size), dtype=complex)
-    for lo, hi in blocks(povm.size, block_rows(size)):
-        vectors = symmetric_power_matrix(povm.states[lo:hi], povm.copies)
-        operator += vectors.T @ (povm.weights[lo:hi, None] * vectors.conj())
+    # on one BLAS thread, as every kernel pass: the last bits of the product
+    # and of the norm's dot products follow the thread count once sym_dim is large
+    with one_blas_thread():
+        for lo, hi in blocks(povm.size, block_rows(size)):
+            vectors = symmetric_power_matrix(povm.states[lo:hi], povm.copies)
+            operator += vectors.T @ (povm.weights[lo:hi, None] * vectors.conj())
+        residual = _frobenius_identity_residual(operator)
     checks = (
-        Check("completeness-frobenius", _frobenius_identity_residual(operator)),
+        Check("completeness-frobenius", residual),
         Check("weight-sum", abs(povm.weight_sum - size)),
     )
     return VerificationReport(_povm_id(povm), checks)
@@ -183,9 +288,9 @@ def verify_scalar_identity(povm: Povm, trials: int,
     buffers = kernel_buffers(povm.states, min(trials, CHUNK, most))
     with one_blas_thread():
         for start, stop in chunks(trials):
-            psis = haar_random_states(povm.dim, stop - start, rng)
+            features = probe_features(haar_random_states(povm.dim, stop - start, rng))
             for lo, hi in blocks(stop - start, most):
-                _, probs = outcome_probabilities(povm, psis[lo:hi], buffers)
+                _, probs = outcome_probabilities(povm, features[lo:hi], buffers)
                 # np.maximum carries a NaN through, where Python's max drops it
                 worst = float(np.maximum(worst, np.max(np.abs(probs.sum(axis=1) - 1.0))))
     return VerificationReport(
@@ -223,9 +328,10 @@ def _bloch_blocks(states: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np
     k, dim = states.shape
     most = block_rows(k)
     buffers = kernel_buffers(states, min(k, most))
+    features = probe_features(states)
     for lo, hi in blocks(k, most):
-        dots, spare = _squared_overlaps(states[lo:hi], buffers)
-        yield lo, hi, _bloch_map(dots, dim), spare
+        dots, spare = _squared_overlaps(features[lo:hi], buffers)
+        yield lo, hi, _bloch_map(dots, dim)[:, :k], spare[:, :k]
 
 
 def _bloch_map(overlaps_sq: np.ndarray, dim: int) -> np.ndarray:

@@ -10,6 +10,11 @@ def scaled(povm, factor):
     return dataclasses.replace(povm, weights=povm.weights * factor)
 
 
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53."""
+    return n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+
+
 def all_shipped_povms():
     """The eight bundled POVMs: spin-1 N=2..5 and both spin-3/2 catalogs at N=2,3."""
     povms = [build_table1_povm(n) for n in (2, 3, 4, 5)]

@@ -127,26 +127,39 @@ def reference_simulate_samples(povm, trials, rng):
     pick, clamped to the last outcome. The chunk size is written out here
     so that a change to the package's stream order shows up as a mismatch.
 
-    An overlap <psi_r|psi> = sum_j conj(s_rj) psi_j is formed in real
-    arithmetic: with psi_j = x_j + i y_j and s_rj = u + i v, its real part
-    is sum_j x_j u + y_j v and its imaginary part sum_j x_j v - y_j u, each
-    a real product of the state's interleaved (x, y) with one factor
+    For D <= 4, |<psi_r|psi>|^2 = sum_a |s_a|^2 |psi_a|^2 + 2 sum_(a<b)
+    (Re s_a conj(s_b) Re psi_a conj(psi_b) + Im s_a conj(s_b) Im psi_a
+    conj(psi_b)), s = psi_r: one real product of the chunk's D^2 features
+    of psi psi^dag, held feature-major, with the elements' features, those
+    off the diagonal doubled, and zero columns up to a multiple of 8. For
+    D >= 5 an overlap <psi_r|psi> = sum_j conj(s_rj) psi_j is formed in
+    real arithmetic: with psi_j = x_j + i y_j and s_rj = u + i v, its real
+    part is sum_j x_j u + y_j v and its imaginary part sum_j x_j v - y_j u,
+    each a real product of the state's interleaved (x, y) with one factor
     matrix, and |<psi_r|psi>|^2 is re^2 + im^2.
     """
     from spinpovm.sampling import haar_random_states
 
     k = povm.size
     s = povm.states
-    real_factor = np.ascontiguousarray(np.stack([s.real, s.imag], axis=2).reshape(k, -1).T)
-    imag_factor = np.ascontiguousarray(np.stack([s.imag, -s.real], axis=2).reshape(k, -1).T)
+    if povm.dim <= 4:
+        factor = _reference_features(s)
+        factor[povm.dim:] *= 2.0
+        factor = np.concatenate([factor, np.zeros((len(factor), -k % 8))], axis=1)
+    else:
+        real_factor = np.ascontiguousarray(np.stack([s.real, s.imag], axis=2).reshape(k, -1).T)
+        imag_factor = np.ascontiguousarray(np.stack([s.imag, -s.real], axis=2).reshape(k, -1).T)
     fidelities = np.empty(trials)
     done = 0
     while done < trials:
         batch = min(trials - done, 4096)
         chunk_rng = rng.spawn(1)[0]
         psis = haar_random_states(povm.dim, batch, chunk_rng)
-        pairs = psis.view(float)
-        overlaps_sq = (pairs @ real_factor) ** 2 + (pairs @ imag_factor) ** 2
+        if povm.dim <= 4:
+            overlaps_sq = (_reference_features(psis).T @ factor)[:, :k]
+        else:
+            pairs = psis.view(float)
+            overlaps_sq = (pairs @ real_factor) ** 2 + (pairs @ imag_factor) ** 2
         probs = povm.weights * overlaps_sq ** povm.copies
         totals = probs.sum(axis=1)
         if float(np.max(np.abs(totals - 1.0))) > 1e-9:
@@ -157,6 +170,15 @@ def reference_simulate_samples(povm, trials, rng):
         fidelities[done:done + batch] = overlaps_sq[np.arange(batch), picks]
         done += batch
     return fidelities
+
+
+def _reference_features(states):
+    """The (D^2, rows) features of each row's psi psi^dag, feature-major:
+    |psi_a|^2, then Re psi_a conj(psi_b) and Im psi_a conj(psi_b) for a < b
+    in row-major upper-triangle order, each from the real parts' products."""
+    x, y = states.real.T, states.imag.T
+    a, b = np.triu_indices(states.shape[1], 1)
+    return np.concatenate([x * x + y * y, x[a] * x[b] + y[a] * y[b], y[a] * x[b] - x[a] * y[b]])
 
 
 def reference_shell_states(polytope, theta):

@@ -29,8 +29,10 @@ from spinpovm import (
 from spinpovm import blas, estimate, verify
 from spinpovm.documents import dumps
 from spinpovm.sampling import CHUNK
-from spinpovm.verify import block_rows, blocks, kernel_buffers, outcome_probabilities
-from conftest import scaled
+from spinpovm.symmetric import sym_dim
+from spinpovm.verify import (block_rows, blocks, kernel_buffers, outcome_probabilities,
+                             probe_features)
+from conftest import gamma, scaled
 from oracles import projective_moment_quadrature, reference_simulate_samples
 
 
@@ -131,7 +133,8 @@ def test_probabilities_normalize_before_sampling(shipped_povms):
     rng = np.random.default_rng(77)
     for povm in shipped_povms:
         psis = haar_random_states(povm.dim, 200, rng)
-        _, probs = outcome_probabilities(povm, psis, kernel_buffers(povm.states, len(psis)))
+        _, probs = outcome_probabilities(povm, probe_features(psis),
+                                         kernel_buffers(povm.states, len(psis)))
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
 
 
@@ -260,13 +263,40 @@ def test_blocked_kernel_matches_unblocked_reference(shipped_povms, trials):
         assert np.array_equal(samples, reference), povm.provenance
 
 
-def _bases_povm(count, seed):
-    """`count` Haar-random orthonormal bases of C^3, each weighted 1/count:
-    a one-copy POVM of 3 * count elements."""
+def _bases_povm(count, seed, dim=3):
+    """`count` Haar-random orthonormal bases of C^dim, each weighted 1/count:
+    a one-copy POVM of dim * count elements."""
     rng = np.random.default_rng(seed)
-    gaussians = rng.standard_normal((count, 3, 3)) + 1j * rng.standard_normal((count, 3, 3))
+    shape = (count, dim, dim)
+    gaussians = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     states = np.concatenate([np.linalg.qr(g)[0].T for g in gaussians])
-    return Povm(np.full(3 * count, 1 / count), states, 1, provenance=f"bases{count}-D3-N1")
+    return Povm(np.full(dim * count, 1 / count), states, 1,
+                provenance=f"bases{count}-D{dim}-N1")
+
+
+@pytest.mark.parametrize("trials", [1, 129, 4097])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
+def test_kernel_matches_the_reference_at_every_dim(monkeypatch, dim, trials):
+    # D <= 4 takes the feature route and D >= 5 the interleaved one; k = 7D
+    # runs the sequential pick, 43D the two-level one, and neither k is a
+    # multiple of 8 at D = 3 or 5; serial, and with a forked worker
+    for count in (7, 43):
+        povm = _bases_povm(count, count + dim, dim)
+        reference = reference_simulate_samples(povm, trials, np.random.default_rng(trials))
+        samples = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(estimate, "_workers", lambda elements, n=workers: n)
+            report = simulate(povm, trials, np.random.default_rng(trials), keep_samples=True)
+            samples[workers] = report.samples
+        assert np.array_equal(samples[1], samples[2]), povm.provenance
+        if dim > verify._FEATURE_MOST_DIM and povm.size % 8:
+            # the interleaved route keeps its unpadded factor, and with it its
+            # bytes: OpenBLAS's small-matrix kernel rounds the last k % 8
+            # columns of a block unlike the general kernel of the chunk-wide
+            # product, by a few ulps (k = 215 at 4097 trials)
+            assert np.max(np.abs(samples[1] - reference)) <= 8 * 2.0 ** -53, povm.provenance
+        else:
+            assert np.array_equal(samples[1], reference), povm.provenance
 
 
 needs_openblas = pytest.mark.skipif(blas._openblas() is None,
@@ -576,7 +606,7 @@ def recomputed(monkeypatch):
 
 
 def _probs_and_prefix_sums(povm, rows, rng):
-    _, probs = outcome_probabilities(povm, haar_random_states(povm.dim, rows, rng),
+    _, probs = outcome_probabilities(povm, probe_features(haar_random_states(povm.dim, rows, rng)),
                                      kernel_buffers(povm.states, rows))
     return probs, np.cumsum(probs, axis=1)
 
@@ -685,6 +715,74 @@ def test_two_level_pick_on_a_short_last_segment(parts, recomputed):
     assert np.all(picks > top)
     # only rows whose last probabilities are within delta of u are recomputed
     assert len(recomputed) < rows // 4
+
+
+@pytest.mark.parametrize("povm", [build_table1_povm(2), spin32_povm(catalog(SET60), 2)],
+                         ids=["table1-N2", "set60-N2"])
+def test_fortran_ordered_rows_give_the_same_samples(povm):
+    # a Povm keeps the order of its rows, and the factor reads them as doubles
+    fortran = Povm(povm.weights, np.asfortranarray(povm.states), povm.copies)
+    assert fortran.states.flags.f_contiguous and not fortran.states.flags.c_contiguous
+    samples = [simulate(p, 3000, np.random.default_rng(1), keep_samples=True).samples
+               for p in (povm, fortran)]
+    assert np.array_equal(*samples)
+
+
+def _one_copy(povm):
+    """The one-copy POVM of the same rays: weights times sym_dim(D, 1) / sym_dim(D, N)."""
+    return Povm(povm.weights * sym_dim(povm.dim, 1) / sym_dim(povm.dim, povm.copies),
+                povm.states, 1, provenance=f"{povm.provenance}-one-copy")
+
+
+@pytest.mark.parametrize("povm", [build_table1_povm(3), build_table1_povm(5),
+                                  spin32_povm(catalog(PENROSE40), 3),
+                                  spin32_povm(catalog(SET60), 3),
+                                  _one_copy(build_table1_povm(5)),
+                                  _one_copy(spin32_povm(catalog(PENROSE40), 3))],
+                         ids=["table1-N3", "table1-N5", "penrose40-N3", "set60-N3",
+                              "table1-N5-one-copy", "penrose40-one-copy"])
+def test_negative_squared_overlaps_are_bounded_and_change_no_pick(monkeypatch, povm):
+    # for D <= 4 a squared overlap near 0 can round below it, down to
+    # -gamma_(D^2 + 4); then p = c x^N < 0 at odd N. The POVM's own rays,
+    # at random phases, as probes: their orthogonal pairs are where it happens
+    assert verify_completeness(povm).passed
+    rows, k, bound = 2048, povm.size, gamma(povm.dim ** 2 + 4)
+    rng = np.random.default_rng(k + povm.copies)
+    probes = povm.states[rng.integers(0, k, rows)] * np.exp(2j * np.pi * rng.random((rows, 1)))
+    overlaps_sq, probs = (part.copy() for part in outcome_probabilities(
+        povm, probe_features(probes), kernel_buffers(povm.states, rows)))
+    negative = overlaps_sq < 0
+    assert negative.any() and np.any(probs < 0)
+    assert overlaps_sq.min() >= -bound
+    # a row's negative probabilities add to no less than -eta = -g^N sum_r c_r
+    eta = bound ** povm.copies * povm.weight_sum
+    assert np.all(np.minimum(probs, 0).sum(axis=1) >= -eta)
+    clamped = np.where(negative, 0.0, probs)
+    sums = np.cumsum(probs, axis=1)
+    for reference in (sums, np.cumsum(clamped, axis=1)):
+        # u on, below and above a prefix sum, never below the least positive
+        # uniform that `random` draws
+        on = np.maximum(reference[np.arange(rows), rng.integers(0, k - 1, rows)], 2.0 ** -53)
+        for u in (on, np.maximum(np.nextafter(on, 0), 2.0 ** -53), np.nextafter(on, 2),
+                  rng.random(rows)):
+            picks = _chunk_outcomes(probs, u)[0]
+            # the delta test keeps the two-level pick on the sequential count
+            assert np.array_equal(picks, _reference_picks(sums, u))
+            if povm.copies > 1:   # eta < 2^-90: the picks of the clamped x
+                assert np.array_equal(picks, _chunk_outcomes(clamped, u)[0])
+    # and in `simulate`, from Haar states, clamping x changes no sample
+    kernel = estimate.outcome_probabilities
+
+    def clamping_kernel(povm, features, buffers):
+        overlaps_sq, probs = kernel(povm, features, buffers)
+        probs[overlaps_sq < 0] = 0.0
+        np.maximum(overlaps_sq, 0.0, out=overlaps_sq)
+        return overlaps_sq, probs
+
+    samples = simulate(povm, 5000, np.random.default_rng(k), keep_samples=True).samples
+    monkeypatch.setattr(estimate, "outcome_probabilities", clamping_kernel)
+    clamped_samples = simulate(povm, 5000, np.random.default_rng(k), keep_samples=True).samples
+    assert np.array_equal(samples, clamped_samples)
 
 
 @pytest.mark.parametrize("k", [128, 129, 143, 144, 480, 720, 1000, 1544, 4000])
@@ -864,12 +962,14 @@ class _UniformsOnPrefixSums:
 
     def random(self, rows):
         povm, k = self._povm, self._povm.size
-        psis = haar_random_states(povm.dim, rows, np.random.default_rng(self._chunk))
+        features = probe_features(
+            haar_random_states(povm.dim, rows, np.random.default_rng(self._chunk)))
         most = block_rows(k)
         buffers = kernel_buffers(povm.states, min(self._trials, CHUNK, most))
         overlaps_sq, probs = np.empty((rows, k)), np.empty((rows, k))
         for lo, hi in blocks(rows, most):
-            overlaps_sq[lo:hi], probs[lo:hi] = outcome_probabilities(povm, psis[lo:hi], buffers)
+            overlaps_sq[lo:hi], probs[lo:hi] = outcome_probabilities(povm, features[lo:hi],
+                                                                     buffers)
         sums = np.cumsum(probs, axis=1)
         u = sums[np.arange(rows), self._rng.integers(0, k - 1, rows)]
         if self._side:

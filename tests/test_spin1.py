@@ -21,7 +21,7 @@ from spinpovm import (
 )
 from spinpovm import spin1
 from spinpovm.polytopes import CELL24, CELL600, vertices
-from spinpovm.verify import kernel_buffers, outcome_probabilities
+from spinpovm.verify import kernel_buffers, outcome_probabilities, probe_features
 
 PI = math.pi
 TABLE1_ANGLES = sorted({theta for _, angles, _ in spin1.TABLE1.values()
@@ -83,10 +83,10 @@ class TestTable1:
 
     def test_scalar_identity_at_haar_states(self):
         rng = np.random.default_rng(314)
-        psis = haar_random_states(3, 1000, rng)
+        features = probe_features(haar_random_states(3, 1000, rng))
         for copies in (2, 3, 4, 5):
             povm = build_table1_povm(copies)
-            _, probs = outcome_probabilities(povm, psis, kernel_buffers(povm.states, len(psis)))
+            _, probs = outcome_probabilities(povm, features, kernel_buffers(povm.states, 1000))
             assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
 
 

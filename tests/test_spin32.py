@@ -37,6 +37,7 @@ from spinpovm.verify import (
     hierarchy_targets,
     kernel_buffers,
     outcome_probabilities,
+    probe_features,
 )
 
 THIRD = round(1 / 3, 9)
@@ -178,8 +179,8 @@ class TestBlochDots:
         states = haar_random_states(4, 100, rng)
         vectors = np.array([bloch_vector(state) for state in states])
         assert np.max(np.abs(vectors @ vectors.T - bloch_dots(states))) < 1e-10
-        # the kernel's product reads rows as interleaved doubles: a
-        # column-major input is copied, not misread
+        # the kernel reads each row's doubles in place: a column-major
+        # input is copied, not misread
         assert np.array_equal(bloch_dots(np.asfortranarray(states)), bloch_dots(states))
 
     def test_memory_at_the_bound(self):
@@ -201,8 +202,8 @@ class TestBlochDots:
     def test_blocks_match_one_product_bit_for_bit(self, k):
         states = haar_random_states(4, k, np.random.default_rng(k))
         with one_blas_thread():
-            expected, _ = _squared_overlaps(states, kernel_buffers(states, k))
-        _bloch_map(expected, 4)
+            overlaps_sq, _ = _squared_overlaps(probe_features(states), kernel_buffers(states, k))
+        expected = _bloch_map(overlaps_sq[:, :k], 4)
         dots = bloch_dots(states)
         assert dots.base is None   # the result owns its data, not a view of a buffer
         assert np.array_equal(dots.view(np.int64), expected.view(np.int64))
@@ -271,6 +272,27 @@ class TestOverlapSpectrum:
                                              f"Bloch dots, too many for a spectrum: the "
                                              f"bound is MAX_SPECTRUM_VALUES = {distinct - 1}"):
             overlap_spectrum(cat)
+
+    def test_pairs_take_no_index_arrays(self, monkeypatch, set60):
+        # set60's rays repeated to 2048 rows. With no distinct value allowed
+        # the spectrum stops right after its distinct count, before the
+        # counting, whose Python floats would take tracemalloc 10 s: the peak
+        # is then the 32 MiB dot matrix, its 16 MiB of pairs and the 2 MiB
+        # mask of the distinct count (50.0 MiB measured), where
+        # `np.triu_indices` added two 16 MiB index arrays (80.0 MiB)
+        states = np.tile(set60.states, (-(-MAX_BLOCH_ROWS // set60.size), 1))[:MAX_BLOCH_ROWS]
+        cat = RayCatalog("set60-2048", tuple(map(str, range(MAX_BLOCH_ROWS))), states)
+        monkeypatch.setattr(spin32, "MAX_SPECTRUM_VALUES", 0)
+        with pytest.raises(ValueError, match="has 1 distinct"):
+            overlap_spectrum(RayCatalog("set60-2", ("a", "b"), states[:2]))   # caches
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="distinct Bloch dots"):
+                overlap_spectrum(cat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 51 * 2 ** 20, peak
 
 
 class TestHierarchies:
@@ -379,9 +401,9 @@ class TestIdentityResolution:
 
     def test_scalar_identity_at_haar_states(self, penrose, set60):
         rng = np.random.default_rng(555)
-        psis = haar_random_states(4, 1000, rng)
+        features = probe_features(haar_random_states(4, 1000, rng))
         for cat in (penrose, set60):
             for copies in (2, 3):
                 povm = spin32_povm(cat, copies)
-                _, probs = outcome_probabilities(povm, psis, kernel_buffers(povm.states, len(psis)))
+                _, probs = outcome_probabilities(povm, features, kernel_buffers(povm.states, 1000))
                 assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9

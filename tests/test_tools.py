@@ -34,13 +34,14 @@ def test_kernel_stages_times_each_pick_path(monkeypatch):
     assert all(wide[name] > 0 for name in two_level) and wide["_sequential_pick"] == 0
     for spent in (narrow, wide):
         assert min(spent.values()) >= 0, spent
+        assert spent["probe_features"] > 0   # once per chunk, on either path
     assert {name: getattr(estimate, name) for name in stages.STAGES} == originals
 
 
 def test_cli_sweep_runs_the_documented_commands(monkeypatch):
     sweep = _load(monkeypatch, "cli_sweep")
     runs = sweep.commands()
-    assert len(runs) == 131   # the count README states
+    assert len(runs) == 133   # the count README states
     # every document written into OUTDIR is read by some command
     assert all(any(name in argv for argv in runs) for name in sweep.INPUT_DOCS)
     targets = [argv[i + 1] for argv in runs for i, arg in enumerate(argv) if arg == "--target"]

@@ -19,10 +19,11 @@ from spinpovm import (
     verify_completeness,
     verify_scalar_identity,
 )
-from spinpovm import verify
+from spinpovm import blas, verify
 from spinpovm.sampling import chunks
-from spinpovm.verify import block_rows, blocks, kernel_buffers, outcome_probabilities
-from conftest import scaled
+from spinpovm.verify import (block_rows, blocks, kernel_buffers, outcome_probabilities,
+                             probe_features)
+from conftest import gamma, scaled
 from oracles import brute_force_identity_residual, reference_moment_sums
 
 
@@ -93,6 +94,26 @@ def test_completeness_holds_one_block_of_embeddings():
     assert peak < 32 * 2 ** 20, peak
     residual = report.checks[0].residual
     assert abs(residual - _one_block_frobenius(povm)) <= 1e-12 * residual
+
+
+@pytest.mark.skipif(blas._openblas() is None, reason="numpy's BLAS is not a bundled OpenBLAS")
+def test_completeness_is_the_same_on_any_blas_thread_count():
+    # 300 Haar rays of C^4 at 15 copies, three blocks at sym_dim 816: the
+    # product and the norm's dot products run on one thread, whatever count
+    # OpenBLAS is set to, which is set back afterwards
+    povm = Povm(np.full(300, 816 / 300), haar_random_states(4, 300,
+                                                            np.random.default_rng(15)), 15)
+    get_threads, set_threads = blas._openblas()
+    before = get_threads()
+    residuals = []
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            residuals.append(verify_completeness(povm).checks[0].residual)
+            assert get_threads() == threads
+    finally:
+        set_threads(before)
+    assert residuals[0] == residuals[1]
 
 
 def test_completeness_pass_implies_scalar_pass(shipped_povms):
@@ -169,9 +190,9 @@ def test_scalar_check_calls_the_kernel_once_per_block(monkeypatch, shipped_povms
     assert len(expected) == calls and max(expected) == largest
     kernel, seen, worst = verify.outcome_probabilities, [], 0.0
 
-    def recording_kernel(povm, psis, buffers):
-        seen.append(len(psis))
-        return kernel(povm, psis, buffers)
+    def recording_kernel(povm, features, buffers):
+        seen.append(len(features))
+        return kernel(povm, features, buffers)
 
     monkeypatch.setattr(verify, "outcome_probabilities", recording_kernel)
     report = verify_scalar_identity(povm, trials, np.random.default_rng(trials))
@@ -179,8 +200,8 @@ def test_scalar_check_calls_the_kernel_once_per_block(monkeypatch, shipped_povms
     # the same worst residual as one kernel call per chunk
     rng = np.random.default_rng(trials)
     for start, stop in chunks(trials):
-        psis = haar_random_states(povm.dim, stop - start, rng)
-        _, probs = kernel(povm, psis, kernel_buffers(povm.states, len(psis)))
+        features = probe_features(haar_random_states(povm.dim, stop - start, rng))
+        _, probs = kernel(povm, features, kernel_buffers(povm.states, stop - start))
         worst = max(worst, float(np.max(np.abs(probs.sum(axis=1) - 1.0))))
     assert report.worst == worst
 
@@ -191,11 +212,11 @@ def test_scalar_check_fails_a_nan_probability_in_any_block(monkeypatch, block):
     povm = build_table1_povm(2)
     kernel, seen = verify.outcome_probabilities, []
 
-    def nan_kernel(povm, psis, buffers):
-        overlaps_sq, probs = kernel(povm, psis, buffers)
+    def nan_kernel(povm, features, buffers):
+        overlaps_sq, probs = kernel(povm, features, buffers)
         if len(seen) == block:
-            probs[len(psis) // 2, 7] = np.nan
-        seen.append(len(psis))
+            probs[len(features) // 2, 7] = np.nan
+        seen.append(len(features))
         return overlaps_sq, probs
 
     monkeypatch.setattr(verify, "outcome_probabilities", nan_kernel)
@@ -252,17 +273,29 @@ def test_trials_validation():
         verify_scalar_identity(build_table1_povm(2), 0, np.random.default_rng(0))
 
 
-def _gamma(n):
-    """Higham's gamma_n = n u / (1 - n u), u = 2^-53."""
-    return n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+def _terms(dim):
+    """Terms of each real dot product behind a squared overlap: the D^2
+    features for D <= 4, and 2D interleaved doubles for Re and for Im above."""
+    return dim * dim if dim <= verify._FEATURE_MOST_DIM else 2 * dim
+
+
+# the dimensions the kernel tests run at: D <= 4 takes the feature route
+_DIMS = (2, 3, 4, 5, 8)
 
 
 @pytest.mark.parametrize("k", [21, 40, 60, 129, 480, 720])
 def test_kernel_buffers_start_on_a_cache_line(k):
-    # odd k and odd rows: the imaginary half starts a padded stride after
-    # the real one
+    # odd k and odd rows: the spare half starts a padded stride after the
+    # first one; on the feature route the factor's rows are padded too
+    for dim in _DIMS:
+        _assert_kernel_buffers(k, dim)
+
+
+def _assert_kernel_buffers(k, dim):
     rng = np.random.default_rng(k)
-    povm = Povm(np.full(k, 3 / k), haar_random_states(3, k, rng), 1)
+    povm = Povm(np.full(k, dim / k), haar_random_states(dim, k, rng), 1)
+    # on the feature route an odd number of whole cache lines, unless k is whole
+    width = k if k % 8 == 0 or dim > verify._FEATURE_MOST_DIM else (-(-k // 8) | 1) * 8
     for rows in (127, 128):
         buffers = kernel_buffers(povm.states, rows)
         factor, halves = buffers
@@ -271,40 +304,62 @@ def test_kernel_buffers_start_on_a_cache_line(k):
             assert buffer.dtype == np.float64
             assert buffer.flags.c_contiguous and buffer.flags.writeable
             assert buffer.ctypes.data % 64 == 0
-        assert factor.shape == (2, 6, k)
-        assert halves.shape[0] == 2 and halves.shape[1] >= rows * k
-        psis = haar_random_states(3, rows, rng)
+        if dim <= verify._FEATURE_MOST_DIM:
+            assert factor.shape == (dim * dim, width)
+            assert not factor[:, k:].any()
+        else:
+            assert factor.shape == (2, 2 * dim, k)
+        assert halves.shape[0] == 2 and halves.shape[1] >= rows * width
+        psis = haar_random_states(dim, rows, rng)
+        features = probe_features(psis)
         for hi in range(1, rows + 1):
-            overlaps_sq, probs = outcome_probabilities(povm, psis[:hi], buffers)
+            overlaps_sq, probs = outcome_probabilities(povm, features[:hi], buffers)
             assert probs.shape == overlaps_sq.shape == (hi, k)
             assert probs.ctypes.data % 64 == 0 and overlaps_sq.ctypes.data % 64 == 0
-            # the squared moduli take the real half, the probabilities the
-            # imaginary one
+            assert overlaps_sq.strides == probs.strides == (8 * width, 8)
+            # the squared moduli take the first half, the probabilities the
+            # spare one
             assert overlaps_sq.ctypes.data == halves[0].ctypes.data
             assert probs.ctypes.data == halves[1].ctypes.data
-        # re^2 + im^2 keeps an absolute bound, not a relative one: at
-        # |z|^2 = 7e-7 the two routes differ by 1.8e-13 of it (k = 21)
+        # the zero columns give zero squared moduli and probabilities
+        assert not halves[:, :rows * width].reshape(2, rows, width)[:, :, k:].any()
+        # the route keeps an absolute bound, not a relative one: at |z|^2 =
+        # 7e-7 re^2 + im^2 and np.abs differ by 1.8e-13 of it (k = 21, D = 3)
         expected = np.abs(psis.conj() @ povm.states.T) ** 2
-        bound = 8 * _gamma(6)
-        assert np.allclose(overlaps_sq, expected, rtol=1e-13, atol=bound)
-        assert np.allclose(probs, expected * povm.weights, rtol=1e-13, atol=bound)
+        bound = 8 * gamma(_terms(dim))
+        assert np.allclose(overlaps_sq, expected, rtol=1e-13, atol=bound), dim
+        assert np.allclose(probs, expected * povm.weights, rtol=1e-13, atol=bound), dim
+
+
+def _terms(dim):
+    """Terms of each real dot product behind a squared overlap: the D^2
+    features for D <= 4, and 2D interleaved doubles for Re and for Im above."""
+    return dim * dim if dim <= verify._FEATURE_MOST_DIM else 2 * dim
 
 
 def test_real_overlaps_match_the_complex_moduli(shipped_povms):
-    # Re and Im of <psi_r|psi> are each a real dot product of K = 2D terms,
-    # within gamma_K sum |a_i b_i| <= gamma_K |psi| |psi_r| = gamma_K of
-    # their exact values (Cauchy-Schwarz, unit rows); re^2 + im^2 then
-    # within 2 sqrt(2) gamma_K + 2u of |z|^2 <= 1. The complex route's
-    # products sum the same 2D real terms, then take a hypot (1 ulp) and
-    # square it, so the two differ by less than 8 gamma_K.
-    identity = Povm(np.ones(3), np.eye(3, dtype=complex), 1, provenance="identity-D3-N1")
+    # For D <= 4, x is one real dot product of K = D^2 terms, the features
+    # times the factor, whose absolute values add to at most (sum_a |psi_a|
+    # |s_a|)^2 <= 1 (Cauchy-Schwarz, unit rows); with the features' own
+    # roundings it is within gamma_(K+4) of |z|^2. Above, Re and Im of
+    # <psi_r|psi> are each a real dot product of K = 2D terms, within gamma_K
+    # of their exact values, and re^2 + im^2 within 2 sqrt(2) gamma_K + 2u of
+    # |z|^2 <= 1. The complex route's products sum the same 2D real terms,
+    # then take a hypot (1 ulp) and square it, so on either route the two
+    # differ by less than 8 gamma_K.
     rng = np.random.default_rng(24)
-    for povm in (*shipped_povms, identity):
-        psis = haar_random_states(povm.dim, 2000, rng)
-        overlaps_sq, _ = outcome_probabilities(povm, psis, kernel_buffers(povm.states, len(psis)))
-        expected = np.abs(psis.conj() @ povm.states.T) ** 2
-        gap = float(np.max(np.abs(overlaps_sq - expected)))
-        assert gap <= 8 * _gamma(2 * povm.dim), (povm.provenance, gap)
+    for dim in _DIMS:
+        identity = Povm(np.ones(dim), np.eye(dim, dtype=complex), 1,
+                        provenance=f"identity-D{dim}-N1")
+        haar = Povm(np.full(60, dim / 60), haar_random_states(dim, 60, rng), 1,
+                    provenance=f"haar60-D{dim}")
+        for povm in [povm for povm in shipped_povms if povm.dim == dim] + [identity, haar]:
+            psis = haar_random_states(povm.dim, 2000, rng)
+            overlaps_sq, _ = outcome_probabilities(povm, probe_features(psis),
+                                                   kernel_buffers(povm.states, len(psis)))
+            expected = np.abs(psis.conj() @ povm.states.T) ** 2
+            gap = float(np.max(np.abs(overlaps_sq - expected)))
+            assert gap <= 8 * gamma(_terms(dim)), (povm.provenance, gap)
 
 
 @pytest.mark.parametrize("copies", range(1, 9))
@@ -317,7 +372,7 @@ def test_power_step_matches_the_power_function(copies):
     verify._power(x, copies, out)
     expected = x ** copies
     assert out[0] == 0.0 and out[1] == 1.0 and out[2] == expected[2]
-    assert np.all(np.abs(out - expected) <= (_gamma(copies - 1) + 2.0 ** -52) * expected)
+    assert np.all(np.abs(out - expected) <= (gamma(copies - 1) + 2.0 ** -52) * expected)
 
 
 def _split(povm, parts, first):

@@ -2,7 +2,7 @@
 
     python3 tools/cli_sweep.py OUTDIR
 
-The sweep runs 131 commands. It calls `spinpovm.cli.main` in-process,
+The sweep runs 133 commands. It calls `spinpovm.cli.main` in-process,
 with OUTDIR as the working directory, so every output file lands in
 OUTDIR under a relative name. It covers `build` for every target,
 `verify` and `simulate` for every POVM (by target and from the built
@@ -27,7 +27,9 @@ elements, whose two-level outcome picks no bundled POVM takes: table1-N4
 with its last element split in two (k = 481, a one-outcome last segment)
 and table1-N5 with every element split in three (k = 2160, more segments
 than one matrix product sums). `verify` also runs on 300 Haar rays of
-C^4 at 15 copies, whose Frobenius check sums 3 blocks of rows.
+C^4 at 15 copies, whose Frobenius check sums 3 blocks of rows, and
+`verify` and `simulate --csv` on the 6 mutually unbiased bases of C^5 at
+2 copies, the one POVM of D >= 5, which the interleaved overlap product serves.
 Each `solve-weights` output is named by its polytope, copies and angles.
 `OUTDIR/manifest.json` records, per command, its argv, exit code, stdout,
 stderr and the sha256 of each output file it names. The package is
@@ -113,6 +115,13 @@ SPLIT_ALL = "table1-N5-split-3.json"
 # 816: more rows than verify.block_rows(816) = 128, so the Frobenius check
 # sums its operator over 3 blocks (it fails: the rays are random)
 HAAR_N15 = "haar-C4-300-N15.json"
+# the 6 mutually unbiased bases of C^5, a 2-design, at 2 copies (weights
+# 15/30): D = 5 takes the interleaved overlap product, D <= 4 the features
+MUB = "mub-C5-N2.json"
+_J = np.arange(5)
+MUB_STATES = np.concatenate([np.eye(5), np.exp(2j * np.pi * (
+    np.arange(5)[:, None, None] * _J ** 2 + np.arange(5)[None, :, None] * _J) / 5).reshape(25, 5)
+    / np.sqrt(5)])
 
 
 def _split(povm: Povm, parts: int, first: int) -> dict:
@@ -162,6 +171,7 @@ INPUT_DOCS = {
     SPLIT_ALL: _split(build_table1_povm(5), 3, 0),
     HAAR_N15: json.loads(documents.povm_to_document(Povm(
         np.full(300, 816 / 300), haar_random_states(4, 300, np.random.default_rng(15)), 15))),
+    MUB: json.loads(documents.povm_to_document(Povm(np.full(30, 0.5), MUB_STATES, 2))),
     **{name: json.loads(documents.povm_to_document(
         Povm(np.ones(40), catalog(PENROSE40).states, copies)))
        for copies, name in PENROSE_MANY.items()},
@@ -231,6 +241,9 @@ def commands() -> list[list[str]]:
     runs.append(["simulate", "--in", PENROSE_N1, "--trials", "5000", "--seed", "5",
                  "--out", f"simulate-{PENROSE_N1}", "--csv", "simulate-penrose40-N1.csv"])
     runs.append(["verify", "--in", HAAR_N15, "--seed", "5", "--out", f"verify-{HAAR_N15}"])
+    runs.append(["verify", "--in", MUB, "--seed", "5", "--out", f"verify-{MUB}"])
+    runs.append(["simulate", "--in", MUB, "--trials", "10001", "--seed", "5",
+                 "--out", f"simulate-{MUB}", "--csv", f"simulate-{MUB}.csv"])
     for doc in (SPLIT_LAST, SPLIT_ALL):
         runs.append(["verify", "--in", doc, "--seed", "5", "--out", f"verify-{doc}"])
         runs.append(["simulate", "--in", doc, "--trials", "10001", "--seed", "5",

@@ -7,10 +7,14 @@ REPEATS = 7 times at the fixed seeds 0-6, serially (no forked worker)
 with numpy's OpenBLAS on one thread, and prints one JSON object of the
 median µs per trial of each stage:
 
-- `haar_random_states`, `outcome_probabilities`, `_pick_segments`,
-  `_finish_picks` and `_sequential_pick`: the time inside these calls,
-  which the kernel makes by module-level name from `spinpovm.estimate`
-  and this script wraps with a clock. A POVM of k >= 128 outcomes runs
+- `haar_random_states`, `probe_features`, `outcome_probabilities`,
+  `_pick_segments`, `_finish_picks` and `_sequential_pick`: the time
+  inside these calls, which the kernel makes by module-level name from
+  `spinpovm.estimate` and this script wraps with a clock.
+  `probe_features` runs once per chunk, after its states are drawn: for
+  D <= 4 it builds the D^2 features of each state's psi psi^dag that
+  `outcome_probabilities` multiplies per block, and for larger D it only
+  views the states as interleaved doubles. A POVM of k >= 128 outcomes runs
   the two-level pick: `_pick_segments` per block and `_finish_picks`,
   with the gather of the picked fidelities, per chunk; `_sequential_pick`
   then runs only for the rows the finish leaves. A narrower one runs
@@ -42,8 +46,8 @@ import numpy as np  # noqa: E402
 
 from spinpovm import cli, estimate  # noqa: E402
 
-STAGES = ("haar_random_states", "outcome_probabilities", "_pick_segments", "_finish_picks",
-          "_sequential_pick")
+STAGES = ("haar_random_states", "probe_features", "outcome_probabilities", "_pick_segments",
+          "_finish_picks", "_sequential_pick")
 # the stages after whose return a gather runs
 PICKS = ("_finish_picks", "_sequential_pick")
 TRIALS = 100_000
