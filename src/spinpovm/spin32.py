@@ -9,14 +9,13 @@ checks their Bloch-moment identities, as it does for every POVM.
 """
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .povm import Povm, normalized, unit_rows
 from .symmetric import sym_dim
-from .verify import bloch_dots, verify_hierarchy
+from .verify import block_rows, blocks, bloch_dots, verify_hierarchy
 
 PHASE = np.exp(1j * np.pi / 3)  # the phase p; p^3 = -1
 
@@ -214,31 +213,57 @@ def overlap_spectrum(cat: RayCatalog) -> BlochDotSpectrum:
     dots += 0.0  # -0.0 to 0.0: one zero key
     k = cat.size
     # counted on the sorted values: `np.unique` would import numpy.ma, 1.4 MB
-    # of peak RSS in a process that makes no other use of it. The pairs are
-    # copied row by row: `np.triu_indices` took two int64 index arrays as
-    # large as them, 48 of 80 MiB of peak at 2048 rows
-    ordered = np.empty(k * (k - 1) // 2)
-    at = 0
-    for s, row in enumerate(dots[:-1]):
-        ordered[at:at + k - 1 - s] = row[s + 1:]
-        at += k - 1 - s
+    # of peak RSS. The pairs come from row slices: `np.triu_indices` took two
+    # int64 index arrays as large as them, 48 of 80 MiB of peak at 2048 rows
+    ordered = np.concatenate([row[s + 1:] for s, row in enumerate(dots)])
     ordered.sort()
-    distinct = int(np.count_nonzero(ordered[1:] != ordered[:-1])) + (k > 1)
+    change = ordered[1:] != ordered[:-1]
+    distinct = int(np.count_nonzero(change)) + (k > 1)
     if distinct > MAX_SPECTRUM_VALUES:
         raise ValueError(f"catalog {cat.label!r} has {distinct} distinct Bloch dots, "
                          "too many for a spectrum: the bound is "
                          f"MAX_SPECTRUM_VALUES = {MAX_SPECTRUM_VALUES}")
-    # row by row, so that only one row of dots is Python floats at a time;
-    # the pairs are each row's dots above the diagonal, in row order
-    pair_counts, per_state = Counter(), []
-    for s, row in enumerate(dots):
-        others = row.tolist()
-        del others[s]
-        pair_counts.update(others[s:])
-        per_state.append(dict(Counter(others)))
-    values = tuple(sorted(pair_counts))
-    return BlochDotSpectrum(label=cat.label, values=values, pair_counts=dict(pair_counts),
-                            per_state=tuple(per_state), names=cat.names)
+    # the run lengths of the sorted pairs, keyed in the order that a scan of
+    # the rows meets each value right of the diagonal
+    starts = np.flatnonzero(np.r_[k > 1, change])
+    values, totals = ordered[starts], np.diff(np.r_[starts, len(ordered)])
+    per_state, right = zip(*(_block_counts(dots, lo, hi) for lo, hi in blocks(k, block_rows(k))))
+    met = np.searchsorted(values, np.concatenate(right))
+    first = np.full(distinct, len(met))
+    np.minimum.at(first, met, np.arange(len(met)))
+    order = np.argsort(first)
+    return BlochDotSpectrum(label=cat.label, values=tuple(values.tolist()),
+                            pair_counts=dict(zip(values[order].tolist(), totals[order].tolist())),
+                            per_state=tuple(counts for block in per_state for counts in block),
+                            names=cat.names)
+
+
+def _block_counts(dots: np.ndarray, lo: int, hi: int) -> tuple[list, np.ndarray]:
+    """For rows lo to hi of the square `dots`, from each row sorted: a dict
+    per row of its values off the diagonal and their counts, by first column,
+    and the values right of the diagonal, each once per row, in scan order."""
+    index = np.arange(hi - lo)
+    block = dots[lo:hi].copy()
+    block[index, index + lo] = np.nan   # sorts last, and is dropped
+    # stable, so that each run of equal values lists its columns in order
+    columns = np.argsort(block, axis=1, kind="stable")[:, :-1]
+    ranked = np.take_along_axis(block, columns, axis=1)
+    starts = np.ones(ranked.shape, dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:, 1:])
+    # each run's length at its first column, read back in scan order
+    lengths = np.zeros(block.shape, dtype=np.intp)
+    lengths[np.nonzero(starts)[0], columns[starts]] = np.diff(
+        np.r_[np.flatnonzero(starts), ranked.size])
+    found = lengths > 0
+    values, counts = block[found].tolist(), lengths[found].tolist()
+    ends = np.cumsum(np.count_nonzero(found, axis=1)).tolist()
+    per_state = [dict(zip(values[a:b], counts[a:b])) for a, b in zip([0] + ends, ends)]
+    # each run's first column right of the diagonal
+    right = columns > (index + lo)[:, None]
+    right[:, 1:] &= starts[:, 1:] | ~right[:, :-1]
+    found[...] = False
+    found[np.nonzero(right)[0], columns[right]] = True
+    return per_state, block[found]
 
 
 def spin32_povm(cat: RayCatalog, copies: int) -> Povm:

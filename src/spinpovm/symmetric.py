@@ -62,15 +62,19 @@ def _embedding_arrays(dim: int, copies: int):
     return occ, coeff
 
 
+# Most powers (rows x basis columns x D) that `symmetric_power_matrix` holds at
+# once: a bundled POVM's 720 x 21 x 3, not the one-copy C^256's 128 MiB per block.
+_POWER_ELEMENTS = 2 ** 16
+
+
 def symmetric_power_matrix(states: np.ndarray, copies: int) -> np.ndarray:
-    """Embed unit rows of `states` (k, D) as rows of a (k, sym_dim) matrix."""
-    states = np.asarray(states, dtype=complex)
-    if states.ndim == 1:
-        states = states[None, :]
+    """Embed unit rows of `states` (k, D) as rows of a (k, sym_dim) matrix,
+    in slices of basis columns of at most _POWER_ELEMENTS powers each."""
+    states = np.atleast_2d(np.asarray(states, dtype=complex))
     occ, coeff = _embedding_arrays(states.shape[1], copies)
-    # (k, basis, D) intermediate stays small: largest case is 720 x 21 x 3
-    powers = states[:, None, :] ** occ[None, :, :]
-    return coeff[None, :] * np.prod(powers, axis=2)
+    step = max(1, _POWER_ELEMENTS // (max(len(states), 1) * states.shape[1]))
+    return coeff * np.concatenate([np.prod(states[:, None, :] ** occ[lo:lo + step], axis=2)
+                                   for lo in range(0, len(occ), step)], axis=1)
 
 
 def _frobenius_identity_residual(operator: np.ndarray) -> float:

@@ -33,21 +33,22 @@ _BLOCK = 128
 # is so small that fixed numpy call costs dominate. Of 20480, 40960, 61440
 # and 92160, this budget was the fastest for `simulate` at k = 40-60.
 _BLOCK_ELEMENTS = 40960
-# Byte alignment of the kernel buffers: one cache line, and one AVX-512 vector.
+# Byte alignment of the kernel buffers: one cache line, and one AVX-512
+# vector. numpy's large arrays come from glibc's mmap at 16 mod 64 bytes, where
+# every AVX-512 load of an elementwise pass split two cache lines:
+# `outcome_probabilities` took 274-276 against 255-257 ms aligned over 100k
+# serial trials of table1-N5 (`tools/kernel_stages.py`, 2-vCPU Xeon, 1 BLAS thread).
 _ALIGN = 64
 # Widest rows whose squared overlaps come from the D^2 features of psi
-# psi^dag (`_features`): one product of D^2 terms per overlap, where the
-# interleaved route makes two of 2D terms and three squaring passes over
-# the k outcomes. The features cost about 3 D^2 passes over a chunk's rows,
-# so the route wins at small D and wide k. Per 4096-row chunk, features
-# included, feature over interleaved time measured 0.37-0.44 at D = 2 and
-# 0.56-0.57 at D = 3 (k = 60), 0.32-0.38 at D = 3 and 0.45 at D = 4
-# (k = 480), 0.94 at D = 4 and k = 60 and 1.26-1.27 at k = 40, 0.87-0.88
-# at D = 5 (k = 480), and 1.66-1.68 at D = 5, 1.95-2.08 at D = 6 and
-# 3.32-3.36 at D = 8 (k = 60), 1.60 at D = 8 (k = 480) (2-vCPU Xeon, BLAS on
-# one thread, medians of 31, two rounds). The (D^2, k) factor would also
-# take gigabytes at D = 1024, the widest rows a one-copy POVM may have
-# (`MAX_SYM_DIM`).
+# psi^dag (`probe_features`): one product of D^2 terms per overlap, where the
+# interleaved doubles take two of 2D terms and three squaring passes over the
+# k outcomes; the features cost about 3 D^2 passes over a chunk's rows. Per
+# 4096-row chunk, feature over interleaved time measured 0.37-0.44 at D = 2,
+# 0.56-0.57 at D = 3 and 0.94 at D = 4 (k = 60), 1.26-1.27 at D = 4 (k = 40),
+# 0.32-0.38 at D = 3, 0.45 at D = 4 and 0.87-0.88 at D = 5 (k = 480), 1.66-1.68
+# at D = 5, 1.95-2.08 at D = 6 and 3.32-3.36 at D = 8 (k = 60), and 1.60 at
+# D = 8 (k = 480) (2-vCPU Xeon, BLAS on one thread, medians of 31, two
+# rounds). A (D^2, k) factor would take gigabytes at D = 1024 (`MAX_SYM_DIM`).
 _FEATURE_MOST_DIM = 4
 
 
@@ -72,97 +73,72 @@ def blocks(rows: int, most: int) -> Iterator[tuple[int, int]]:
 
 
 def kernel_buffers(states: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The real factor matrix of the (k, D) array `states`, a POVM's or a
-    catalog's, and the buffer of `_squared_overlaps` on up to `rows` probe states.
+    """The real (parts, F, width) factor of the (k, D) array `states`, a
+    POVM's or a catalog's, and the buffer of `_squared_overlaps` on up to
+    `rows` probe states, both on _ALIGN-byte boundaries, as is each half of
+    every block's slice. The factor holds the elements' own `probe_features`
+    rows: for D <= _FEATURE_MOST_DIM one part of D^2 features, those off the
+    diagonal doubled, which a probe's features times give |<psi_r|psi>|^2;
+    above, two parts of 2D interleaved doubles, (re, im) and (im, -re), for
+    Re and -Im <psi_r|psi>. At k = 720 the D = 3 factor is 52 KB. The buffer
+    has two halves of rows x width: the squared moduli (or Bloch dots), and
+    one the caller takes for the probabilities or the powers."""
+    return _factor_buffers(probe_features(states), states.shape[1], rows)
 
-    For D <= _FEATURE_MOST_DIM the factor is (D^2, width): in its first k
-    columns the features of each element's psi_r psi_r^dag (`_features`),
-    those off the diagonal doubled, so that a probe's `probe_features` times
-    it give |<psi_r|psi>|^2 for every element r; when k does not fill whole
-    cache lines, zero columns follow, up to an odd number of lines. For
-    larger D it is (2, 2D, k), width k: a probe state, read as 2D
-    interleaved doubles (re, im), times half 0 gives Re <psi_r|psi> and
-    times half 1 gives Im <psi_r|psi>. At k = 720, D = 3 the feature factor
-    is 52 KB and the interleaved one 69 KB.
 
-    The buffer is two halves of `rows` rows of width: the squared moduli (or
-    Bloch dots), and a half that the caller takes for the probabilities or
-    the powers; on the interleaved route the two first hold the real and
-    the imaginary parts. Each half's stride is padded to whole cache lines,
-    so that both halves of every block's slice start on a 64-byte boundary,
-    as the buffer and the factor do. numpy takes a large array from glibc's
-    mmap, whose chunk header puts the data at 16 mod 64 bytes, so every
-    AVX-512 load of an elementwise pass split two cache lines: aligned,
-    `outcome_probabilities` took 255-257 against 274-276 ms over 100k serial
-    trials of table1-N5 (`tools/kernel_stages.py`, 2-vCPU Xeon, BLAS on one
-    thread).
-    """
-    k, dim = states.shape
+def _factor_buffers(features: np.ndarray, dim: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """`kernel_buffers` from the (k, F) `probe_features` rows of its elements."""
+    k, terms = features.shape
     line = _ALIGN // 8  # doubles per cache line
-    if dim <= _FEATURE_MOST_DIM:
-        # zero columns up to whole cache lines: OpenBLAS's small-matrix
-        # kernel (rows x k x D^2 up to about 100^3) and its general one round
-        # the last k % 8 columns differently, so that at k = 333 the rows of
-        # a 111-row block and of the one 333-row product differed. An odd
-        # count of lines, so that the rows of a block spread over every L1
-        # set when `_sequential_pick` copies it transposed: with 8 lines at
-        # k = 60 its copy took 49.5 against 15.9 us per 682-row block with 9
-        lines = -(-k // line)
-        width = k if k % line == 0 else (lines | 1) * line
-        factor = _aligned_empty((dim * dim, width))
-        factor[:, k:] = 0.0
-        _features(states, factor[:, :k])
-        factor[dim:] *= 2.0
+    # zeros past k up to whole cache lines: OpenBLAS's small-matrix kernel
+    # (rows x k x F up to about 100^3) and its general one round the last
+    # k % 8 columns differently, so a 111-row block and the whole product
+    # differed at k = 333, D = 4 and k = 215, D = 5. An odd count of lines
+    # spreads a block's rows over every L1 set for `_sequential_pick`'s
+    # transposed copy: 49.5 us per 682-row block with 8 at k = 60, 15.9 with 9
+    width = k if k % line == 0 else (-(-k // line) | 1) * line
+    parts = 1 if dim <= _FEATURE_MOST_DIM else 2
+    factor = _aligned_empty((parts, terms, width))
+    factor[..., k:] = 0.0
+    factor[0, :, :k] = features.T
+    if parts == 1:
+        factor[0, dim:] *= 2.0
     else:
-        factor = _aligned_empty((2, dim, 2, k))
-        factor[0, :, 0] = factor[1, :, 1] = states.T.real
-        factor[1, :, 1] *= -1.0
-        factor[0, :, 1] = factor[1, :, 0] = states.T.imag
-        factor = factor.reshape(2, 2 * dim, k)
-    half = -(-rows * factor.shape[-1] // line) * line
-    return factor, _aligned_empty((2, half))
+        factor[1, 0::2, :k] = features.T[1::2]
+        np.negative(features.T[0::2], out=factor[1, 1::2, :k])
+    return factor, _aligned_empty((2, rows * width))
 
 
 def probe_features(psis: np.ndarray) -> np.ndarray:
     """The real rows that `_squared_overlaps` multiplies by the factor of
-    `kernel_buffers`, one per probe state (C-contiguous row of psis): for
-    D <= _FEATURE_MOST_DIM the D^2 features of psi psi^dag (`_features`),
-    as the transpose of a contiguous (D^2, rows) array, and otherwise the
-    state's interleaved (re, im) doubles. Made once for all the rows of a
-    chunk: a block's rows are a slice, which BLAS reads in place."""
+    `kernel_buffers`, one per probe state (row of psis), made once for all
+    the rows of a chunk, whose blocks BLAS reads in place as row slices.
+    For D <= _FEATURE_MOST_DIM they are the D^2 real entries of psi psi^dag,
+    the transpose of a contiguous (D^2, rows) array: |psi_a|^2 for every a,
+    then Re and then Im psi_a conj(psi_b) for every a < b (`np.triu_indices`
+    order), in which |<s|psi>|^2 = sum_a |s_a|^2 |psi_a|^2 + 2 sum_(a<b)
+    (Re s_a conj(s_b) Re psi_a conj(psi_b) + Im s_a conj(s_b) Im psi_a
+    conj(psi_b)) is linear. Above, they are the state's (re, im) doubles."""
     rows, dim = psis.shape
+    # a Povm keeps the order of the rows it was given, which may be Fortran's
+    doubles = np.ascontiguousarray(psis).view(np.float64)
     if dim > _FEATURE_MOST_DIM:
-        return psis.view(np.float64)
-    return _features(psis, np.empty((dim * dim, rows))).T
-
-
-def _features(states: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The D^2 real entries of each row's psi psi^dag into the rows of the
-    (D^2, k) `out`: |psi_a|^2 for every a, then Re psi_a conj(psi_b) and
-    then Im psi_a conj(psi_b) for every a < b, in `np.triu_indices` order.
-    |<s|psi>|^2 is sum_a |s_a|^2 |psi_a|^2 + 2 sum_(a<b) (Re s_a conj(s_b)
-    Re psi_a conj(psi_b) + Im s_a conj(s_b) Im psi_a conj(psi_b)), a real
-    linear form in them, so one product gives it with no squaring pass."""
-    rows, dim = states.shape
-    # (re, im) of each amplitude as one contiguous row across the states; a
-    # Povm keeps the order of the rows it was given, which may be Fortran's
-    parts = np.ascontiguousarray(
-        np.ascontiguousarray(states).view(np.float64).T).reshape(dim, 2, rows)
+        return doubles
+    # (re, im) of each amplitude as one contiguous row across the states
+    parts = np.ascontiguousarray(doubles.T).reshape(dim, 2, rows)
+    out = np.empty((dim * dim, rows))
     products = np.empty((dim, 2, rows))
     np.multiply(parts, parts, out=products)
     np.add(products[:, 0], products[:, 1], out=out[:dim])
-    count = dim * (dim - 1) // 2
-    real, imag = out[dim:dim + count], out[dim + count:]
-    at = 0
+    count, at = dim * (dim - 1) // 2, dim
     for a in range(dim - 1):
-        pairs = slice(at, at + dim - 1 - a)
         head = products[:dim - 1 - a]
         np.multiply(parts[a], parts[a + 1:], out=head)   # re_a re_b, im_a im_b
-        np.add(head[:, 0], head[:, 1], out=real[pairs])
+        np.add(head[:, 0], head[:, 1], out=out[at:at + len(head)])
         np.multiply(parts[a, ::-1], parts[a + 1:], out=head)   # im_a re_b, re_a im_b
-        np.subtract(head[:, 0], head[:, 1], out=imag[pairs])
-        at = pairs.stop
-    return out
+        np.subtract(head[:, 0], head[:, 1], out=out[count + at:count + at + len(head)])
+        at += len(head)
+    return out.T
 
 
 def _aligned_empty(shape: tuple) -> np.ndarray:
@@ -177,13 +153,11 @@ def _aligned_empty(shape: tuple) -> np.ndarray:
 def outcome_probabilities(povm: Povm, features: np.ndarray,
                           buffers: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(|<psi_r|psi>|^2, c_r |<psi_r|psi>|^(2N)) for each probe state, given
-    as its row of `probe_features`.
-
-    Each row of the probabilities sums to 1 when the POVM resolves the
-    identity. Both arrays live in `buffers` (from `kernel_buffers`), which
-    callers may overwrite and the next call with them does: a caller that
-    runs block after block reuses one set instead of leaving the memory
-    allocator to return freed pages to the system and fault them in again.
+    as its row of `probe_features`; each row of the probabilities sums to 1
+    when the POVM resolves the identity. Both arrays live in `buffers` (from
+    `kernel_buffers`), which callers may overwrite and the next call with
+    them does: a caller that runs block after block reuses one set instead
+    of leaving the allocator to return freed pages and fault them in again.
     """
     overlaps_sq, probs = _squared_overlaps(features, buffers)
     # the probabilities take the spare half, which on the interleaved route
@@ -192,21 +166,16 @@ def outcome_probabilities(povm: Povm, features: np.ndarray,
     # (medians of 9, 2 vCPUs, BLAS on one thread).
     _power(overlaps_sq, povm.copies, probs)
     k, width = povm.size, probs.shape[1]
-    weights = povm.weights
-    if width > k:
-        # passes over whole rows: on the first k columns of each, numpy steps
-        # row by row, 851 against 592 us per 4096-row chunk of set60-N3
-        weights = np.zeros(width)
-        weights[:k] = povm.weights
-    probs *= weights
+    # passes over whole rows, zeros past k: on the first k columns of each,
+    # numpy steps row by row, 851 against 592 us per 4096-row chunk of set60-N3
+    probs *= povm.weights if width == k else np.concatenate((povm.weights, np.zeros(width - k)))
     return overlaps_sq[:, :k], probs[:, :k]
 
 
 def _squared_overlaps(features: np.ndarray, buffers: tuple) -> tuple:
     """A (2, rows, width) view of `buffers`: |<psi_r|psi>|^2 for each probe
-    state, given as its row of `probe_features`, and element r, then a half
-    free for the caller to use. The first k of the factor's width columns
-    are the elements; the rest, on the feature route, give 0.
+    state, given as its row of `probe_features`, and element r (0 past k),
+    then a half free for the caller to use.
 
     From the D^2 features x is one sum of D^2 signed terms, whose absolute
     values add to at most (sum_a |psi_a| |s_a|)^2 <= 1 (Cauchy-Schwarz,
@@ -217,17 +186,15 @@ def _squared_overlaps(features: np.ndarray, buffers: tuple) -> tuple:
     factor, halves = buffers
     rows, width = len(features), factor.shape[-1]
     parts = halves[:, :rows * width].reshape(2, rows, width)
-    if factor.ndim == 2:
-        np.matmul(features, factor, out=parts[0])
-        return parts
-    # |z|^2 as re^2 + im^2 from one real product: np.abs of the complex
-    # overlaps, a hypot with a divide and a square root per element, took
-    # 0.91 of 2.47 us per trial at table1-N5
-    np.matmul(features, factor, out=parts)
-    overlaps_sq, spare = parts
-    overlaps_sq *= overlaps_sq
-    spare *= spare
-    overlaps_sq += spare
+    np.matmul(features, factor, out=parts[:len(factor)])
+    if len(factor) == 2:
+        # |z|^2 as re^2 + im^2 from one real product: np.abs of the complex
+        # overlaps, a hypot with a divide and a square root per element, took
+        # 0.91 of 2.47 us per trial at table1-N5
+        overlaps_sq, spare = parts
+        overlaps_sq *= overlaps_sq
+        spare *= spare
+        overlaps_sq += spare
     return parts
 
 
@@ -306,8 +273,7 @@ def bloch_dots(states) -> np.ndarray:
     """Pairwise dots n_a.n_b of the rows' Bloch vectors, from |<a|b>|^2 =
     (1 + 2J n_a.n_b)/(2J + 1), D = 2J + 1 the row length: 1 iff two rays
     coincide, -1/(2J) iff orthogonal. More than MAX_BLOCH_ROWS rows raise ValueError."""
-    # C-contiguous, as `_squared_overlaps` reads each row as interleaved doubles
-    states = np.ascontiguousarray(states, dtype=complex)
+    states = np.asarray(states, dtype=complex)
     if states.ndim != 2 or states.shape[1] < 2:
         raise ValueError(f"expected rows of one dimension >= 2, got shape {states.shape}")
     if states.shape[0] > MAX_BLOCH_ROWS:
@@ -321,14 +287,14 @@ def bloch_dots(states) -> np.ndarray:
 
 
 def _bloch_blocks(states: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """(lo, hi, dots, spare) for each kernel block of the C-contiguous (k, D)
-    rows, in order: the (hi - lo, k) Bloch dots of rows lo:hi against every
-    row, and a (hi - lo, k) half of the same buffer free for the caller.
-    Both are overwritten by the next block."""
+    """(lo, hi, dots, spare) for each kernel block of the (k, D) rows, in
+    order: the (hi - lo, k) Bloch dots of rows lo:hi against every row, and a
+    (hi - lo, k) half of the buffer free for the caller, both reused next."""
     k, dim = states.shape
     most = block_rows(k)
-    buffers = kernel_buffers(states, min(k, most))
+    # the probes are the rows' own features, which fill the factor too
     features = probe_features(states)
+    buffers = _factor_buffers(features, dim, min(k, most))
     for lo, hi in blocks(k, most):
         dots, spare = _squared_overlaps(features[lo:hi], buffers)
         yield lo, hi, _bloch_map(dots, dim)[:, :k], spare[:, :k]

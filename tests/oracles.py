@@ -131,24 +131,28 @@ def reference_simulate_samples(povm, trials, rng):
     (Re s_a conj(s_b) Re psi_a conj(psi_b) + Im s_a conj(s_b) Im psi_a
     conj(psi_b)), s = psi_r: one real product of the chunk's D^2 features
     of psi psi^dag, held feature-major, with the elements' features, those
-    off the diagonal doubled, and zero columns up to a multiple of 8. For
-    D >= 5 an overlap <psi_r|psi> = sum_j conj(s_rj) psi_j is formed in
-    real arithmetic: with psi_j = x_j + i y_j and s_rj = u + i v, its real
-    part is sum_j x_j u + y_j v and its imaginary part sum_j x_j v - y_j u,
-    each a real product of the state's interleaved (x, y) with one factor
-    matrix, and |<psi_r|psi>|^2 is re^2 + im^2.
+    off the diagonal doubled. For D >= 5 an overlap <psi_r|psi> = sum_j
+    conj(s_rj) psi_j is formed in real arithmetic: with psi_j = x_j + i y_j
+    and s_rj = u + i v, its real part is sum_j x_j u + y_j v and its
+    imaginary part sum_j x_j v - y_j u, each a real product of the state's
+    interleaved (x, y) with one factor matrix, and |<psi_r|psi>|^2 is
+    re^2 + im^2. Every factor has zero columns up to a multiple of 8.
     """
     from spinpovm.sampling import haar_random_states
 
     k = povm.size
     s = povm.states
+
+    def padded(factor):
+        return np.concatenate([factor, np.zeros((len(factor), -k % 8))], axis=1)
+
     if povm.dim <= 4:
         factor = _reference_features(s)
         factor[povm.dim:] *= 2.0
-        factor = np.concatenate([factor, np.zeros((len(factor), -k % 8))], axis=1)
+        factor = padded(factor)
     else:
-        real_factor = np.ascontiguousarray(np.stack([s.real, s.imag], axis=2).reshape(k, -1).T)
-        imag_factor = np.ascontiguousarray(np.stack([s.imag, -s.real], axis=2).reshape(k, -1).T)
+        real_factor = padded(np.stack([s.real, s.imag], axis=2).reshape(k, -1).T)
+        imag_factor = padded(np.stack([s.imag, -s.real], axis=2).reshape(k, -1).T)
     fidelities = np.empty(trials)
     done = 0
     while done < trials:
@@ -159,7 +163,7 @@ def reference_simulate_samples(povm, trials, rng):
             overlaps_sq = (_reference_features(psis).T @ factor)[:, :k]
         else:
             pairs = psis.view(float)
-            overlaps_sq = (pairs @ real_factor) ** 2 + (pairs @ imag_factor) ** 2
+            overlaps_sq = ((pairs @ real_factor) ** 2 + (pairs @ imag_factor) ** 2)[:, :k]
         probs = povm.weights * overlaps_sq ** povm.copies
         totals = probs.sum(axis=1)
         if float(np.max(np.abs(totals - 1.0))) > 1e-9:

@@ -289,14 +289,7 @@ def test_kernel_matches_the_reference_at_every_dim(monkeypatch, dim, trials):
             report = simulate(povm, trials, np.random.default_rng(trials), keep_samples=True)
             samples[workers] = report.samples
         assert np.array_equal(samples[1], samples[2]), povm.provenance
-        if dim > verify._FEATURE_MOST_DIM and povm.size % 8:
-            # the interleaved route keeps its unpadded factor, and with it its
-            # bytes: OpenBLAS's small-matrix kernel rounds the last k % 8
-            # columns of a block unlike the general kernel of the chunk-wide
-            # product, by a few ulps (k = 215 at 4097 trials)
-            assert np.max(np.abs(samples[1] - reference)) <= 8 * 2.0 ** -53, povm.provenance
-        else:
-            assert np.array_equal(samples[1], reference), povm.provenance
+        assert np.array_equal(samples[1], reference), povm.provenance
 
 
 needs_openblas = pytest.mark.skipif(blas._openblas() is None,

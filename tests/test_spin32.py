@@ -254,6 +254,22 @@ class TestOverlapSpectrum:
             cat.label, spectrum.values, pair_counts, tuple(per_state),
             cat.names).to_dict()
 
+    def test_counts_of_repeated_rays_match_per_pair_reference(self, penrose, set60):
+        # 400 rays drawn with repeats from both catalogs, in 4 blocks of 100
+        # rows: a repeat's dot of 1, and values met first below the diagonal
+        # of one row and right of it in another
+        rows = np.random.default_rng(400).integers(0, 100, 400)
+        states = np.concatenate([penrose.states, set60.states])[rows]
+        cat = RayCatalog("repeated", tuple(map(str, range(400))), states)
+        spectrum = overlap_spectrum(cat)
+        dots = np.round(bloch_dots(states), 9) + 0.0
+        pair_counts, per_state = reference_value_counts(dots)
+        assert 1.0 in pair_counts
+        assert list(spectrum.pair_counts.items()) == list(pair_counts.items())
+        assert [list(c.items()) for c in spectrum.per_state] == \
+            [list(c.items()) for c in per_state]
+        assert spectrum.values == tuple(sorted(pair_counts))
+
     def test_per_state_counts_sum_to_size_minus_one(self, penrose, set60):
         for cat in (penrose, set60):
             spectrum = overlap_spectrum(cat)

@@ -9,10 +9,12 @@ from spinpovm import (
     PENROSE40,
     Check,
     Povm,
+    RayCatalog,
     VerificationReport,
     build_table1_povm,
     catalog,
     haar_random_states,
+    overlap_spectrum,
     spin32_povm,
     sym_dim,
     symmetric_power_matrix,
@@ -286,7 +288,7 @@ _DIMS = (2, 3, 4, 5, 8)
 @pytest.mark.parametrize("k", [21, 40, 60, 129, 480, 720])
 def test_kernel_buffers_start_on_a_cache_line(k):
     # odd k and odd rows: the spare half starts a padded stride after the
-    # first one; on the feature route the factor's rows are padded too
+    # first one, as the factor's rows are padded
     for dim in _DIMS:
         _assert_kernel_buffers(k, dim)
 
@@ -294,8 +296,9 @@ def test_kernel_buffers_start_on_a_cache_line(k):
 def _assert_kernel_buffers(k, dim):
     rng = np.random.default_rng(k)
     povm = Povm(np.full(k, dim / k), haar_random_states(dim, k, rng), 1)
-    # on the feature route an odd number of whole cache lines, unless k is whole
-    width = k if k % 8 == 0 or dim > verify._FEATURE_MOST_DIM else (-(-k // 8) | 1) * 8
+    # on either route an odd number of whole cache lines, unless k is whole
+    width = k if k % 8 == 0 else (-(-k // 8) | 1) * 8
+    parts = 1 if dim <= verify._FEATURE_MOST_DIM else 2
     for rows in (127, 128):
         buffers = kernel_buffers(povm.states, rows)
         factor, halves = buffers
@@ -304,12 +307,9 @@ def _assert_kernel_buffers(k, dim):
             assert buffer.dtype == np.float64
             assert buffer.flags.c_contiguous and buffer.flags.writeable
             assert buffer.ctypes.data % 64 == 0
-        if dim <= verify._FEATURE_MOST_DIM:
-            assert factor.shape == (dim * dim, width)
-            assert not factor[:, k:].any()
-        else:
-            assert factor.shape == (2, 2 * dim, k)
-        assert halves.shape[0] == 2 and halves.shape[1] >= rows * width
+        assert factor.shape == (parts, _terms(dim), width)
+        assert not factor[..., k:].any()
+        assert halves.shape == (2, rows * width)
         psis = haar_random_states(dim, rows, rng)
         features = probe_features(psis)
         for hi in range(1, rows + 1):
@@ -331,10 +331,44 @@ def _assert_kernel_buffers(k, dim):
         assert np.allclose(probs, expected * povm.weights, rtol=1e-13, atol=bound), dim
 
 
-def _terms(dim):
-    """Terms of each real dot product behind a squared overlap: the D^2
-    features for D <= 4, and 2D interleaved doubles for Re and for Im above."""
-    return dim * dim if dim <= verify._FEATURE_MOST_DIM else 2 * dim
+@pytest.mark.parametrize("dim", _DIMS)
+def test_block_overlaps_match_the_chunk_product_bit_for_bit(dim):
+    # k = 43 D is a whole number of cache lines only at D = 8: without the
+    # zero columns, OpenBLAS's small-matrix kernel rounded the last k % 8
+    # columns of a block unlike the general kernel of the 4096-row product
+    k = 43 * dim
+    rng = np.random.default_rng(dim)
+    states = haar_random_states(dim, k, rng)
+    features = probe_features(haar_random_states(dim, 4096, rng))
+    with blas.one_blas_thread():
+        full = verify._squared_overlaps(features, kernel_buffers(states, 4096))[0, :, :k].copy()
+        for rows in (2, 3, 111, 128, 682, 4095):
+            buffers = kernel_buffers(states, rows)
+            for lo, hi in blocks(4096, rows):
+                block = verify._squared_overlaps(features[lo:hi], buffers)[0, :, :k]
+                assert np.array_equal(block, full[lo:hi]), (dim, rows, lo)
+
+
+@pytest.mark.parametrize("states", [np.eye(3)[[0, 1, 2, 0]], catalog(PENROSE40).states,
+                                    haar_random_states(5, 30, np.random.default_rng(5))],
+                         ids=["D3", "penrose40", "D5"])
+def test_a_bloch_dot_pass_builds_its_rows_features_once(monkeypatch, states):
+    # the probes of `_bloch_blocks` are the rows' own features, which also
+    # fill the factor
+    build, calls = verify.probe_features, []
+
+    def counting_build(psis):
+        calls.append(len(psis))
+        return build(psis)
+
+    monkeypatch.setattr(verify, "probe_features", counting_build)
+    k = len(states)
+    povm = Povm(np.full(k, states.shape[1] / k), states, 1)
+    for run in (lambda: verify.bloch_dots(states), lambda: verify.verify_hierarchy(povm),
+                lambda: overlap_spectrum(RayCatalog("rays", tuple(map(str, range(k))), states))):
+        calls.clear()
+        run()
+        assert calls == [k]
 
 
 def test_real_overlaps_match_the_complex_moduli(shipped_povms):
@@ -418,3 +452,20 @@ def test_hierarchy_forms_no_k_by_k_matrix():
         tracemalloc.stop()
     assert report.passed
     assert peak < 16 * povm.size ** 2 / 4, peak
+
+
+def test_embedding_holds_a_bounded_slice_of_powers():
+    # the one-copy basis of C^256: two 128-row blocks, whose (rows, sym_dim,
+    # D) powers took 128 MiB at once (131 MiB of peak measured); in slices
+    # of basis columns the peak is the 1 MiB operator and a block's
+    # embedding and its products (3.8 MiB measured)
+    povm = Povm(np.ones(256), np.eye(256), 1)
+    verify_completeness(Povm(np.ones(4), np.eye(4), 1))   # caches
+    tracemalloc.start()
+    try:
+        report = verify_completeness(povm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 8 * 2 ** 20, peak

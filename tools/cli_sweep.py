@@ -2,7 +2,7 @@
 
     python3 tools/cli_sweep.py OUTDIR
 
-The sweep runs 133 commands. It calls `spinpovm.cli.main` in-process,
+The sweep runs 135 commands. It calls `spinpovm.cli.main` in-process,
 with OUTDIR as the working directory, so every output file lands in
 OUTDIR under a relative name. It covers `build` for every target,
 `verify` and `simulate` for every POVM (by target and from the built
@@ -29,7 +29,9 @@ and table1-N5 with every element split in three (k = 2160, more segments
 than one matrix product sums). `verify` also runs on 300 Haar rays of
 C^4 at 15 copies, whose Frobenius check sums 3 blocks of rows, and
 `verify` and `simulate --csv` on the 6 mutually unbiased bases of C^5 at
-2 copies, the one POVM of D >= 5, which the interleaved overlap product serves.
+2 copies and on 43 Haar bases of C^5 at one copy (k = 215, not a whole
+number of cache lines), the two POVMs of D >= 5, which the interleaved
+overlap product serves.
 Each `solve-weights` output is named by its polytope, copies and angles.
 `OUTDIR/manifest.json` records, per command, its argv, exit code, stdout,
 stderr and the sha256 of each output file it names. The package is
@@ -122,6 +124,13 @@ _J = np.arange(5)
 MUB_STATES = np.concatenate([np.eye(5), np.exp(2j * np.pi * (
     np.arange(5)[:, None, None] * _J ** 2 + np.arange(5)[None, :, None] * _J) / 5).reshape(25, 5)
     / np.sqrt(5)])
+# 43 seeded Haar bases of C^5 at one copy, each weighted 1/43: k = 215 is
+# no multiple of 8, so the factor's zero columns decide whether a kernel
+# block's overlaps keep the bits of the chunk-wide product
+HAAR_BASES = "haar-bases-C5-43-N1.json"
+_GAUSSIANS = np.random.default_rng(43).standard_normal((2, 43, 5, 5))
+HAAR_BASES_STATES = np.ascontiguousarray(np.concatenate(
+    [np.linalg.qr(g)[0].T for g in _GAUSSIANS[0] + 1j * _GAUSSIANS[1]]))
 
 
 def _split(povm: Povm, parts: int, first: int) -> dict:
@@ -172,6 +181,8 @@ INPUT_DOCS = {
     HAAR_N15: json.loads(documents.povm_to_document(Povm(
         np.full(300, 816 / 300), haar_random_states(4, 300, np.random.default_rng(15)), 15))),
     MUB: json.loads(documents.povm_to_document(Povm(np.full(30, 0.5), MUB_STATES, 2))),
+    HAAR_BASES: json.loads(documents.povm_to_document(
+        Povm(np.full(215, 1 / 43), HAAR_BASES_STATES, 1))),
     **{name: json.loads(documents.povm_to_document(
         Povm(np.ones(40), catalog(PENROSE40).states, copies)))
        for copies, name in PENROSE_MANY.items()},
@@ -244,6 +255,11 @@ def commands() -> list[list[str]]:
     runs.append(["verify", "--in", MUB, "--seed", "5", "--out", f"verify-{MUB}"])
     runs.append(["simulate", "--in", MUB, "--trials", "10001", "--seed", "5",
                  "--out", f"simulate-{MUB}", "--csv", f"simulate-{MUB}.csv"])
+    # one trial past a chunk: 4096 rows in 22 blocks of at most
+    # block_rows(215) = 190, then a one-row chunk
+    runs.append(["verify", "--in", HAAR_BASES, "--seed", "5", "--out", f"verify-{HAAR_BASES}"])
+    runs.append(["simulate", "--in", HAAR_BASES, "--trials", "4097", "--seed", "5",
+                 "--out", f"simulate-{HAAR_BASES}", "--csv", f"simulate-{HAAR_BASES}.csv"])
     for doc in (SPLIT_LAST, SPLIT_ALL):
         runs.append(["verify", "--in", doc, "--seed", "5", "--out", f"verify-{doc}"])
         runs.append(["simulate", "--in", doc, "--trials", "10001", "--seed", "5",

@@ -12,9 +12,11 @@ median µs per trial of each stage:
   inside these calls, which the kernel makes by module-level name from
   `spinpovm.estimate` and this script wraps with a clock.
   `probe_features` runs once per chunk, after its states are drawn: for
-  D <= 4 it builds the D^2 features of each state's psi psi^dag that
-  `outcome_probabilities` multiplies per block, and for larger D it only
-  views the states as interleaved doubles. A POVM of k >= 128 outcomes runs
+  D <= 4 it builds the D^2 features of each state's psi psi^dag, and for
+  larger D it only views the states as interleaved doubles. Either way
+  `outcome_probabilities` multiplies a block of those rows, in one product,
+  by a factor of the same layout filled from the POVM's own rows (one
+  part of features, or two of doubles). A POVM of k >= 128 outcomes runs
   the two-level pick: `_pick_segments` per block and `_finish_picks`,
   with the gather of the picked fidelities, per chunk; `_sequential_pick`
   then runs only for the rows the finish leaves. A narrower one runs
