@@ -24,7 +24,7 @@ from .spin1 import (
     solve_weights,
 )
 from .spin32 import (
-    CATALOG_WEIGHTS,
+    CATALOG_COPIES,
     PENROSE40,
     PHASE,
     SET60,
@@ -50,7 +50,7 @@ __all__ = [
     "AGGREGATE_TOL",
     "AngularCancellationError",
     "BlochDotSpectrum",
-    "CATALOG_WEIGHTS",
+    "CATALOG_COPIES",
     "CELL24",
     "CELL600",
     "CONSTRUCTIVE_TOL",

@@ -7,9 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 input/parse error,
 import argparse
 import errno
 import functools
-import math
 import os
-import re
 import sys
 
 import numpy as np
@@ -22,12 +20,12 @@ from .spin1 import (
     AngularCancellationError,
     WeightSolveError,
     build_table1_povm,
+    parse_angle,
     solve_weights,
 )
 from .spin32 import (
-    CATALOG_WEIGHTS,
-    PENROSE40,
-    SET60,
+    CATALOG_COPIES,
+    CATALOGS,
     RayCatalog,
     catalog,
     overlap_spectrum,
@@ -43,11 +41,11 @@ EXIT_UNSUPPORTED = 3
 # Every bundled target by name, in help order. Each entry finds
 # build_table1_povm, spin32_povm and catalog in this module per call, so a
 # test or the perfbench tracer that replaces those names here sees the calls.
-CATALOG_TARGETS = (PENROSE40, SET60)
+CATALOG_TARGETS = tuple(CATALOGS)
 TARGETS = {
     **{f"table1-N{n}": lambda n=n: build_table1_povm(n) for n in sorted(TABLE1)},
     **{f"{label}-povm-N{n}": lambda label=label, n=n: spin32_povm(catalog(label), n)
-       for label, n in CATALOG_WEIGHTS},
+       for label in CATALOG_TARGETS for n in CATALOG_COPIES},
     **{label: lambda label=label: catalog(label) for label in CATALOG_TARGETS},
 }
 POVM_TARGETS = tuple(name for name in TARGETS if name not in CATALOG_TARGETS)
@@ -55,25 +53,6 @@ POVM_TARGETS = tuple(name for name in TARGETS if name not in CATALOG_TARGETS)
 
 class CliInputError(Exception):
     """User input that cannot be acted on; maps to exit code 2."""
-
-
-_PI_FRACTION = re.compile(r"^(\d+)?pi(?:/(\d+))?$")
-
-
-def parse_angle(text: str) -> float:
-    """Angles as exact fractions of pi: '0', 'pi', 'pi/4', '3pi/8'."""
-    token = text.strip().lower().replace(" ", "")
-    if token == "0":
-        return 0.0
-    match = _PI_FRACTION.match(token)
-    if match is None:
-        raise CliInputError(
-            f"cannot parse angle {text!r}; use forms like 0, pi/2, 3pi/8")
-    numerator = int(match.group(1) or 1)
-    denominator = int(match.group(2) or 1)
-    if denominator == 0:
-        raise CliInputError(f"cannot parse angle {text!r}: division by zero")
-    return numerator * math.pi / denominator
 
 
 def _int_at_least(minimum: int):

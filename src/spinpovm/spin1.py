@@ -14,6 +14,7 @@ state from N copies.
 """
 
 import math
+import re
 
 import numpy as np
 
@@ -62,7 +63,7 @@ def shell_states(polytope: str, theta: float) -> np.ndarray:
     points = vertices(polytope)
     if theta == 0.0:
         return _POLE[None, :].copy()
-    if not 0.0 <= theta <= math.pi / 2 + CONSTRUCTIVE_TOL:
+    if not 0.0 <= theta <= 0.5 * math.pi + CONSTRUCTIVE_TOL:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
     st = math.sin(theta)
     states = np.empty((points.shape[0], 3), dtype=complex)
@@ -157,24 +158,43 @@ def povm_from_shells(polytope: str, shells, copies: int, provenance: str = "") -
     return Povm(np.concatenate(all_weights), np.vstack(all_states), copies, provenance)
 
 
-_SQRT2 = math.sqrt(2.0)
+def parse_angle(text: str) -> float:
+    """An angle written as a fraction of pi, n pi/d: '0', 'pi', 'pi/4', '3pi/8'.
 
-# Bundled optimal spin-1 shell sets: polytope, angles theta_r, weights c_r.
+    n/d is reduced first, so that every spelling of one angle is one float:
+    '11pi/22' is 'pi/2'. A text of another form, a zero denominator and an
+    angle beyond the float range raise ValueError, which names the text.
+    """
+    token = text.strip().lower().replace(" ", "")
+    if token == "0":
+        return 0.0
+    match = re.fullmatch(r"(\d*)pi(?:/(\d+))?", token)
+    if match is None:
+        raise ValueError(f"cannot parse angle {text!r}; use forms like 0, pi/2, 3pi/8")
+    try:
+        numerator, denominator = int(match[1] or 1), int(match[2] or 1)
+        common = math.gcd(numerator, denominator)
+        angle = math.pi * (numerator // common) / (denominator // common)
+    except ZeroDivisionError:
+        raise ValueError(f"cannot parse angle {text!r}: division by zero") from None
+    except (OverflowError, ValueError):  # past a float, or past the digits int() reads
+        angle = math.inf
+    if not math.isfinite(angle):
+        raise ValueError(f"cannot parse angle {text!r}: too large for a float")
+    return angle
+
+
+# Table 1 of the paper as printed: for each copy count the polytope, the
+# shell angles, read by `parse_angle`, and the exact weights, each (p, q, r)
+# for (p + q sqrt(2))/r.
 TABLE1 = {
-    2: (CELL24,
-        (math.pi / 4, math.pi / 2),
-        (1 / 6, 1 / 12)),
-    3: (CELL24,
-        (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2),
-        (2 / 27, 1 / 18, 2 / 9, 7 / 108)),
-    4: (CELL600,
-        (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2),
-        (1 / 45, 1 / 60, 1 / 15, 7 / 360)),
-    5: (CELL600,
-        (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2,
-         math.pi / 8, 3 * math.pi / 8),
-        (2 / 225, 17 / 300, 2 / 75, 29 / 1800,
-         (2 - _SQRT2) / 60, (2 + _SQRT2) / 60)),
+    2: (CELL24, ("pi/4", "pi/2"), ((1, 0, 6), (1, 0, 12))),
+    3: (CELL24, ("pi/6", "pi/4", "pi/3", "pi/2"),
+        ((2, 0, 27), (1, 0, 18), (2, 0, 9), (7, 0, 108))),
+    4: (CELL600, ("pi/6", "pi/4", "pi/3", "pi/2"),
+        ((1, 0, 45), (1, 0, 60), (1, 0, 15), (7, 0, 360))),
+    5: (CELL600, ("pi/6", "pi/4", "pi/3", "pi/2", "pi/8", "3pi/8"),
+        ((2, 0, 225), (17, 0, 300), (2, 0, 75), (29, 0, 1800), (2, -1, 60), (2, 1, 60))),
 }
 
 
@@ -184,5 +204,6 @@ def build_table1_povm(copies: int) -> Povm:
         raise ValueError(
             f"no bundled spin-1 POVM for {copies} copies; available: {sorted(TABLE1)}")
     polytope, angles, weights = TABLE1[copies]
-    return povm_from_shells(polytope, zip(angles, weights), copies,
-                            provenance=f"table1-N{copies}")
+    shells = [(parse_angle(text), (p + q * math.sqrt(2.0)) / r)
+              for text, (p, q, r) in zip(angles, weights)]
+    return povm_from_shells(polytope, shells, copies, provenance=f"table1-N{copies}")

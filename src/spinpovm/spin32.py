@@ -78,15 +78,6 @@ _SET60_ROWS = (
     ("1", "1", "i", "i"), ("1", "-1", "i", "-i"), ("1", "1", "-i", "-i"), ("1", "-1", "-i", "i"),
 )
 
-# Uniform catalog weights that resolve the identity for N copies.
-CATALOG_WEIGHTS = {
-    (PENROSE40, 2): 1 / 4,
-    (PENROSE40, 3): 1 / 2,
-    (SET60, 2): 1 / 6,
-    (SET60, 3): 1 / 3,
-}
-
-
 @dataclass(frozen=True)
 class RayCatalog:
     """A named, ordered set of unit rays in C^D."""
@@ -119,11 +110,13 @@ def _parse_row(entries) -> np.ndarray:
     return normalized(np.array(raw, dtype=complex))
 
 
-# label -> (names, rows) of every bundled catalog
-_CATALOGS = {
+# label -> (names, rows) of every bundled catalog, and the copy counts at
+# which each, uniformly weighted, is a POVM
+CATALOGS = {
     PENROSE40: tuple(zip(*_PENROSE_ROWS)),
     SET60: (tuple(str(i + 1) for i in range(len(_SET60_ROWS))), _SET60_ROWS),
 }
+CATALOG_COPIES = (2, 3)
 
 
 @functools.cache
@@ -134,9 +127,9 @@ def catalog(label: str) -> RayCatalog:
     Each catalog is built once per process, on first use, and shared; its
     states are read-only.
     """
-    if label not in _CATALOGS:
-        raise ValueError(f"unknown catalog {label!r}; expected {PENROSE40!r} or {SET60!r}")
-    names, rows = _CATALOGS[label]
+    if label not in CATALOGS:
+        raise ValueError(f"unknown catalog {label!r}; expected {' or '.join(map(repr, CATALOGS))}")
+    names, rows = CATALOGS[label]
     states = np.array([_parse_row(entries) for entries in rows])
     return RayCatalog(label=label, names=names, states=states)
 
@@ -267,12 +260,16 @@ def _block_counts(dots: np.ndarray, lo: int, hi: int) -> tuple[list, np.ndarray]
 
 
 def spin32_povm(cat: RayCatalog, copies: int) -> Povm:
-    """Uniform-weight POVM from a bundled catalog at a CATALOG_WEIGHTS copy count."""
-    key = (cat.label, copies)
-    if key not in CATALOG_WEIGHTS:
-        raise ValueError(f"no bundled weight for catalog {cat.label!r} with {copies} copies")
-    return Povm(np.full(cat.size, CATALOG_WEIGHTS[key]), cat.states, copies,
-                provenance=f"{cat.label}-povm-N{copies}")
+    """Uniform-weight POVM from a bundled catalog at a CATALOG_COPIES copy
+    count: each of its k rays weighs sym_dim(D, N)/k, so that the weights sum
+    to the trace of the identity on the symmetric subspace."""
+    if copies not in CATALOG_COPIES:
+        raise ValueError(f"no bundled POVM of catalog {cat.label!r} at {copies} copies; "
+                         f"bundled copy counts: {', '.join(map(str, CATALOG_COPIES))}")
+    if cat.label not in CATALOGS or not np.array_equal(cat.states, catalog(cat.label).states):
+        raise ValueError(f"catalog {cat.label!r} is not the bundled catalog of that name")
+    return Povm(np.full(cat.size, sym_dim(cat.states.shape[1], copies) / cat.size), cat.states,
+                copies, provenance=f"{cat.label}-povm-N{copies}")
 
 
 def reduce_n3_to_n2(povm: Povm) -> Povm:

@@ -25,9 +25,9 @@ from spinpovm.cli import (
     EXIT_UNSUPPORTED,
     EXIT_VERIFY,
     main,
-    parse_angle,
     CliInputError,
 )
+from spinpovm.spin1 import parse_angle
 
 
 def read(path):
@@ -48,8 +48,27 @@ class TestParseAngle:
 
     def test_rejects_decimals(self):
         for bad in ("0.785", "1.57", "pi/0x2", "2*pi", "", "pi/0", "3pi/00"):
-            with pytest.raises(CliInputError):
+            with pytest.raises(ValueError, match="cannot parse angle"):
                 parse_angle(bad)
+
+    def test_spellings_of_one_angle_are_one_float(self):
+        # unreduced, 11pi/22 was one ulp from pi/2, and 13pi/39 from pi/3
+        for spelling, reduced in [("11pi/22", "pi/2"), ("13pi/39", "pi/3"),
+                                  ("15pi/36", "5pi/12"), ("2pi/4", "pi/2"), ("0pi/7", "0"),
+                                  ("4pi/4", "pi"), ("3pi/9", "pi/3")]:
+            assert parse_angle(spelling) == parse_angle(reduced), spelling
+        assert 11 * math.pi / 22 != math.pi / 2
+        # a reduced spelling keeps the bits of n * pi / d
+        for d in range(1, 64):
+            for n in range(2 * d + 1):
+                if math.gcd(n, d) == 1:
+                    assert parse_angle(f"{n}pi/{d}") == n * math.pi / d
+
+    @pytest.mark.parametrize("text", ["1" + "0" * 400 + "pi", "pi/1" + "0" * 400,
+                                      "1" + "0" * 308 + "pi", "9" * 5000 + "pi/3"])
+    def test_angle_beyond_the_float_range_is_refused(self, text):
+        with pytest.raises(ValueError, match=f"cannot parse angle '{text}': too large"):
+            parse_angle(text)
 
 
 def _catalog_doc(rows):
@@ -640,6 +659,20 @@ class TestSolveWeights:
                      "--angles", "pi/4", "pi/4", "--copies", "2"])
         assert code == EXIT_INPUT
         assert "distinct" in capsys.readouterr().err
+
+    def test_two_spellings_of_one_angle_are_an_input_error(self, capsys):
+        code = main(["solve-weights", "--polytope", "24-cell",
+                     "--angles", "pi/4", "pi/2", "11pi/22", "--copies", "2"])
+        assert code == EXIT_INPUT
+        assert "distinct" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1" + "0" * 400 + "pi", "pi/1" + "0" * 400])
+    def test_angle_beyond_the_float_range_is_an_input_error(self, text, capsys):
+        code = main(["solve-weights", "--polytope", "24-cell",
+                     "--angles", "pi/4", text, "--copies", "2"])
+        assert code == EXIT_INPUT
+        assert f"error: cannot parse angle '{text}': too large for a float" in \
+            capsys.readouterr().err
 
     def test_out_of_range_angle_is_an_input_error(self, capsys):
         code = main(["solve-weights", "--polytope", "24-cell",

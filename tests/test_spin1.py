@@ -1,7 +1,7 @@
 """Spin-1 shells: state construction, polynomial cancellation, weight solving."""
 
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +24,9 @@ from spinpovm.polytopes import CELL24, CELL600, vertices
 from spinpovm.verify import kernel_buffers, outcome_probabilities, probe_features
 
 PI = math.pi
-TABLE1_ANGLES = sorted({theta for _, angles, _ in spin1.TABLE1.values()
-                        for theta in angles})
+TABLE1_ANGLES = sorted({spin1.parse_angle(text) for _, angles, _ in spin1.TABLE1.values()
+                        for text in angles})
+PI_50_DIGITS = Decimal("3.1415926535897932384626433832795028841971693993751")
 
 
 class TestShellStateFormula:
@@ -182,6 +183,41 @@ class TestShellPolynomial:
             shell_states(CELL600, theta)
 
 
+class TestTable1Exactness:
+    """The floats built from Table 1's exact entries lie within an ulp or two
+    of them. pi/6 and pi/3 are 0.52 ulp off and (2 - sqrt 2)/60 is 1.13, so
+    the bounds admit the shipped bits rather than ask for correct rounding."""
+
+    @pytest.mark.parametrize("copies", sorted(spin1.TABLE1))
+    def test_shipped_floats_are_near_the_exact_entries(self, copies):
+        polytope, angles, weights = spin1.TABLE1[copies]
+        povm = build_table1_povm(copies)
+        shipped = povm.weights.reshape(len(angles), -1)  # one block of rows per shell
+        assert np.all(shipped == shipped[:, :1])
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for text, (p, q, r), weight in zip(angles, weights, shipped[:, 0].tolist()):
+                fraction = Fraction(("1" + text if text.startswith("pi") else text)
+                                    .replace("pi", ""))
+                theta = spin1.parse_angle(text)
+                exact = PI_50_DIGITS * fraction.numerator / fraction.denominator
+                assert abs(Decimal(theta) - exact) <= Decimal(math.ulp(theta)), text
+                exact = (p + q * Decimal(2).sqrt()) / r
+                assert abs(Decimal(weight) - exact) <= 2 * Decimal(math.ulp(weight)), (p, q, r)
+        # each shell's states carry its angle: cos(theta) in the last column
+        cosines = povm.states[:, 2].real.reshape(len(angles), -1)
+        assert np.array_equal(cosines[:, 0], [math.cos(spin1.parse_angle(a)) for a in angles])
+
+    def test_shipped_bits_of_the_irrational_entries(self):
+        # the floats the table gave when it held float expressions
+        _, _, weights = spin1.TABLE1[5]
+        assert weights[-2:] == ((2, -1, 60), (2, 1, 60))
+        shipped = build_table1_povm(5).weights[::120].tolist()
+        assert shipped[-2:] == [(2 - math.sqrt(2.0)) / 60, (2 + math.sqrt(2.0)) / 60]
+        assert [spin1.parse_angle(a) for a in ("pi/6", "pi/3", "pi/8", "3pi/8")] == \
+            [math.pi / 6, math.pi / 3, math.pi / 8, 3 * math.pi / 8]
+
+
 class TestSolveWeights:
     def test_reproduces_two_copy_solution(self):
         weights = solve_weights(CELL24, [PI / 4, PI / 2, 0.0], 2)
@@ -236,15 +272,10 @@ class TestSolveWeights:
     @pytest.mark.parametrize("copies", sorted(spin1.TABLE1))
     def test_table1_weights_match_exact_fractions(self, copies):
         root2 = Decimal(2).sqrt()  # 28 digits
-        exact = {2: [Fraction(1, 6), Fraction(1, 12)],
-                 3: [Fraction(2, 27), Fraction(1, 18), Fraction(2, 9), Fraction(7, 108)],
-                 4: [Fraction(1, 45), Fraction(1, 60), Fraction(1, 15), Fraction(7, 360)],
-                 5: [Fraction(2, 225), Fraction(17, 300), Fraction(2, 75), Fraction(29, 1800),
-                     (2 - root2) / 60, (2 + root2) / 60]}[copies]
-        polytope, angles, _ = spin1.TABLE1[copies]
-        for weight, value in zip(solve_weights(polytope, angles, copies), exact):
-            if isinstance(value, Fraction):
-                value = Decimal(value.numerator) / value.denominator
+        polytope, angles, exact = spin1.TABLE1[copies]
+        solved = solve_weights(polytope, map(spin1.parse_angle, angles), copies)
+        for weight, (p, q, r) in zip(solved, exact):
+            value = (p + q * root2) / r
             error = abs(Decimal(float(weight)) - value)
             assert error <= 32 * Decimal(math.ulp(float(value))), (weight, value)
 
@@ -256,8 +287,7 @@ class TestSolveWeights:
 
 class TestPovmFromShells:
     def test_zero_weight_shell_changes_nothing(self):
-        _, angles, weights = spin1.TABLE1[2]
-        shells = list(zip(angles, weights))
+        shells = [(PI / 4, 1 / 6), (PI / 2, 1 / 12)]
         with_pole = povm_from_shells(CELL24, shells + [(0.0, 0.0)], 2)
         without = povm_from_shells(CELL24, shells, 2)
         assert with_pole.size == without.size == 48

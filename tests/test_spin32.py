@@ -121,13 +121,42 @@ def test_unknown_catalog_token_rejected():
 
 
 def test_copies_without_a_bundled_weight_rejected():
-    with pytest.raises(ValueError, match="no bundled weight for catalog 'set60' with 4 copies"):
+    with pytest.raises(ValueError, match="no bundled POVM of catalog 'set60' at 4 copies; "
+                                         "bundled copy counts: 2, 3"):
         spin32_povm(catalog(SET60), 4)
 
 
 def test_unknown_catalog_rejected():
-    with pytest.raises(ValueError, match="unknown catalog"):
+    with pytest.raises(ValueError, match="unknown catalog 'penrose41'; "
+                                         "expected 'penrose40' or 'set60'"):
         catalog("penrose41")
+
+
+def test_trace_rule_gives_the_paper_weights():
+    # sym_dim(4, N)/k: 10/40, 20/40, 10/60 and 20/60, each to the last bit
+    expected = {(PENROSE40, 2): 0.25, (PENROSE40, 3): 0.5, (SET60, 2): 1 / 6, (SET60, 3): 1 / 3}
+    assert [(label, n) for label in spin32.CATALOGS for n in spin32.CATALOG_COPIES] == \
+        list(expected)
+    for (label, copies), weight in expected.items():
+        weights = spin32_povm(catalog(label), copies).weights
+        assert np.all(weights == weight), (label, copies)
+
+
+@pytest.mark.parametrize("label", [PENROSE40, SET60])
+def test_a_catalog_that_only_borrows_a_label_is_refused(label):
+    # Haar rays under a bundled name: uniform weights would not resolve the identity
+    size = catalog(label).size
+    rays = RayCatalog(label, tuple(map(str, range(size))),
+                      haar_random_states(4, size, np.random.default_rng(60)))
+    with pytest.raises(ValueError, match=f"catalog '{label}' is not the bundled catalog"):
+        spin32_povm(rays, 2)
+    # one bundled ray moved by one ulp is refused too
+    states = catalog(label).states.copy()
+    states[0, 0] = np.nextafter(states[0, 0].real, 2.0)
+    with pytest.raises(ValueError, match="not the bundled catalog"):
+        spin32_povm(RayCatalog(label, catalog(label).names, states), 3)
+    with pytest.raises(ValueError, match="'rays' is not the bundled catalog"):
+        spin32_povm(RayCatalog("rays", catalog(label).names, catalog(label).states), 2)
 
 
 class TestBlochDots:

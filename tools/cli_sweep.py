@@ -2,7 +2,7 @@
 
     python3 tools/cli_sweep.py OUTDIR
 
-The sweep runs 135 commands. It calls `spinpovm.cli.main` in-process,
+The sweep runs 137 commands. It calls `spinpovm.cli.main` in-process,
 with OUTDIR as the working directory, so every output file lands in
 OUTDIR under a relative name. It covers `build` for every target,
 `verify` and `simulate` for every POVM (by target and from the built
@@ -11,8 +11,9 @@ past the scalar check's block edges, one `simulate --csv` of 10_001
 trials, `spectrum` and `solve-weights`, including error cases, some of
 them on documents written into OUTDIR first: a qubit POVM at 1100
 copies and the Penrose rays at 60 and 500 copies (`solve-weights` runs
-at 43, 44 and 10^9 copies too, and on an unknown polytope with a
-pole-only shell), a qubit POVM at 1023 copies for `verify`
+at 43, 44 and 10^9 copies too, on an unknown polytope with a
+pole-only shell, on two spellings of pi/2 and on an angle beyond the
+float range), a qubit POVM at 1023 copies for `verify`
 alone, a POVM and a catalog with boolean amplitudes, catalogs with a
 null label or names that are not strings, and qubit POVMs with an object
 for provenance, zero copies, a negative weight or a NaN amplitude; the
@@ -52,17 +53,14 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from spinpovm import (PENROSE40, SET60, Povm, RayCatalog, build_table1_povm, catalog,  # noqa: E402
-                      cli, documents, haar_random_states)
+from spinpovm import (PENROSE40, SET60, TABLE1, Povm, RayCatalog,  # noqa: E402
+                      build_table1_povm, catalog, cli, documents, haar_random_states)
 
 SEEDS = (11, 2026)
 # Table 1 of the paper, then a trailing zero-weight shell, an infeasible
 # set and the 24-cell at N = 4, which cannot cancel the angular dependence
 SOLVE_WEIGHTS = (
-    ("24-cell", ("pi/4", "pi/2"), 2),
-    ("24-cell", ("pi/6", "pi/4", "pi/3", "pi/2"), 3),
-    ("600-cell", ("pi/6", "pi/4", "pi/3", "pi/2"), 4),
-    ("600-cell", ("pi/6", "pi/4", "pi/3", "pi/2", "pi/8", "3pi/8"), 5),
+    *((polytope, angles, copies) for copies, (polytope, angles, _) in TABLE1.items()),
     ("24-cell", ("pi/4", "pi/2", "0"), 2),
     ("24-cell", ("pi/6", "pi/4"), 2),
     ("24-cell", ("pi/6", "pi/4", "pi/3", "pi/2"), 4),
@@ -243,6 +241,11 @@ def commands() -> list[list[str]]:
         runs.append(["solve-weights", "--polytope", "24-cell", "--angles", "pi/4", "pi/2",
                      "--copies", copies])
     runs.append(["solve-weights", "--polytope", "foo", "--angles", "0", "--copies", "2"])
+    # 11pi/22 is pi/2, so the angles repeat; 10^400 pi is beyond a float
+    runs.append(["solve-weights", "--polytope", "24-cell", "--angles", "pi/4", "pi/2", "11pi/22",
+                 "--copies", "2"])
+    runs.append(["solve-weights", "--polytope", "24-cell", "--angles", "pi/4",
+                 "1" + "0" * 400 + "pi", "--copies", "2"])
     runs.append(["verify", "--in", MOST_COPIES, "--seed", "1"])
     runs.append(["verify", "--in", BOOL_POVM, "--seed", "1"])
     runs.append(["simulate", "--in", BOOL_POVM, "--seed", "1"])
