@@ -44,7 +44,7 @@ EXIT_UNSUPPORTED = 3
 CATALOG_TARGETS = tuple(CATALOGS)
 TARGETS = {
     **{f"table1-N{n}": lambda n=n: build_table1_povm(n) for n in sorted(TABLE1)},
-    **{f"{label}-povm-N{n}": lambda label=label, n=n: spin32_povm(catalog(label), n)
+    **{f"{label}-povm-N{n}": lambda label=label, n=n: spin32_povm(label, n)
        for label in CATALOG_TARGETS for n in CATALOG_COPIES},
     **{label: lambda label=label: catalog(label) for label in CATALOG_TARGETS},
 }

@@ -104,12 +104,14 @@ def solve_weights(polytope: str, angles, copies: int) -> np.ndarray:
     The shells must then resolve the identity on the symmetric subspace
     (`verify_completeness`); where the shell sum keeps an angular
     dependence they do not, and AngularCancellationError is raised (the
-    24-cell supports at most 3 copies, the 600-cell up to 5).
+    24-cell supports at most 3 copies, the 600-cell up to 5). Angles within
+    CONSTRUCTIVE_TOL of each other are one angle, and refused.
     """
     angles = [float(a) for a in angles]
     if not angles:
         raise ValueError("need at least one angle")
-    if len(set(angles)) != len(angles):
+    ordered = sorted(angles)
+    if any(b - a <= CONSTRUCTIVE_TOL for a, b in zip(ordered, ordered[1:])):
         raise ValueError(f"angles must be distinct, got {angles}")
     coeff_matrix = np.column_stack(
         [shell_polynomial(polytope, a, copies) for a in angles])  # (copies+1, k)

@@ -171,8 +171,8 @@ class BlochDotSpectrum:
 
     label: str
     values: tuple                 # sorted distinct dots, rounded to 1e-9
-    pair_counts: dict             # value -> number of unordered pairs
-    per_state: tuple              # one {value: neighbor count} dict per state
+    pair_counts: dict             # value -> number of unordered pairs, ascending
+    per_state: tuple              # one {value: neighbor count} dict per state, ascending
     names: tuple
 
     def to_dict(self) -> dict:
@@ -200,7 +200,8 @@ def overlap_spectrum(cat: RayCatalog) -> BlochDotSpectrum:
     """Pairwise Bloch-dot spectrum of a catalog, rounded to 1e-9.
 
     A catalog of more than verify.MAX_BLOCH_ROWS rays, or with more than
-    MAX_SPECTRUM_VALUES distinct values, raises ValueError before any count."""
+    MAX_SPECTRUM_VALUES distinct values, raises ValueError before any count.
+    Every dict is keyed in ascending value."""
     dots = bloch_dots(cat.states)
     np.round(dots, 9, out=dots)
     dots += 0.0  # -0.0 to 0.0: one zero key
@@ -208,68 +209,52 @@ def overlap_spectrum(cat: RayCatalog) -> BlochDotSpectrum:
     # counted on the sorted values: `np.unique` would import numpy.ma, 1.4 MB
     # of peak RSS. The pairs come from row slices: `np.triu_indices` took two
     # int64 index arrays as large as them, 48 of 80 MiB of peak at 2048 rows
-    ordered = np.concatenate([row[s + 1:] for s, row in enumerate(dots)])
-    ordered.sort()
-    change = ordered[1:] != ordered[:-1]
-    distinct = int(np.count_nonzero(change)) + (k > 1)
+    pairs = np.concatenate([row[s + 1:] for s, row in enumerate(dots)])[None]
+    pairs.sort()
+    starts = _run_starts(pairs)
+    distinct = int(np.count_nonzero(starts))
     if distinct > MAX_SPECTRUM_VALUES:
         raise ValueError(f"catalog {cat.label!r} has {distinct} distinct Bloch dots, "
                          "too many for a spectrum: the bound is "
                          f"MAX_SPECTRUM_VALUES = {MAX_SPECTRUM_VALUES}")
-    # the run lengths of the sorted pairs, keyed in the order that a scan of
-    # the rows meets each value right of the diagonal
-    starts = np.flatnonzero(np.r_[k > 1, change])
-    values, totals = ordered[starts], np.diff(np.r_[starts, len(ordered)])
-    per_state, right = zip(*(_block_counts(dots, lo, hi) for lo, hi in blocks(k, block_rows(k))))
-    met = np.searchsorted(values, np.concatenate(right))
-    first = np.full(distinct, len(met))
-    np.minimum.at(first, met, np.arange(len(met)))
-    order = np.argsort(first)
-    return BlochDotSpectrum(label=cat.label, values=tuple(values.tolist()),
-                            pair_counts=dict(zip(values[order].tolist(), totals[order].tolist())),
-                            per_state=tuple(counts for block in per_state for counts in block),
-                            names=cat.names)
+    [pair_counts] = _run_counts(pairs, starts)
+    per_state = []
+    for lo, hi in blocks(k, block_rows(k)):
+        block = dots[lo:hi]
+        block[np.arange(hi - lo), np.arange(lo, hi)] = np.nan
+        block.sort()
+        off_diagonal = block[:, :-1]  # the NaN sorts last
+        per_state += _run_counts(off_diagonal, _run_starts(off_diagonal))
+    return BlochDotSpectrum(label=cat.label, values=tuple(pair_counts), pair_counts=pair_counts,
+                            per_state=tuple(per_state), names=cat.names)
 
 
-def _block_counts(dots: np.ndarray, lo: int, hi: int) -> tuple[list, np.ndarray]:
-    """For rows lo to hi of the square `dots`, from each row sorted: a dict
-    per row of its values off the diagonal and their counts, by first column,
-    and the values right of the diagonal, each once per row, in scan order."""
-    index = np.arange(hi - lo)
-    block = dots[lo:hi].copy()
-    block[index, index + lo] = np.nan   # sorts last, and is dropped
-    # stable, so that each run of equal values lists its columns in order
-    columns = np.argsort(block, axis=1, kind="stable")[:, :-1]
-    ranked = np.take_along_axis(block, columns, axis=1)
-    starts = np.ones(ranked.shape, dtype=bool)
-    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:, 1:])
-    # each run's length at its first column, read back in scan order
-    lengths = np.zeros(block.shape, dtype=np.intp)
-    lengths[np.nonzero(starts)[0], columns[starts]] = np.diff(
-        np.r_[np.flatnonzero(starts), ranked.size])
-    found = lengths > 0
-    values, counts = block[found].tolist(), lengths[found].tolist()
-    ends = np.cumsum(np.count_nonzero(found, axis=1)).tolist()
-    per_state = [dict(zip(values[a:b], counts[a:b])) for a, b in zip([0] + ends, ends)]
-    # each run's first column right of the diagonal
-    right = columns > (index + lo)[:, None]
-    right[:, 1:] &= starts[:, 1:] | ~right[:, :-1]
-    found[...] = False
-    found[np.nonzero(right)[0], columns[right]] = True
-    return per_state, block[found]
+def _run_starts(rows: np.ndarray) -> np.ndarray:
+    """Where each sorted row of the 2-D `rows` starts a run of equal values."""
+    starts = np.ones(rows.shape, dtype=bool)
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
+    return starts
 
 
-def spin32_povm(cat: RayCatalog, copies: int) -> Povm:
-    """Uniform-weight POVM from a bundled catalog at a CATALOG_COPIES copy
-    count: each of its k rays weighs sym_dim(D, N)/k, so that the weights sum
-    to the trace of the identity on the symmetric subspace."""
+def _run_counts(rows: np.ndarray, starts: np.ndarray) -> list[dict]:
+    """One {value: run length} dict per sorted row of `rows`, in ascending
+    value, from the row's run `starts`."""
+    values = rows[starts].tolist()
+    lengths = np.diff(np.flatnonzero(starts), append=starts.size).tolist()
+    ends = np.cumsum(np.count_nonzero(starts, axis=1)).tolist()
+    return [dict(zip(values[a:b], lengths[a:b])) for a, b in zip([0] + ends, ends)]
+
+
+def spin32_povm(label: str, copies: int) -> Povm:
+    """Uniform-weight POVM of the bundled catalog `label` at a CATALOG_COPIES
+    copy count: each of its k rays weighs sym_dim(D, N)/k, so that the
+    weights sum to the trace of the identity on the symmetric subspace."""
     if copies not in CATALOG_COPIES:
-        raise ValueError(f"no bundled POVM of catalog {cat.label!r} at {copies} copies; "
+        raise ValueError(f"no bundled POVM of catalog {label!r} at {copies} copies; "
                          f"bundled copy counts: {', '.join(map(str, CATALOG_COPIES))}")
-    if cat.label not in CATALOGS or not np.array_equal(cat.states, catalog(cat.label).states):
-        raise ValueError(f"catalog {cat.label!r} is not the bundled catalog of that name")
+    cat = catalog(label)
     return Povm(np.full(cat.size, sym_dim(cat.states.shape[1], copies) / cat.size), cat.states,
-                copies, provenance=f"{cat.label}-povm-N{copies}")
+                copies, provenance=f"{label}-povm-N{copies}")
 
 
 def reduce_n3_to_n2(povm: Povm) -> Povm:

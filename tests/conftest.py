@@ -18,9 +18,9 @@ def gamma(n):
 def all_shipped_povms():
     """The eight bundled POVMs: spin-1 N=2..5 and both spin-3/2 catalogs at N=2,3."""
     povms = [build_table1_povm(n) for n in (2, 3, 4, 5)]
-    for cat in (catalog(PENROSE40), catalog(SET60)):
+    for label in (PENROSE40, SET60):
         for n in (2, 3):
-            povms.append(spin32_povm(cat, n))
+            povms.append(spin32_povm(label, n))
     return povms
 
 

@@ -70,10 +70,10 @@ def test_criterion_3_weight_sums():
         (build_table1_povm(3), 10.0),
         (build_table1_povm(4), 15.0),
         (build_table1_povm(5), 21.0),
-        (spin32_povm(catalog(PENROSE40), 2), 10.0),
-        (spin32_povm(catalog(PENROSE40), 3), 20.0),
-        (spin32_povm(catalog(SET60), 2), 10.0),
-        (spin32_povm(catalog(SET60), 3), 20.0),
+        (spin32_povm(PENROSE40, 2), 10.0),
+        (spin32_povm(PENROSE40, 3), 20.0),
+        (spin32_povm(SET60, 2), 10.0),
+        (spin32_povm(SET60, 3), 20.0),
     ]
     worst = max(abs(povm.weight_sum - target) for povm, target in expectations)
     _criterion(3, "weight sums equal 6/10/15/21 and 10/20 within 1e-9",
@@ -139,12 +139,12 @@ def test_criterion_6_spectra():
 
 def test_criterion_7_hierarchies_and_reduction():
     worst = 0.0
-    for cat in (catalog(PENROSE40), catalog(SET60)):
-        n2 = verify_hierarchy(spin32_povm(cat, 2))
-        n3 = verify_hierarchy(spin32_povm(cat, 3))
+    for label in (PENROSE40, SET60):
+        n2 = verify_hierarchy(spin32_povm(label, 2))
+        n3 = verify_hierarchy(spin32_povm(label, 3))
         worst = max(worst, n2.worst, n3.worst)
-    reduced_pen = reduce_n3_to_n2(spin32_povm(catalog(PENROSE40), 3))
-    reduced_60 = reduce_n3_to_n2(spin32_povm(catalog(SET60), 3))
+    reduced_pen = reduce_n3_to_n2(spin32_povm(PENROSE40, 3))
+    reduced_60 = reduce_n3_to_n2(spin32_povm(SET60, 3))
     weights_ok = (np.allclose(reduced_pen.weights, 1 / 4, atol=1e-12)
                   and np.allclose(reduced_60.weights, 1 / 6, atol=1e-12))
     reduced_pass = (verify_hierarchy(reduced_pen).passed

@@ -27,7 +27,7 @@ def _catalog_dict(cat):
 
 
 def test_povm_round_trip_is_lossless():
-    povm = spin32_povm(catalog(PENROSE40), 2)
+    povm = spin32_povm(PENROSE40, 2)
     loaded = povm_from_document(_povm_dict(povm))
     assert np.array_equal(loaded.weights, povm.weights)
     assert np.array_equal(loaded.states, povm.states)

@@ -17,7 +17,6 @@ from spinpovm import (
     SET60,
     Povm,
     build_table1_povm,
-    catalog,
     exact_average_fidelity,
     haar_moment,
     haar_random_states,
@@ -41,7 +40,7 @@ def test_exact_fidelity_table1_n2():
 
 
 def test_exact_fidelity_set60_n3():
-    povm = spin32_povm(catalog(SET60), 3)
+    povm = spin32_povm(SET60, 3)
     assert abs(exact_average_fidelity(povm) - 4 / 7) < 1e-12
 
 
@@ -78,13 +77,13 @@ def test_simulation_mean_tracks_exact_value():
 
 def test_simulation_penrose_three_copies():
     rng = np.random.default_rng(2001)
-    report = simulate(spin32_povm(catalog(PENROSE40), 3), 30_000, rng)
+    report = simulate(spin32_povm(PENROSE40, 3), 30_000, rng)
     assert abs(report.exact_fidelity - 4 / 7) < 1e-12
     assert abs(report.mean_fidelity - 4 / 7) < 5 * report.std_error
 
 
 def test_simulation_converges_across_seeds():
-    povm = spin32_povm(catalog(SET60), 2)
+    povm = spin32_povm(SET60, 2)
     misses = 0
     for seed in range(25):
         report = simulate(povm, 4000, np.random.default_rng(seed))
@@ -109,7 +108,7 @@ def _ks_distance(samples, cdf):
 
 @pytest.mark.parametrize("povm, seed", [
     (build_table1_povm(5), 1), (build_table1_povm(2), 2),
-    (spin32_povm(catalog(PENROSE40), 2), 3), (spin32_povm(catalog(SET60), 3), 4)],
+    (spin32_povm(PENROSE40, 2), 3), (spin32_povm(SET60, 3), 4)],
     ids=["table1-N5", "table1-N2", "penrose40-povm-N2", "set60-povm-N3"])
 def test_simulated_fidelities_follow_their_exact_law(povm, seed):
     # for a complete POVM of rank-one elements, x = |<psi_r|psi>|^2 has
@@ -157,7 +156,7 @@ def test_successive_calls_on_one_generator_draw_different_samples():
 
 @pytest.mark.parametrize("trials", [1, 2, 4097, 20_000, 100_000])
 def test_streamed_statistics_match_the_kept_samples(trials):
-    report = simulate(spin32_povm(catalog(PENROSE40), 2), trials,
+    report = simulate(spin32_povm(PENROSE40, 2), trials,
                       np.random.default_rng(trials), keep_samples=True)
     mean = np.mean(report.samples)
     assert abs(report.mean_fidelity - mean) <= 1e-14 * mean
@@ -203,7 +202,7 @@ def test_statistics_are_streamed_in_bounded_memory(monkeypatch):
     # at k = 40 a block's buffers and two chunks' draws hold about 2.5 MB at
     # any trial count, more than the 8 x trials bytes of a per-trial buffer;
     # that buffer would add 1.5 MB to the peak of a 3-chunk run
-    penrose = spin32_povm(catalog(PENROSE40), 2)
+    penrose = spin32_povm(PENROSE40, 2)
     assert _peak_bytes(penrose, trials) < _peak_bytes(penrose, 3 * CHUNK) + trials
     assert kept_rows == []   # the sequential pick keeps no segments
     # a qubit basis holds about 1 MB
@@ -710,7 +709,7 @@ def test_two_level_pick_on_a_short_last_segment(parts, recomputed):
     assert len(recomputed) < rows // 4
 
 
-@pytest.mark.parametrize("povm", [build_table1_povm(2), spin32_povm(catalog(SET60), 2)],
+@pytest.mark.parametrize("povm", [build_table1_povm(2), spin32_povm(SET60, 2)],
                          ids=["table1-N2", "set60-N2"])
 def test_fortran_ordered_rows_give_the_same_samples(povm):
     # a Povm keeps the order of its rows, and the factor reads them as doubles
@@ -728,10 +727,10 @@ def _one_copy(povm):
 
 
 @pytest.mark.parametrize("povm", [build_table1_povm(3), build_table1_povm(5),
-                                  spin32_povm(catalog(PENROSE40), 3),
-                                  spin32_povm(catalog(SET60), 3),
+                                  spin32_povm(PENROSE40, 3),
+                                  spin32_povm(SET60, 3),
                                   _one_copy(build_table1_povm(5)),
-                                  _one_copy(spin32_povm(catalog(PENROSE40), 3))],
+                                  _one_copy(spin32_povm(PENROSE40, 3))],
                          ids=["table1-N3", "table1-N5", "penrose40-N3", "set60-N3",
                               "table1-N5-one-copy", "penrose40-one-copy"])
 def test_negative_squared_overlaps_are_bounded_and_change_no_pick(monkeypatch, povm):

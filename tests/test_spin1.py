@@ -264,6 +264,12 @@ class TestSolveWeights:
         with pytest.raises(ValueError, match="distinct"):
             solve_weights(CELL24, [PI / 4, PI / 4], 2)
 
+    def test_rejects_two_floats_of_one_angle(self):
+        # 11 pi/22 is one ulp from pi/2, and would split its shell's weight
+        assert 11 * math.pi / 22 != math.pi / 2
+        with pytest.raises(ValueError, match="angles must be distinct"):
+            solve_weights(CELL24, [math.pi / 4, math.pi / 2, 11 * math.pi / 22], 2)
+
     def test_rejects_unknown_polytope(self):
         # a pole-only shell needs no vertices, and is refused all the same
         with pytest.raises(ValueError, match="unknown polytope 'tesseract'"):

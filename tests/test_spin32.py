@@ -123,7 +123,7 @@ def test_unknown_catalog_token_rejected():
 def test_copies_without_a_bundled_weight_rejected():
     with pytest.raises(ValueError, match="no bundled POVM of catalog 'set60' at 4 copies; "
                                          "bundled copy counts: 2, 3"):
-        spin32_povm(catalog(SET60), 4)
+        spin32_povm(SET60, 4)
 
 
 def test_unknown_catalog_rejected():
@@ -138,25 +138,15 @@ def test_trace_rule_gives_the_paper_weights():
     assert [(label, n) for label in spin32.CATALOGS for n in spin32.CATALOG_COPIES] == \
         list(expected)
     for (label, copies), weight in expected.items():
-        weights = spin32_povm(catalog(label), copies).weights
+        weights = spin32_povm(label, copies).weights
         assert np.all(weights == weight), (label, copies)
 
 
-@pytest.mark.parametrize("label", [PENROSE40, SET60])
-def test_a_catalog_that_only_borrows_a_label_is_refused(label):
-    # Haar rays under a bundled name: uniform weights would not resolve the identity
-    size = catalog(label).size
-    rays = RayCatalog(label, tuple(map(str, range(size))),
-                      haar_random_states(4, size, np.random.default_rng(60)))
-    with pytest.raises(ValueError, match=f"catalog '{label}' is not the bundled catalog"):
-        spin32_povm(rays, 2)
-    # one bundled ray moved by one ulp is refused too
-    states = catalog(label).states.copy()
-    states[0, 0] = np.nextafter(states[0, 0].real, 2.0)
-    with pytest.raises(ValueError, match="not the bundled catalog"):
-        spin32_povm(RayCatalog(label, catalog(label).names, states), 3)
-    with pytest.raises(ValueError, match="'rays' is not the bundled catalog"):
-        spin32_povm(RayCatalog("rays", catalog(label).names, catalog(label).states), 2)
+def test_spin32_povm_of_an_unknown_label_rejected():
+    # the POVM is built from the bundled rows of its label, so only a label is taken
+    with pytest.raises(ValueError, match="unknown catalog 'rays'; "
+                                         "expected 'penrose40' or 'set60'"):
+        spin32_povm("rays", 2)
 
 
 class TestBlochDots:
@@ -275,9 +265,9 @@ class TestOverlapSpectrum:
         spectrum = overlap_spectrum(cat)
         dots = np.round(bloch_dots(cat.states), 9) + 0.0
         pair_counts, per_state = reference_value_counts(dots)
-        assert list(spectrum.pair_counts.items()) == list(pair_counts.items())
+        assert list(spectrum.pair_counts.items()) == sorted(pair_counts.items())
         assert [list(c.items()) for c in spectrum.per_state] == \
-            [list(c.items()) for c in per_state]
+            [sorted(c.items()) for c in per_state]
         # the text keys tell a -0.0 key from a 0.0 one; set60 has no -0.0
         assert spectrum.to_dict() == BlochDotSpectrum(
             cat.label, spectrum.values, pair_counts, tuple(per_state),
@@ -285,8 +275,7 @@ class TestOverlapSpectrum:
 
     def test_counts_of_repeated_rays_match_per_pair_reference(self, penrose, set60):
         # 400 rays drawn with repeats from both catalogs, in 4 blocks of 100
-        # rows: a repeat's dot of 1, and values met first below the diagonal
-        # of one row and right of it in another
+        # rows: a repeat's dot of 1, and rows whose smallest value differs
         rows = np.random.default_rng(400).integers(0, 100, 400)
         states = np.concatenate([penrose.states, set60.states])[rows]
         cat = RayCatalog("repeated", tuple(map(str, range(400))), states)
@@ -294,10 +283,29 @@ class TestOverlapSpectrum:
         dots = np.round(bloch_dots(states), 9) + 0.0
         pair_counts, per_state = reference_value_counts(dots)
         assert 1.0 in pair_counts
-        assert list(spectrum.pair_counts.items()) == list(pair_counts.items())
+        assert list(spectrum.pair_counts.items()) == sorted(pair_counts.items())
         assert [list(c.items()) for c in spectrum.per_state] == \
-            [list(c.items()) for c in per_state]
+            [sorted(c.items()) for c in per_state]
         assert spectrum.values == tuple(sorted(pair_counts))
+
+    def test_every_dict_is_keyed_in_ascending_value(self, penrose, set60):
+        for cat in (penrose, set60):
+            spectrum = overlap_spectrum(cat)
+            assert tuple(spectrum.pair_counts) == spectrum.values
+            for counts in spectrum.per_state:
+                assert list(counts) == sorted(counts)
+
+    def test_one_ray_has_no_pairs(self, penrose):
+        spectrum = overlap_spectrum(RayCatalog("one", ("A",), penrose.states[:1]))
+        assert spectrum.values == () and spectrum.pair_counts == {}
+        assert spectrum.per_state == ({},)
+
+    def test_two_rays_have_one_pair(self, penrose):
+        # F and B of the Penrose rays are orthogonal: a dot of -1/3
+        spectrum = overlap_spectrum(RayCatalog("two", ("F", "B"), penrose.states[1:3]))
+        assert spectrum.values == (-THIRD,)
+        assert spectrum.pair_counts == {-THIRD: 1}
+        assert spectrum.per_state == ({-THIRD: 1}, {-THIRD: 1})
 
     def test_per_state_counts_sum_to_size_minus_one(self, penrose, set60):
         for cat in (penrose, set60):
@@ -341,12 +349,12 @@ class TestOverlapSpectrum:
 
 
 class TestHierarchies:
-    def test_penrose_two_copies(self, penrose):
-        report = verify_hierarchy(spin32_povm(penrose, 2))
+    def test_penrose_two_copies(self):
+        report = verify_hierarchy(spin32_povm(PENROSE40, 2))
         assert report.passed and report.worst < 1e-9
 
-    def test_set60_two_copies(self, set60):
-        report = verify_hierarchy(spin32_povm(set60, 2))
+    def test_set60_two_copies(self):
+        report = verify_hierarchy(spin32_povm(SET60, 2))
         assert report.passed and report.worst < 1e-9
 
     def test_wrong_weight_fails_weight_sum_by_ten(self, penrose):
@@ -357,12 +365,12 @@ class TestHierarchies:
         assert not report.passed
         assert report.povm_id == "povm-D4-N2"   # verify's id rule
 
-    def test_penrose_three_copies(self, penrose):
-        report = verify_hierarchy(spin32_povm(penrose, 3))
+    def test_penrose_three_copies(self):
+        report = verify_hierarchy(spin32_povm(PENROSE40, 3))
         assert report.passed and report.worst < 1e-9
 
-    def test_set60_three_copies(self, set60):
-        report = verify_hierarchy(spin32_povm(set60, 3))
+    def test_set60_three_copies(self):
+        report = verify_hierarchy(spin32_povm(SET60, 3))
         assert report.passed and report.worst < 1e-9
 
     def test_three_copy_moment_targets_at_spin_three_halves(self):
@@ -381,9 +389,9 @@ class TestHierarchies:
         assert hierarchy_targets(2, copies) == tuple(
             (copies + 1) / (m + 1) if m % 2 == 0 else 0.0 for m in range(copies + 1))
 
-    def test_copies_preconditions(self, penrose):
+    def test_copies_preconditions(self):
         with pytest.raises(ValueError, match="three-copy"):
-            reduce_n3_to_n2(spin32_povm(penrose, 2))
+            reduce_n3_to_n2(spin32_povm(PENROSE40, 2))
 
 
 class TestGeneralHierarchy:
@@ -419,15 +427,15 @@ class TestGeneralHierarchy:
 
 
 class TestReduction:
-    def test_penrose_reduction_halves_weights(self, penrose):
-        reduced = reduce_n3_to_n2(spin32_povm(penrose, 3))
+    def test_penrose_reduction_halves_weights(self):
+        reduced = reduce_n3_to_n2(spin32_povm(PENROSE40, 3))
         assert reduced.copies == 2
         assert np.allclose(reduced.weights, 1 / 4, atol=1e-12)
         assert abs(reduced.weight_sum - 10.0) < 1e-9
         assert verify_hierarchy(reduced).passed
 
-    def test_set60_reduction(self, set60):
-        reduced = reduce_n3_to_n2(spin32_povm(set60, 3))
+    def test_set60_reduction(self):
+        reduced = reduce_n3_to_n2(spin32_povm(SET60, 3))
         assert np.allclose(reduced.weights, 1 / 6, atol=1e-12)
         assert verify_hierarchy(reduced).passed
 
@@ -438,17 +446,17 @@ class TestReduction:
 
 
 class TestIdentityResolution:
-    def test_completeness_for_all_four_povms(self, penrose, set60):
-        for cat in (penrose, set60):
+    def test_completeness_for_all_four_povms(self):
+        for label in (PENROSE40, SET60):
             for copies in (2, 3):
-                report = verify_completeness(spin32_povm(cat, copies))
+                report = verify_completeness(spin32_povm(label, copies))
                 assert report.passed, report.to_dict()
 
-    def test_scalar_identity_at_haar_states(self, penrose, set60):
+    def test_scalar_identity_at_haar_states(self):
         rng = np.random.default_rng(555)
         features = probe_features(haar_random_states(4, 1000, rng))
-        for cat in (penrose, set60):
+        for label in (PENROSE40, SET60):
             for copies in (2, 3):
-                povm = spin32_povm(cat, copies)
+                povm = spin32_povm(label, copies)
                 _, probs = outcome_probabilities(povm, features, kernel_buffers(povm.states, 1000))
                 assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9

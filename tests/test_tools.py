@@ -41,7 +41,7 @@ def test_kernel_stages_times_each_pick_path(monkeypatch):
 def test_cli_sweep_runs_the_documented_commands(monkeypatch):
     sweep = _load(monkeypatch, "cli_sweep")
     runs = sweep.commands()
-    assert len(runs) == 137   # the count README states
+    assert len(runs) == 139   # the count README states
     # every document written into OUTDIR is read by some command
     assert all(any(name in argv for argv in runs) for name in sweep.INPUT_DOCS)
     targets = [argv[i + 1] for argv in runs for i, arg in enumerate(argv) if arg == "--target"]

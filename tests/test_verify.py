@@ -35,12 +35,12 @@ def test_table1_n3_passes(shipped_povms):
 
 
 def test_penrose_n3_passes():
-    report = verify_completeness(spin32_povm(catalog(PENROSE40), 3))
+    report = verify_completeness(spin32_povm(PENROSE40, 3))
     assert report.passed
 
 
 def test_deleting_a_state_breaks_completeness():
-    povm = spin32_povm(catalog(PENROSE40), 3)
+    povm = spin32_povm(PENROSE40, 3)
     deficient = Povm(povm.weights[:-1], povm.states[:-1], 3)
     report = verify_completeness(deficient)
     assert not report.passed
@@ -236,7 +236,7 @@ def test_a_report_holding_a_nan_residual_has_a_nan_worst(residuals):
 
 
 def test_reports_are_deterministic_for_a_seed():
-    povm = spin32_povm(catalog(PENROSE40), 2)
+    povm = spin32_povm(PENROSE40, 2)
     r1 = verify_scalar_identity(povm, 700, np.random.default_rng(21))
     r2 = verify_scalar_identity(povm, 700, np.random.default_rng(21))
     assert r1.to_dict() == r2.to_dict()

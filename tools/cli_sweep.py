@@ -2,7 +2,7 @@
 
     python3 tools/cli_sweep.py OUTDIR
 
-The sweep runs 137 commands. It calls `spinpovm.cli.main` in-process,
+The sweep runs 139 commands. It calls `spinpovm.cli.main` in-process,
 with OUTDIR as the working directory, so every output file lands in
 OUTDIR under a relative name. It covers `build` for every target,
 `verify` and `simulate` for every POVM (by target and from the built
@@ -21,7 +21,8 @@ last two commands name their `--in` document as an output. Two spin-3/2
 documents at copy counts no bundled POVM has run `verify` too, and
 `spectrum` and `verify` each run on a document of 2049 repeated
 spin-3/2 basis rays, one row above the bound of `spectrum`'s Bloch-dot
-matrix, and `spectrum` on set60's rays repeated to 2048, at the bound.
+matrix, `spectrum` on set60's rays repeated to 2048, at the bound, and
+on one ray and on two, a spectrum of no pairs and one of one pair.
 The Penrose rays at one copy run `verify` and `simulate --csv`,
 and so do two documents of Table 1 POVMs with split
 elements, whose two-level outcome picks no bundled POVM takes: table1-N4
@@ -105,6 +106,9 @@ BASIS_2049 = np.eye(4)[np.arange(2049) % 4]
 # set60's rays repeated to verify.MAX_BLOCH_ROWS = 2048 rows, the most
 # `spectrum` takes: many zero dots, and a dot of 1 between repeats
 MOST_RAYS = "set60-rays-2048.json"
+# one and two qubit rays: `spectrum` with no pairs, and with one
+ONE_RAY = "rays-1.json"
+TWO_RAYS = "rays-2.json"
 # Table 1 POVMs with elements split into equal parts: N4's last in two (k =
 # 481: 30 segments of estimate._SEGMENT = 16 and one of 1) and each of N5's
 # in three (k = 2160: 135 segments, past estimate._PREFIX_MOST = 96, and
@@ -171,6 +175,8 @@ INPUT_DOCS = {
         RayCatalog("rays", tuple(map(str, range(2049))), BASIS_2049))),
     MANY_ELEMENTS: json.loads(documents.povm_to_document(
         Povm(np.full(2049, 4 / 2049), BASIS_2049, 1))),
+    ONE_RAY: _rays(names=("0",)),
+    TWO_RAYS: _rays(),
     MOST_RAYS: json.loads(documents.catalog_to_document(RayCatalog(
         "set60-repeated", tuple(map(str, range(2048))),
         catalog(SET60).states[np.arange(2048) % 60]))),
@@ -274,6 +280,8 @@ def commands() -> list[list[str]]:
     runs.append(["spectrum", "--in", ODD_NAMES_RAYS])
     runs.append(["spectrum", "--in", MANY_RAYS])
     runs.append(["spectrum", "--in", MOST_RAYS, "--out", f"spectrum-{MOST_RAYS}"])
+    for doc in (ONE_RAY, TWO_RAYS):
+        runs.append(["spectrum", "--in", doc, "--out", f"spectrum-{doc}"])
     runs.append(["verify", "--in", MANY_ELEMENTS, "--seed", "1"])
     # verify has no --tolerance: its gate is fixed at 1e-9
     runs.append(["verify", "--target", "table1-N2", "--seed", "1", "--tolerance", "1e-3"])
